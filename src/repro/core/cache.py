@@ -1,12 +1,16 @@
 """Persistent artifact cache for expensive build products.
 
-Worlds, campaign :class:`~repro.measure.dataset.MeasurementDataset`\\ s
-and market crawls are deterministic functions of ``(package version,
-seed, scale, ChaosConfig)`` — there is no reason to rebuild them in
-every fresh process. This module stores them as pickles under
+Worlds, campaign :class:`~repro.measure.dataset.MeasurementDataset`\\ s,
+market crawls and subscriber populations are deterministic functions of
+``(package version, seed, scale, ChaosConfig)`` — there is no reason to
+rebuild them in every fresh process. This module stores them under
 ``~/.cache/repro-airalo/`` (override with ``$REPRO_CACHE_DIR``; disable
 entirely with ``$REPRO_CACHE_DISABLE=1``), keyed by a content
-fingerprint of everything that can change the bytes.
+fingerprint of everything that can change the bytes. A
+:class:`~repro.core.columns.ColumnStore` value is kept as its
+``RPCOL001`` snapshot (``<key>.cols``) and memory-mapped on load, so
+reading it costs page faults on the rows touched, not an unpickle of
+every object; any other value is a pickle (``<key>.pkl``).
 
 Design rules:
 
@@ -16,10 +20,10 @@ Design rules:
   final name. :func:`atomic_write` is that discipline, shared with
   every other whole-file writer in the package.
 * **Corruption tolerance.** A load that fails for *any* reason (
-  truncated pickle, stale class layout, wrong protocol) is treated as a
-  miss: the entry is deleted and the caller rebuilds. The cache can
-  therefore always be deleted, truncated or hand-edited with no effect
-  beyond a rebuild.
+  truncated pickle or snapshot, stale class layout, wrong protocol,
+  malformed snapshot header) is treated as a miss: the entry is deleted
+  and the caller rebuilds. The cache can therefore always be deleted,
+  truncated or hand-edited with no effect beyond a rebuild.
 * **Versioned keys.** The package version is part of every fingerprint,
   so upgrading the simulator silently invalidates old entries instead
   of serving artefacts built by different code.
@@ -39,11 +43,23 @@ from dataclasses import dataclass
 from typing import IO, Any, Callable, Dict, List, Optional, Union
 
 from repro import obs
+from repro.core.columns import ColumnStore
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE_DISABLE = "REPRO_CACHE_DISABLE"
 
-_SUFFIX = ".pkl"
+
+def _read_pickle(path: pathlib.Path) -> Any:
+    with path.open("rb") as handle:
+        return pickle.load(handle)
+
+
+#: Entry suffix -> reader, in load-preference order. Column snapshots
+#: are memory-mapped (zero-copy); everything else is unpickled.
+_READERS: Dict[str, Callable[[pathlib.Path], Any]] = {
+    ".cols": ColumnStore.load,
+    ".pkl": _read_pickle,
+}
 
 
 def default_cache_root() -> pathlib.Path:
@@ -163,11 +179,12 @@ class CacheEntryInfo:
 class CacheVerifyResult:
     """What ``python -m repro cache verify`` found (and removed)."""
 
-    #: Keys whose pickles loaded cleanly.
+    #: Keys whose entries loaded cleanly.
     ok: List[str]
-    #: Keys whose entries failed to unpickle (truncated, scribbled, …).
+    #: Keys whose entries failed to load (truncated, scribbled, …).
     corrupt: List[str]
-    #: Stray ``.{key}.pkl.*`` temp files from crashed writers.
+    #: Stray ``.{key}.pkl.*`` / ``.{key}.cols.*`` temp files from
+    #: crashed writers.
     stray: List[str]
     #: Corrupt entries + stray temp files actually deleted (``prune=True``).
     pruned: List[str]
@@ -178,7 +195,7 @@ class CacheVerifyResult:
 
 
 class ArtifactCache:
-    """Pickle store with atomic writes and corruption-tolerant loads."""
+    """Pickle and column-snapshot store: atomic, corruption-tolerant."""
 
     def __init__(
         self,
@@ -191,59 +208,72 @@ class ArtifactCache:
         )
         self.stats = CacheStats()
 
-    def _path(self, key: str) -> pathlib.Path:
-        return self.root / f"{key}{_SUFFIX}"
+    def _miss(self, started: float) -> None:
+        self.stats.misses += 1
+        self.stats.miss_time_s += time.perf_counter() - started
+        obs.counter("cache.miss").inc()
 
     # -- load / store -------------------------------------------------------
 
     def load(self, key: str) -> Optional[Any]:
-        """The cached object, or ``None`` on miss *or* corrupt entry."""
+        """The cached object, or ``None`` on miss *or* corrupt entry.
+
+        ``<key>.cols`` comes back as a memory-mapped
+        :class:`~repro.core.columns.ColumnStore`; otherwise
+        ``<key>.pkl`` is unpickled.
+        """
         if not self.enabled:
             return None
-        path = self._path(key)
         started = time.perf_counter()
-        try:
-            with path.open("rb") as handle:
-                value = pickle.load(handle)
-        except FileNotFoundError:
-            self.stats.misses += 1
-            self.stats.miss_time_s += time.perf_counter() - started
-            obs.counter("cache.miss").inc()
-            return None
-        except Exception:
-            # Truncated write, stale class layout, garbage bytes: drop the
-            # entry and let the caller rebuild from scratch.
-            self.stats.misses += 1
-            self.stats.evictions += 1
-            self.stats.miss_time_s += time.perf_counter() - started
-            obs.counter("cache.miss").inc()
-            obs.counter("cache.corrupt").inc()
-            obs.event("cache.corrupt", key=key)
+        for suffix, read in _READERS.items():
+            path = self.root / f"{key}{suffix}"
             try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        elapsed = time.perf_counter() - started
-        self.stats.hits += 1
-        self.stats.hit_time_s += elapsed
-        obs.counter("cache.hit").inc()
-        obs.histogram("cache.load_s").observe(elapsed)
-        return value
+                value = read(path)
+            except FileNotFoundError:
+                continue
+            except Exception:
+                # Truncated write, stale class layout, garbage bytes,
+                # malformed snapshot header: drop the entry and let the
+                # caller rebuild from scratch.
+                self._miss(started)
+                self.stats.evictions += 1
+                obs.counter("cache.corrupt").inc()
+                obs.event("cache.corrupt", key=key)
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+                return None
+            elapsed = time.perf_counter() - started
+            self.stats.hits += 1
+            self.stats.hit_time_s += elapsed
+            obs.counter("cache.hit").inc()
+            obs.histogram("cache.load_s").observe(elapsed)
+            return value
+        self._miss(started)
+        return None
 
     def store(self, key: str, value: Any) -> Optional[pathlib.Path]:
-        """Atomically persist ``value``; returns the entry path."""
+        """Atomically persist ``value``; returns the entry path.
+
+        A :class:`~repro.core.columns.ColumnStore` is written as its
+        snapshot bytes (``<key>.cols``), anything else as a pickle.
+        """
         if not self.enabled:
             return None
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self._path(key)
         started = time.perf_counter()
-        atomic_write(
-            path,
-            lambda handle: pickle.dump(
-                value, handle, protocol=pickle.HIGHEST_PROTOCOL
-            ),
-        )
+        if isinstance(value, ColumnStore):
+            path = self.root / f"{key}.cols"
+            value.save(path)
+        else:
+            path = self.root / f"{key}.pkl"
+            atomic_write(
+                path,
+                lambda handle: pickle.dump(
+                    value, handle, protocol=pickle.HIGHEST_PROTOCOL
+                ),
+            )
         self.stats.stores += 1
         obs.counter("cache.store").inc()
         obs.histogram("cache.store_s").observe(time.perf_counter() - started)
@@ -262,11 +292,18 @@ class ArtifactCache:
             return []
         return sorted(self.root.glob(".*"))
 
-    def entries(self) -> List[CacheEntryInfo]:
+    def _entry_paths(self) -> List[pathlib.Path]:
+        """Every live entry, pickle or column snapshot, sorted by name."""
         if not self.root.is_dir():
             return []
+        return sorted(
+            (path for suffix in _READERS for path in self.root.glob(f"*{suffix}")),
+            key=lambda path: path.name,
+        )
+
+    def entries(self) -> List[CacheEntryInfo]:
         found = []
-        for path in sorted(self.root.glob(f"*{_SUFFIX}")):
+        for path in self._entry_paths():
             try:
                 size = path.stat().st_size
             except OSError:
@@ -282,7 +319,7 @@ class ArtifactCache:
         removed = 0
         if not self.root.is_dir():
             return removed
-        for path in list(self.root.glob(f"*{_SUFFIX}")) + self._stray_temps():
+        for path in self._entry_paths() + self._stray_temps():
             try:
                 path.unlink()
                 removed += 1
@@ -300,29 +337,22 @@ class ArtifactCache:
         ``os.replace``) are reported, and pruned, the same way.
         """
         ok: List[str] = []
-        corrupt: List[str] = []
-        stray: List[str] = []
+        bad: List[pathlib.Path] = []
+        for path in self._entry_paths():
+            try:
+                _READERS[path.suffix](path)
+            except Exception:
+                bad.append(path)
+            else:
+                ok.append(path.stem)
+        strays = self._stray_temps()
+        corrupt = [path.stem for path in bad]
+        stray = [path.name for path in strays]
         pruned: List[str] = []
-        if self.root.is_dir():
-            for path in sorted(self.root.glob(f"*{_SUFFIX}")):
-                try:
-                    with path.open("rb") as handle:
-                        pickle.load(handle)
-                except Exception:
-                    corrupt.append(path.stem)
-                else:
-                    ok.append(path.stem)
-            stray = sorted(path.name for path in self._stray_temps())
         if prune:
-            for key in corrupt:
+            for path, name in zip(bad + strays, corrupt + stray):
                 try:
-                    self._path(key).unlink()
-                    pruned.append(key)
-                except OSError:
-                    pass
-            for name in stray:
-                try:
-                    (self.root / name).unlink()
+                    path.unlink()
                     pruned.append(name)
                 except OSError:
                     pass

@@ -35,12 +35,11 @@ import mmap
 import os
 import pathlib
 import struct
+import tempfile
 import uuid
 from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
-
-from repro.core import cache as cache_mod
 
 MAGIC = b"RPCOL001"
 _ALIGN = 8
@@ -236,37 +235,45 @@ class ColumnStore:
         Columns become read-only ``memoryview`` casts into ``buffer``;
         nothing is copied. ``backing`` (shm handle, mmap, file object)
         is pinned on the store so the buffer outlives the views.
+        Every malformed input — short or garbage bytes, a header of the
+        wrong shape, a column outside the buffer — raises
+        :class:`ColumnError`, never another exception type.
         """
         view = memoryview(buffer)
-        if bytes(view[: len(MAGIC)]) != MAGIC:
+        prefix = len(MAGIC) + 8
+        if len(view) < prefix or bytes(view[: len(MAGIC)]) != MAGIC:
             raise ColumnError("not a column snapshot (bad magic)")
         (header_len,) = struct.unpack_from("<Q", view, len(MAGIC))
-        header_end = len(MAGIC) + 8 + header_len
+        header_end = prefix + header_len
         if header_end > len(view):
             raise ColumnError("truncated column snapshot header")
         try:
-            header = json.loads(bytes(view[len(MAGIC) + 8 : header_end]))
+            header = json.loads(bytes(view[prefix:header_end]))
         except ValueError as error:
-            raise ColumnError(f"corrupt snapshot header: {error}")
-        store = cls(meta=header.get("meta", {}))
-        for table, values in header.get("strings", {}).items():
+            raise ColumnError(f"corrupt snapshot header: {error}") from None
+        _require(isinstance(header, dict), "snapshot header is not an object")
+        meta = header.get("meta", {})
+        strings = header.get("strings", {})
+        columns = header.get("columns", [])
+        _require(isinstance(meta, dict), "snapshot meta is not an object")
+        _require(isinstance(strings, dict), "snapshot strings is not an object")
+        _require(isinstance(columns, list), "snapshot columns is not a list")
+        store = cls(meta=meta)
+        for table, values in strings.items():
+            _require(
+                isinstance(values, list)
+                and all(isinstance(value, str) for value in values),
+                f"string table {table!r} is not a list of strings",
+            )
             store._strings[table] = StringTable(values)
         data_start = _aligned(header_end)
-        for entry in header.get("columns", []):
-            typecode = entry["typecode"]
-            expected = STABLE_TYPECODES.get(typecode)
-            if expected is None or expected != entry["itemsize"]:
-                raise ColumnError(
-                    f"column {entry['name']!r}: itemsize mismatch "
-                    f"({entry['itemsize']} vs {expected} for {typecode!r})"
-                )
-            start = data_start + entry["offset"]
-            end = start + entry["nbytes"]
-            if end > len(view):
-                raise ColumnError(f"column {entry['name']!r} is truncated")
-            store._columns[entry["name"]] = view[start:end].cast(typecode)
-            store._specs[entry["name"]] = (typecode, entry.get("strings"))
-            store._order.append(entry["name"])
+        for entry in columns:
+            name, typecode, table, start, end = _column_layout(
+                entry, store, data_start, len(view)
+            )
+            store._columns[name] = view[start:end].cast(typecode)
+            store._specs[name] = (typecode, table)
+            store._order.append(name)
         store._backing = backing if backing is not None else buffer
         return store
 
@@ -274,20 +281,76 @@ class ColumnStore:
 
     def save(self, path: Union[str, "os.PathLike[str]"]) -> None:
         """Atomically write the snapshot blob (tmp + ``os.replace``)."""
+        from repro.core.cache import atomic_write  # cache imports this module
+
         pathlib.Path(path).parent.mkdir(parents=True, exist_ok=True)
-        cache_mod.atomic_write(path, lambda handle: handle.write(self.to_bytes()))
+        atomic_write(path, lambda handle: handle.write(self.to_bytes()))
 
     @classmethod
     def load(cls, path: Union[str, "os.PathLike[str]"]) -> "ColumnStore":
         """Memory-map a snapshot file: zero-copy, demand-paged, and the
         page cache is shared between every process mapping the file."""
         with open(path, "rb") as handle:
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+            try:
+                mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+            except ValueError:  # an empty file cannot be mapped
+                raise ColumnError("not a column snapshot (empty file)") from None
         return cls.from_buffer(mapped, backing=mapped)
 
 
 def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ColumnError(message)
+
+
+def _is_count(value: Any) -> bool:
+    """A JSON integer >= 0 (``bool`` is an ``int`` subclass: rejected)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _column_layout(
+    entry: Any, store: ColumnStore, data_start: int, buffer_len: int
+) -> Tuple[str, str, Optional[str], int, int]:
+    """Check one header column entry against the buffer it describes.
+
+    Returns ``(name, typecode, strings, start, end)``; ``start:end`` is
+    the column's byte range in the buffer.
+    """
+    _require(isinstance(entry, dict), "column entry is not an object")
+    name = entry.get("name")
+    _require(isinstance(name, str), "column entry without a string name")
+    _require(name not in store._columns, f"duplicate column {name!r}")
+    typecode = entry.get("typecode")
+    itemsize = STABLE_TYPECODES.get(typecode) if isinstance(typecode, str) else None
+    _require(itemsize is not None, f"column {name!r}: bad typecode {typecode!r}")
+    _require(
+        entry.get("itemsize") == itemsize,
+        f"column {name!r}: itemsize mismatch "
+        f"({entry.get('itemsize')!r} vs {itemsize} for {typecode!r})",
+    )
+    count, offset, nbytes = (entry.get(k) for k in ("count", "offset", "nbytes"))
+    _require(
+        _is_count(count) and _is_count(offset) and _is_count(nbytes),
+        f"column {name!r}: count, offset and nbytes must be integers >= 0",
+    )
+    _require(
+        nbytes == count * itemsize,
+        f"column {name!r}: nbytes {nbytes} != count {count} x itemsize {itemsize}",
+    )
+    _require(offset % _ALIGN == 0, f"column {name!r}: offset {offset} is unaligned")
+    table = entry.get("strings")
+    _require(
+        table is None or (isinstance(table, str) and table in store._strings),
+        f"column {name!r}: unknown string table {table!r}",
+    )
+    start = data_start + offset
+    end = start + nbytes
+    _require(end <= buffer_len, f"column {name!r} is truncated")
+    return name, typecode, table, start, end
 
 
 # -- cross-process sharing ----------------------------------------------------

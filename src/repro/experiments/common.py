@@ -4,9 +4,11 @@ Two cache layers sit under every getter:
 
 1. a process-local dict, so one benchmark session builds each expensive
    input exactly once and always hands back the *same object*;
-2. the persistent :mod:`repro.core.cache` pickle store, so a fresh
-   process (a CLI invocation, a ``StudyRunner`` worker) loads the bytes
-   a previous process built instead of re-simulating the campaign.
+2. the persistent :mod:`repro.core.cache` store, so a fresh process (a
+   CLI invocation, a ``StudyRunner`` worker) loads the bytes a previous
+   process built instead of re-simulating the campaign. The market
+   crawl and subscriber populations are column stores there, memory-
+   mapped on load; the worlds and campaign datasets are pickles.
 
 Entries are keyed by a content fingerprint of ``(package version, seed,
 scale, ChaosConfig)``; corrupt or stale entries fall back to a rebuild.
@@ -16,17 +18,16 @@ in-memory layer (pass ``disk=True`` to also wipe the store).
 
 from __future__ import annotations
 
-import pathlib
-import shutil
 from typing import Dict, Optional, Tuple
 
 import repro
 from repro import obs
 from repro.core import cache as _cache
-from repro.core.columns import ColumnError, SnapshotDescriptor
+from repro.core.columns import SnapshotDescriptor
 from repro.faults import ChaosConfig
 from repro.geo import CountryRegistry, default_country_registry
 from repro.market import CrawlDataset, EsimDB, MarketCrawler, build_provider_universe
+from repro.market.crawler import VANTAGE_CHECK_DAY
 from repro.measure.dataset import MeasurementDataset
 from repro.worlds import AiraloWorld, build_airalo_world
 from repro.worlds.population import Population, attach_population, build_population
@@ -120,40 +121,33 @@ def get_countries() -> CountryRegistry:
 
 
 def get_market(step_days: int = 7) -> Tuple[EsimDB, CrawlDataset]:
-    """The aggregator plus a Feb-May crawl sampled every ``step_days``."""
+    """The aggregator plus a Feb-May crawl sampled every ``step_days``.
+
+    The crawl also holds the late-April three-vantage listings. It is
+    cached as one column store and memory-mapped back; the aggregator
+    itself is rebuilt, which is cheaper than any load.
+    """
     if step_days not in _market:
         with obs.span("input.market", step_days=step_days) as span:
             store = _cache.get_default_cache()
-            disk_key = _disk_key("market-crawl", step_days=step_days)
-            pair = store.load(disk_key)
-            if pair is None:
+            disk_key = _disk_key("market-columns", step_days=step_days)
+            esimdb = EsimDB(build_provider_universe(), get_countries())
+            table = store.load(disk_key)
+            crawl = None
+            if table is not None:
+                try:
+                    crawl = CrawlDataset(table)
+                    span.set(source="mmap")
+                except (KeyError, TypeError, ValueError):
+                    crawl = None
+            if crawl is None:
                 span.set(source="build")
-                esimdb = EsimDB(build_provider_universe(), get_countries())
-                crawl = MarketCrawler(esimdb).crawl_daily(0, 120, step=step_days)
-                pair = (esimdb, crawl)
-                store.store(disk_key, pair)
-            else:
-                span.set(source="disk")
-        _market[step_days] = pair
+                crawl = MarketCrawler(esimdb).crawl_daily(
+                    0, 120, step=step_days, vantage_day=VANTAGE_CHECK_DAY
+                )
+                store.store(disk_key, crawl.table)
+        _market[step_days] = (esimdb, crawl)
     return _market[step_days]
-
-
-def population_snapshot_path(
-    seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE
-) -> pathlib.Path:
-    """Where the columnar population snapshot for ``(seed, scale)`` lives.
-
-    Snapshots are raw :class:`~repro.core.columns.ColumnStore` blobs —
-    not pickles — kept in a ``populations/`` subdirectory so the pickle
-    store's ``clear()`` (which only globs ``*.pkl`` in its root) leaves
-    them alone; ``clear_caches(disk=True)`` removes the directory.
-    """
-    store = _cache.get_default_cache()
-    key = _disk_key("population", seed=seed, scale=scale)
-    return (
-        store.root / "populations"
-        / f"population-seed{seed}-scale{scale:g}-{key[:12]}.cols"
-    )
 
 
 def get_population(
@@ -163,7 +157,7 @@ def get_population(
 
     Resolution order: a snapshot adopted from the parent process
     (zero-copy shared memory, see :func:`adopt_population`), then the
-    process-local memo, then an mmap of the on-disk snapshot — the
+    process-local memo, then an mmap of the cached snapshot — the
     columnar replacement for unpickling a world copy per process —
     and only then a build (persisted for the next process).
     """
@@ -174,23 +168,22 @@ def get_population(
     if key not in _populations:
         with obs.span("input.population", seed=seed, scale=scale) as span:
             store = _cache.get_default_cache()
-            path = population_snapshot_path(seed, scale)
+            disk_key = _disk_key("population", seed=seed, scale=scale)
+            table = store.load(disk_key)
             population = None
-            if store.enabled and path.exists():
+            if table is not None:
                 try:
-                    population = Population.load(path)
+                    population = Population(table)
                     span.set(source="mmap")
-                except (ColumnError, ValueError, OSError):
+                except ValueError:
                     population = None
             if population is None:
                 span.set(source="build")
                 population = build_population(seed, scale)
-                if store.enabled:
-                    try:
-                        path.parent.mkdir(parents=True, exist_ok=True)
-                        population.save(path)
-                    except OSError:
-                        pass
+                try:
+                    store.store(disk_key, population.store)
+                except OSError:
+                    pass
         _populations[key] = population
     return _populations[key]
 
@@ -232,6 +225,4 @@ def clear_caches(disk: bool = False) -> None:
     _populations.clear()
     release_adopted_population()
     if disk:
-        store = _cache.get_default_cache()
-        store.clear()
-        shutil.rmtree(store.root / "populations", ignore_errors=True)
+        _cache.get_default_cache().clear()

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.market import MarketCrawler, price_timeline
 from repro.experiments import common
 from repro.experiments.registry import experiment
 
@@ -13,19 +12,12 @@ from repro.experiments.registry import experiment
 @experiment("F16", title="Figure 16 — $/GB over time per continent",
             inputs=('market',))
 def run(step_days: int = 7) -> Dict:
-    esimdb, crawl = common.get_market(step_days)
-    countries = common.get_countries()
-    snapshots = {s.day: s.offers for s in crawl.daily_snapshots}
-    timeline = price_timeline(snapshots, countries, provider="Airalo")
-
-    crawler = MarketCrawler(esimdb)
-    vantage_snaps = crawler.crawl_vantages(day=84)  # late April
-    discrimination = MarketCrawler.price_discrimination_detected(vantage_snaps)
-
+    _, crawl = common.get_market(step_days)
     return {
-        "timeline": timeline,
-        "price_discrimination": discrimination,
-        "days": sorted(snapshots),
+        "timeline": crawl.price_timeline(common.get_countries(), provider="Airalo"),
+        # The late-April Madrid / Abu Dhabi / NJ listings the crawl holds.
+        "price_discrimination": crawl.price_discrimination_detected(),
+        "days": sorted(crawl.days()),
     }
 
 

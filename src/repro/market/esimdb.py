@@ -2,16 +2,31 @@
 
 Serves daily snapshots of every provider's catalogue over the covered
 regions. The crawler queries it exactly like the paper's crawler queried
-esimdb.com: one full listing per day per vantage point.
+esimdb.com: one full listing per day per vantage point. A listing comes
+back either as :class:`~repro.market.models.ESIMOffer` objects
+(:meth:`EsimDB.snapshot`) or, for a whole crawl at once, as typed
+columns (:meth:`EsimDB.offer_table`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from array import array
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.columns import ColumnStore
 from repro.geo.countries import Country, CountryRegistry
 from repro.market.models import MarketSnapshot
-from repro.market.providers import ContinentPricing, EsimProvider
+from repro.market.providers import (
+    ContinentPricing,
+    EsimProvider,
+    continent_pricing_for,
+)
+
+#: Where a listing is crawled from unless a vantage is named.
+DEFAULT_VANTAGE = "NJ"
+
+#: ``meta["kind"]`` of an :meth:`EsimDB.offer_table` store.
+OFFER_TABLE_KIND = "market-offers"
 
 
 class EsimDB:
@@ -42,7 +57,7 @@ class EsimDB:
             raise KeyError(f"unknown provider: {provider_name}")
         return list(self._footprint[provider_name])
 
-    def snapshot(self, day: int, vantage: str = "NJ") -> MarketSnapshot:
+    def snapshot(self, day: int, vantage: str = DEFAULT_VANTAGE) -> MarketSnapshot:
         """Every offer listed on ``day`` as seen from ``vantage``.
 
         Prices carry no vantage dependence — crawling from Madrid, Abu
@@ -61,6 +76,83 @@ class EsimDB:
                     )
                 )
         return snapshot
+
+    def offer_table(
+        self,
+        days: Sequence[int],
+        vantages: Sequence[Tuple[int, str]] = (),
+    ) -> ColumnStore:
+        """A whole crawl as one column store.
+
+        Holds one listing per day in ``days`` seen from
+        :data:`DEFAULT_VANTAGE`, then one per ``(day, vantage)`` probe in
+        ``vantages``. Within a listing, rows follow :meth:`snapshot`'s
+        order: provider, country, then plan size. The columns are
+        ``provider``, ``country`` and ``vantage`` (codes into string
+        tables of the same names), ``day`` (``H``), and ``data_gb`` and
+        ``price_usd`` (``d``). ``meta["listings"]`` holds one ``[day,
+        vantage, first_row, end_row]`` per listing, and ``meta["daily"]``
+        counts the leading daily ones.
+
+        Prices come from :meth:`EsimProvider.plan_prices`, the formula
+        :meth:`snapshot` uses, so every row equals the offer
+        :meth:`snapshot` lists.
+        """
+        listings = [(day, DEFAULT_VANTAGE) for day in days]
+        listings += [(day, vantage) for day, vantage in vantages]
+        if any(day < 0 for day, _ in listings):
+            raise ValueError("day cannot be negative")
+        table = ColumnStore(meta={"kind": OFFER_TABLE_KIND, "daily": len(days)})
+        col_provider = table.new_column("provider", "H", strings="provider")
+        col_country = table.new_column("country", "H", strings="country")
+        col_vantage = table.new_column("vantage", "H", strings="vantage")
+        col_day = table.new_column("day", "H")
+        col_gb = table.new_column("data_gb", "d")
+        col_price = table.new_column("price_usd", "d")
+        provider_code = table.strings("provider").code
+        country_code = table.strings("country").code
+        vantage_code = table.strings("vantage").code
+
+        # Provider, country and size repeat in every listing: lay them
+        # out once. Per (provider, country), keep what does not depend on
+        # the day -- the rate schedule and the country factor (a sha256
+        # call) -- so a listing only computes prices.
+        ladders = []
+        template_provider, template_country = array("H"), array("H")
+        template_gb = array("d")
+        for provider in self.providers:
+            code = provider_code(provider.name)
+            n = len(provider.plan_sizes_gb)
+            for country in self._footprint[provider.name]:
+                ladders.append((
+                    provider,
+                    continent_pricing_for(country, self.continent_pricing),
+                    provider.country_factor(country),
+                ))
+                template_provider.extend([code] * n)
+                template_country.extend([country_code(country.iso3)] * n)
+                template_gb.extend(provider.plan_sizes_gb)
+        # ESIMOffer's validation, as one check over the rows.
+        if template_gb and min(template_gb) <= 0:
+            raise ValueError("plan size must be positive")
+        rows = len(template_gb)
+        bounds = []
+        for day, vantage in listings:
+            first = len(col_price)
+            col_provider.extend(template_provider)
+            col_country.extend(template_country)
+            col_vantage.extend(array("H", [vantage_code(vantage)]) * rows)
+            col_day.extend(array("H", [day]) * rows)
+            col_gb.extend(template_gb)
+            for provider, pricing, factor in ladders:
+                col_price.extend(provider.plan_prices(
+                    provider.unit_rate(pricing.rate_on(day), factor)
+                ))
+            bounds.append([day, vantage, first, len(col_price)])
+        if col_price and min(col_price) <= 0:
+            raise ValueError("price must be positive")
+        table.meta["listings"] = bounds
+        return table
 
     def total_offers_per_day(self) -> int:
         """Catalogue size (the paper quotes 75,875 offers on 2024-05-01)."""

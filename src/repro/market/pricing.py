@@ -14,17 +14,35 @@ from repro.geo.countries import CountryRegistry
 from repro.market.models import ESIMOffer
 
 
+def country_medians(pairs: Iterable[Tuple[str, float]]) -> Dict[str, float]:
+    """Median value per country from ``(iso3, value)`` pairs, keyed in
+    first-seen order."""
+    buckets: Dict[str, List[float]] = {}
+    for iso3, value in pairs:
+        buckets.setdefault(iso3, []).append(value)
+    return {iso3: statistics.median(vals) for iso3, vals in buckets.items()}
+
+
 def median_usd_per_gb_by_country(
     offers: Iterable[ESIMOffer],
     provider: Optional[str] = None,
 ) -> Dict[str, float]:
     """Median $/GB per country (one value per country)."""
-    buckets: Dict[str, List[float]] = {}
-    for offer in offers:
-        if provider is not None and offer.provider != provider:
-            continue
-        buckets.setdefault(offer.country_iso3, []).append(offer.usd_per_gb)
-    return {iso3: statistics.median(vals) for iso3, vals in buckets.items()}
+    return country_medians(
+        (offer.country_iso3, offer.usd_per_gb)
+        for offer in offers
+        if provider is None or offer.provider == provider
+    )
+
+
+def _by_continent(
+    per_country: Dict[str, float], countries: CountryRegistry
+) -> Dict[str, List[float]]:
+    grouped: Dict[str, List[float]] = {}
+    for iso3, value in per_country.items():
+        continent = countries.get(iso3).continent
+        grouped.setdefault(continent, []).append(value)
+    return grouped
 
 
 def median_usd_per_gb_by_continent(
@@ -33,12 +51,9 @@ def median_usd_per_gb_by_continent(
     provider: Optional[str] = None,
 ) -> Dict[str, List[float]]:
     """Country-median $/GB samples grouped by continent (Figure 16 boxes)."""
-    per_country = median_usd_per_gb_by_country(offers, provider=provider)
-    grouped: Dict[str, List[float]] = {}
-    for iso3, value in per_country.items():
-        continent = countries.get(iso3).continent
-        grouped.setdefault(continent, []).append(value)
-    return grouped
+    return _by_continent(
+        median_usd_per_gb_by_country(offers, provider=provider), countries
+    )
 
 
 def provider_country_medians(
@@ -77,11 +92,24 @@ def price_timeline(
     provider: str = "Airalo",
 ) -> Dict[str, List[Tuple[int, float]]]:
     """Per-continent (day, median-of-country-medians) series (Figure 16)."""
+    return country_median_timeline(
+        {
+            day: median_usd_per_gb_by_country(offers, provider=provider)
+            for day, offers in snapshots_by_day.items()
+        },
+        countries,
+    )
+
+
+def country_median_timeline(
+    medians_by_day: Dict[int, Dict[str, float]],
+    countries: CountryRegistry,
+) -> Dict[str, List[Tuple[int, float]]]:
+    """Per-continent (day, median-of-country-medians) series from each
+    day's per-country medians (the second half of :func:`price_timeline`)."""
     timeline: Dict[str, List[Tuple[int, float]]] = {}
-    for day in sorted(snapshots_by_day):
-        grouped = median_usd_per_gb_by_continent(
-            snapshots_by_day[day], countries, provider=provider
-        )
+    for day in sorted(medians_by_day):
+        grouped = _by_continent(medians_by_day[day], countries)
         for continent, medians in grouped.items():
             timeline.setdefault(continent, []).append(
                 (day, statistics.median(medians))

@@ -68,6 +68,16 @@ COUNTRY_FACTOR_OVERRIDES: Dict[Tuple[str, str], float] = {
 }
 
 
+def continent_pricing_for(
+    country: Country,
+    continent_pricing: Optional[Dict[str, ContinentPricing]] = None,
+) -> ContinentPricing:
+    """The rate schedule ``country`` is priced under (7 $/GB if unlisted)."""
+    return (continent_pricing or DEFAULT_CONTINENT_PRICING).get(
+        country.continent, ContinentPricing(7.0)
+    )
+
+
 def _stable_unit(key: str) -> float:
     """Deterministic pseudo-uniform in [0, 1) from a string key."""
     digest = hashlib.sha256(key.encode()).digest()
@@ -118,10 +128,22 @@ class EsimProvider:
         continent_pricing: Optional[Dict[str, ContinentPricing]] = None,
     ) -> float:
         """$/GB for a 1 GB plan in ``country`` on ``day``."""
-        pricing = (continent_pricing or DEFAULT_CONTINENT_PRICING).get(
-            country.continent, ContinentPricing(7.0)
-        )
-        return pricing.rate_on(day) * self.price_factor * self.country_factor(country)
+        rate = continent_pricing_for(country, continent_pricing).rate_on(day)
+        return self.unit_rate(rate, self.country_factor(country))
+
+    def unit_rate(self, rate: float, country_factor: float) -> float:
+        """$/GB for a 1 GB plan at continent ``rate`` and ``country_factor``."""
+        return rate * self.price_factor * country_factor
+
+    def plan_prices(self, unit: float) -> List[float]:
+        """The ladder's prices in cents-rounded USD at 1 GB price ``unit``.
+
+        This is the one price formula: :meth:`offers_for` and the columnar
+        crawl (:meth:`~repro.market.esimdb.EsimDB.offer_table`) both call
+        it, so the two produce the same floats.
+        """
+        exponent = self.size_exponent
+        return [round(unit * size**exponent, 2) for size in self.plan_sizes_gb]
 
     def offers_for(
         self,
@@ -131,21 +153,18 @@ class EsimProvider:
         continent_pricing: Optional[Dict[str, ContinentPricing]] = None,
     ) -> List[ESIMOffer]:
         """The provider's plan ladder for one country on one day."""
-        unit = self.unit_price(country, day, continent_pricing)
-        offers = []
-        for size in self.plan_sizes_gb:
-            price = unit * size**self.size_exponent
-            offers.append(
-                ESIMOffer(
-                    provider=self.name,
-                    country_iso3=country.iso3,
-                    data_gb=size,
-                    price_usd=round(price, 2),
-                    day=day,
-                    vantage=vantage,
-                )
+        prices = self.plan_prices(self.unit_price(country, day, continent_pricing))
+        return [
+            ESIMOffer(
+                provider=self.name,
+                country_iso3=country.iso3,
+                data_gb=size,
+                price_usd=price,
+                day=day,
+                vantage=vantage,
             )
-        return offers
+            for size, price in zip(self.plan_sizes_gb, prices)
+        ]
 
 
 # The named providers of Figure 17, calibrated to its medians:

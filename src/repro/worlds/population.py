@@ -587,13 +587,6 @@ class Population:
     def to_bytes(self) -> bytes:
         return self.store.to_bytes()
 
-    def save(self, path) -> None:
-        self.store.save(path)
-
-    @classmethod
-    def load(cls, path) -> "Population":
-        return cls(ColumnStore.load(path))
-
     @classmethod
     def from_buffer(cls, buffer, backing: Any = None) -> "Population":
         return cls(ColumnStore.from_buffer(buffer, backing=backing))

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import cache as cache_mod
 from repro.core.cache import ArtifactCache, fingerprint
+from repro.core.columns import ColumnStore
 from repro.faults import ChaosConfig
 
 
@@ -103,6 +104,104 @@ def test_env_disable(tmp_path, monkeypatch):
 def test_env_cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv(cache_mod.ENV_CACHE_DIR, str(tmp_path / "elsewhere"))
     assert cache_mod.default_cache_root() == tmp_path / "elsewhere"
+
+
+# -- column-store entries ---------------------------------------------------
+
+def _columns(rows: int = 50) -> ColumnStore:
+    table = ColumnStore(meta={"kind": "test"})
+    label = table.new_column("label", "H", strings="label")
+    value = table.new_column("value", "d")
+    for i in range(rows):
+        label.append(table.strings("label").code(f"l{i % 4}"))
+        value.append(i / 3)
+    return table
+
+
+def test_column_store_roundtrip_is_memory_mapped(store):
+    import mmap
+
+    table = _columns()
+    key = fingerprint("cols", n=1)
+    path = store.store(key, table)
+    assert path.name == f"{key}.cols"
+    assert path.read_bytes() == table.to_bytes()
+    assert not list(store.root.glob("*.pkl"))
+    loaded = store.load(key)
+    assert isinstance(loaded, ColumnStore)
+    assert isinstance(loaded._backing, mmap.mmap)
+    assert loaded.to_bytes() == table.to_bytes()
+    assert store.stats.hits == 1 and store.stats.stores == 1
+
+
+@pytest.mark.parametrize("damage", ["scribble", "truncate", "empty"])
+def test_damaged_column_entry_is_an_evicted_miss(store, damage):
+    key = fingerprint("cols", n=1)
+    path = store.store(key, _columns())
+    blob = path.read_bytes()
+    if damage == "scribble":
+        path.write_bytes(b"\x00scribbled\x00" + blob[11:])
+    elif damage == "truncate":
+        path.write_bytes(blob[: len(blob) // 2])
+    else:
+        path.write_bytes(b"")
+    assert store.load(key) is None
+    assert store.stats.misses == 1 and store.stats.evictions == 1
+    assert not path.exists()
+
+
+def test_column_entry_corruption_counts_as_corrupt(store):
+    from repro import obs
+
+    key = fingerprint("cols", n=1)
+    store.store(key, _columns()).write_bytes(b"RPCOL001 but not really")
+    recorder = obs.TraceRecorder()
+    with obs.use_recorder(recorder):
+        assert store.load(key) is None
+    assert recorder.metrics.counters() == {"cache.corrupt": 1, "cache.miss": 1}
+
+
+def test_info_verify_and_clear_cover_column_entries(store):
+    store.store("pickled-entry", {"v": 1})
+    store.store("columns-entry", _columns())
+    info = store.info()
+    assert info["entry_count"] == 2
+    assert [entry["key"] for entry in info["entries"]] == [
+        "columns-entry", "pickled-entry",
+    ]
+    assert store.verify().ok == ["columns-entry", "pickled-entry"]
+    (store.root / "columns-entry.cols").write_bytes(b"garbage")
+    result = store.verify()
+    assert result.corrupt == ["columns-entry"] and not result.clean
+    assert store.verify(prune=True).pruned == ["columns-entry"]
+    assert store.verify().clean
+    assert store.clear() == 1
+    assert store.entries() == []
+
+
+def test_corrupt_population_snapshot_rebuilds_byte_identical(tmp_path):
+    from repro.experiments import common
+
+    previous = cache_mod.get_default_cache()
+    store = cache_mod.configure(root=tmp_path / "cache")
+    try:
+        common.clear_caches()
+        built = common.get_population(seed=5, scale=0.02).to_bytes()
+        (path,) = store.root.glob("population-*.cols")
+        assert path.read_bytes() == built
+        path.write_bytes(path.read_bytes()[:100])  # torn snapshot
+        common.clear_caches()
+        rebuilt = common.get_population(seed=5, scale=0.02)
+        assert store.stats.evictions == 1
+        assert rebuilt.to_bytes() == built
+        assert path.read_bytes() == built  # the rebuild was persisted
+        common.clear_caches()
+        reloaded = common.get_population(seed=5, scale=0.02)  # mmap this time
+        assert reloaded.to_bytes() == built
+        assert store.stats.hits == 1
+    finally:
+        common.clear_caches()
+        cache_mod.set_default_cache(previous)
 
 
 # -- maintenance ------------------------------------------------------------

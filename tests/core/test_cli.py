@@ -576,6 +576,33 @@ def test_cache_verify_cli(cli_cache, capsys):
     assert not victim.exists()
 
 
+def test_cache_verify_names_a_damaged_column_snapshot(cli_cache, capsys):
+    """The market crawl is cached as one column snapshot, never a pickle;
+    ``info`` lists it, ``verify`` names it once torn, ``--prune`` drops it."""
+    from repro.experiments import common
+
+    common.clear_caches()  # F16's crawl must be built into this cache
+    assert main([
+        "run-all", "--scale", "0.05", "--artefacts", "F16",
+        "--cache-dir", str(cli_cache),
+    ]) == 0
+    capsys.readouterr()
+    root = pathlib.Path(cli_cache)
+    (victim,) = root.glob("market-*.cols")
+    assert not list(root.glob("market-*.pkl"))
+    assert main(["cache", "info", "--cache-dir", str(cli_cache)]) == 0
+    out = capsys.readouterr().out
+    assert "entries    : 1" in out and victim.stem in out
+    victim.write_bytes(victim.read_bytes()[:64])
+    assert main(["cache", "verify", "--cache-dir", str(cli_cache)]) == 1
+    assert f"corrupt {victim.stem}" in capsys.readouterr().out
+    assert main([
+        "cache", "verify", "--cache-dir", str(cli_cache), "--prune",
+    ]) == 0
+    assert "pruned     : 1" in capsys.readouterr().out
+    assert not victim.exists()
+
+
 def test_cache_verify_prunes_a_killed_writers_temp(cli_cache, capsys):
     """A process killed inside atomic_write leaves its hidden temp file;
     ``cache verify`` reports it and ``--prune`` removes it."""
@@ -651,8 +678,10 @@ def test_world_stats_uses_snapshot_cache(tmp_path, capsys):
         "world", "stats", "--scale", "0.05", "--cache-dir", str(cache_dir),
     ]) == 0
     capsys.readouterr()
-    snapshots = list((cache_dir / "populations").glob("population-*.cols"))
+    snapshots = list(cache_dir.glob("population-*.cols"))
     assert len(snapshots) == 1
+    assert main(["cache", "info", "--cache-dir", str(cache_dir)]) == 0
+    assert snapshots[0].stem in capsys.readouterr().out
 
 
 def test_run_all_share_population_flag(cli_cache, capsys):

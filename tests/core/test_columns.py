@@ -1,6 +1,8 @@
 """Tests for the typed columnar store (repro.core.columns)."""
 
+import json
 import pathlib
+import struct
 
 import pytest
 
@@ -98,6 +100,12 @@ class TestColumnStore:
         with pytest.raises(ColumnError):
             ColumnStore.from_buffer(blob[: len(blob) - 16])
 
+    def test_load_empty_file_is_a_column_error(self, tmp_path):
+        path = tmp_path / "empty.cols"
+        path.write_bytes(b"")
+        with pytest.raises(ColumnError):
+            ColumnStore.load(path)
+
     def test_save_load_mmap(self, tmp_path):
         store = _sample_store()
         path = tmp_path / "snap" / "sample.cols"
@@ -146,6 +154,30 @@ class TestPublishAttach:
         finally:
             attached.close()
 
+    def test_file_fallback_when_shared_memory_is_unavailable(self, monkeypatch):
+        from multiprocessing import shared_memory
+
+        def unavailable(*args, **kwargs):
+            raise OSError("no POSIX shared memory here")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", unavailable)
+        store = _sample_store()
+        published = publish(store)  # no fallback_dir: the system temp dir
+        path = pathlib.Path(published.descriptor.ref)
+        try:
+            assert published.descriptor.scheme == "file"
+            assert path.read_bytes() == store.to_bytes()
+            attached = attach(published.descriptor)
+            try:
+                assert list(attached.store.column("value")) == list(
+                    store.column("value")
+                )
+            finally:
+                attached.close()
+        finally:
+            published.close(unlink=True)
+        assert not path.exists(), "close(unlink=True) must remove the file"
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ColumnError):
             attach(SnapshotDescriptor(scheme="carrier-pigeon", ref="x", nbytes=1))
@@ -167,3 +199,80 @@ def test_aligned_offsets():
     assert columns_mod._aligned(1) == 8
     assert columns_mod._aligned(8) == 8
     assert columns_mod._aligned(9) == 16
+
+
+# -- malformed snapshots ---------------------------------------------------------
+
+
+def _blob(header, payload: bytes = b"") -> bytes:
+    """Snapshot bytes around an arbitrary (possibly malformed) header."""
+    raw = json.dumps(header).encode()
+    head = columns_mod.MAGIC + struct.pack("<Q", len(raw)) + raw
+    return head + bytes(columns_mod._aligned(len(head)) - len(head)) + payload
+
+
+def _column(**changes):
+    entry = {
+        "name": "v", "typecode": "d", "itemsize": 8, "count": 2,
+        "offset": 0, "nbytes": 16, "strings": None,
+    }
+    entry.update(changes)
+    return entry
+
+
+def _header(*columns, strings=None):
+    return {"meta": {}, "strings": strings or {}, "columns": list(columns)}
+
+
+def _without(key):
+    entry = _column()
+    del entry[key]
+    return entry
+
+
+MALFORMED = {
+    "nine-byte file": columns_mod.MAGIC + b"\x00",
+    "header is a JSON list": _blob([1, 2, 3]),
+    "header is not JSON": columns_mod.MAGIC + struct.pack("<Q", 3) + b"{{{",
+    "header length past the end": columns_mod.MAGIC + struct.pack("<Q", 99),
+    "meta is a list": _blob({"meta": [], "strings": {}, "columns": []}),
+    "columns is an object": _blob({"meta": {}, "strings": {}, "columns": {}}),
+    "column entry is a string": _blob(_header("v"), bytes(16)),
+    "missing typecode": _blob(_header(_without("typecode")), bytes(16)),
+    "missing name": _blob(_header(_without("name")), bytes(16)),
+    "missing count": _blob(_header(_without("count")), bytes(16)),
+    "unknown typecode": _blob(_header(_column(typecode="l")), bytes(16)),
+    "itemsize mismatch": _blob(_header(_column(itemsize=4)), bytes(16)),
+    "nbytes not a multiple of itemsize": _blob(
+        _header(_column(count=1, nbytes=12)), bytes(16)
+    ),
+    "count disagrees with nbytes": _blob(_header(_column(count=3)), bytes(16)),
+    "negative offset": _blob(_header(_column(offset=-8)), bytes(16)),
+    "unaligned offset": _blob(_header(_column(offset=4, count=1, nbytes=8)), bytes(16)),
+    "offset is a float": _blob(_header(_column(offset=0.0)), bytes(16)),
+    "count is a bool": _blob(_header(_column(count=True, nbytes=8)), bytes(16)),
+    "column past the end": _blob(_header(_column(offset=8)), bytes(16)),
+    "duplicate column": _blob(_header(_column(), _column()), bytes(16)),
+    "string table is a number": _blob(_header(strings={"t": 5})),
+    "string table holds a number": _blob(_header(strings={"t": ["a", 5]})),
+    "unknown string table": _blob(
+        _header(_column(typecode="H", itemsize=2, nbytes=4, strings="t")), bytes(8)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_snapshot_raises_column_error(case, tmp_path):
+    blob = MALFORMED[case]
+    with pytest.raises(ColumnError):
+        ColumnStore.from_buffer(blob)
+    path = tmp_path / "bad.cols"
+    path.write_bytes(blob)
+    with pytest.raises(ColumnError):
+        ColumnStore.load(path)
+
+
+def test_well_formed_blob_helper_parses():
+    """The malformed cases above differ from this one in a single field."""
+    store = ColumnStore.from_buffer(_blob(_header(_column()), bytes(16)))
+    assert list(store.column("v")) == [0.0, 0.0]

@@ -100,8 +100,7 @@ class TestWarmInputs:
     def test_snapshot_written_to_cache_for_cold_processes(self, isolated_cache):
         runner = StudyRunner(seed=2024, jobs=1, share_population=True)
         runner.warm_inputs(SCALE, ["T2"])
-        path = common.population_snapshot_path(2024, SCALE)
-        assert path.is_file()
+        (path,) = isolated_cache.root.glob("population-*.cols")
         # a fresh process-alike (cleared memo) mmap-loads the same bytes
         common.clear_caches()
         reloaded = common.get_population(2024, SCALE)

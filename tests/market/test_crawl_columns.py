@@ -1,0 +1,157 @@
+"""The columnar market crawl against the object path, row for row.
+
+``EsimDB.offer_table`` and ``EsimDB.snapshot`` share one price formula;
+these tests pin that every row of the cached crawl — all 18 weekly
+listings and the three late-April vantage listings — equals the offer
+the object path lists, and that Figure 16's aggregates read from the
+columns equal the ones computed over offer objects.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.core import cache as cache_mod
+from repro.core.columns import ColumnStore
+from repro.geo import default_country_registry
+from repro.market import (
+    CrawlDataset,
+    EsimDB,
+    EsimProvider,
+    MarketCrawler,
+    build_provider_universe,
+    price_timeline,
+)
+from repro.market.crawler import VANTAGE_CHECK_DAY, VANTAGE_POINTS
+from repro.market.models import MarketSnapshot
+
+#: The sampling step ``common.get_market`` caches.
+STEP = 7
+DAYS = list(range(0, 120, STEP))
+
+
+@pytest.fixture(scope="module")
+def countries():
+    return default_country_registry()
+
+
+@pytest.fixture(scope="module")
+def esimdb(countries):
+    return EsimDB(build_provider_universe(), countries)
+
+
+@pytest.fixture(scope="module")
+def crawl(esimdb):
+    return MarketCrawler(esimdb).crawl_daily(
+        0, 120, step=STEP, vantage_day=VANTAGE_CHECK_DAY
+    )
+
+
+@pytest.fixture(scope="module")
+def timeline(crawl, countries):
+    return crawl.price_timeline(countries, provider="Airalo")
+
+
+def _rows(offers):
+    return [
+        (o.provider, o.country_iso3, o.data_gb, o.price_usd, o.day, o.vantage)
+        for o in offers
+    ]
+
+
+def test_crawl_shape(crawl):
+    assert crawl.days() == DAYS and len(DAYS) == 18
+    assert [(s.day, s.vantage) for s in crawl.vantage_snapshots] == [
+        (VANTAGE_CHECK_DAY, v) for v in VANTAGE_POINTS
+    ]
+    assert len(crawl.all_offers()) == 408_006
+    assert crawl.table.column_names() == (
+        "provider", "country", "vantage", "day", "data_gb", "price_usd",
+    )
+    assert crawl.table.rows("price_usd") == 408_006 + 3 * 22_667
+
+
+@pytest.mark.parametrize("day", DAYS)
+def test_daily_listing_equals_object_snapshot(crawl, esimdb, countries, timeline, day):
+    objects = esimdb.snapshot(day).offers
+    assert _rows(crawl.offers_on(day)) == _rows(objects)
+    # Figure 16's per-day point, from the columns vs from the objects.
+    expected = price_timeline({day: objects}, countries, provider="Airalo")
+    got = {
+        continent: [point for point in series if point[0] == day]
+        for continent, series in timeline.items()
+    }
+    assert got == expected
+    assert list(got) == list(expected)  # continent order too
+
+
+@pytest.mark.parametrize("vantage", VANTAGE_POINTS)
+def test_vantage_listing_equals_object_snapshot(crawl, esimdb, vantage):
+    (listing,) = [s for s in crawl.vantage_snapshots if s.vantage == vantage]
+    expected = esimdb.snapshot(VANTAGE_CHECK_DAY, vantage=vantage).offers
+    assert _rows(listing.offers) == _rows(expected)
+
+
+def test_price_discrimination_equals_object_path(crawl, esimdb):
+    objects = MarketCrawler(esimdb).crawl_vantages(VANTAGE_CHECK_DAY)
+    assert MarketCrawler.price_discrimination_detected(objects) is False
+    assert crawl.price_discrimination_detected() is False
+
+
+def test_price_discrimination_detected_from_columns(crawl):
+    table = ColumnStore.from_buffer(bytearray(crawl.table.to_bytes()))
+    prices = table.column("price_usd")
+    prices[len(prices) - 1] += 0.01  # the NJ listing's last plan
+    assert CrawlDataset(table).price_discrimination_detected() is True
+
+
+def test_price_discrimination_detected_from_objects(crawl):
+    madrid, abu_dhabi, _ = crawl.vantage_snapshots
+    tweaked = list(abu_dhabi.offers)
+    tweaked[0] = dataclasses.replace(tweaked[0], price_usd=tweaked[0].price_usd + 1.0)
+    changed = MarketSnapshot(abu_dhabi.day, abu_dhabi.vantage, tweaked)
+    assert MarketCrawler.price_discrimination_detected([madrid, changed])
+
+
+def test_offer_table_is_byte_deterministic(esimdb):
+    assert esimdb.offer_table([0, 1]).to_bytes() == esimdb.offer_table([0, 1]).to_bytes()
+
+
+def test_offer_table_validates_rows(countries):
+    with pytest.raises(ValueError):
+        EsimDB(build_provider_universe(), countries).offer_table([-1])
+    # A price that rounds to zero cents fails ESIMOffer's check on both paths.
+    free = EsimProvider("Free", price_factor=1e-6, plan_sizes_gb=(1,), coverage_count=999)
+    with pytest.raises(ValueError, match="price must be positive"):
+        EsimDB([free], countries).snapshot(0)
+    with pytest.raises(ValueError, match="price must be positive"):
+        EsimDB([free], countries).offer_table([0])
+
+
+def test_crawl_dataset_rejects_other_tables():
+    with pytest.raises(ValueError):
+        CrawlDataset(ColumnStore(meta={"kind": "subscriber-population"}))
+
+
+def test_cached_crawl_rebuilds_byte_identical_after_corruption(tmp_path):
+    from repro.experiments import common
+
+    previous = cache_mod.get_default_cache()
+    store = cache_mod.configure(root=tmp_path / "cache")
+    try:
+        common.clear_caches()
+        built = common.get_market()[1].table.to_bytes()
+        (path,) = store.root.glob("market-columns-*.cols")
+        assert not list(store.root.glob("*.pkl"))
+        assert path.read_bytes() == built
+        path.write_bytes(b"\x00scribbled\x00" + built[11:])
+        common.clear_caches()
+        assert common.get_market()[1].table.to_bytes() == built
+        assert store.stats.evictions == 1
+        common.clear_caches()
+        loaded = common.get_market()[1]  # memory-mapped this time
+        assert store.stats.hits == 1
+        assert loaded.table.to_bytes() == built
+    finally:
+        common.clear_caches()
+        cache_mod.set_default_cache(previous)

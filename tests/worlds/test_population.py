@@ -142,9 +142,11 @@ class TestViews:
 
 class TestSnapshots:
     def test_save_load_equivalence(self, population, tmp_path):
-        path = tmp_path / "population.cols"
-        population.save(path)
-        loaded = Population.load(path)
+        from repro.core.cache import ArtifactCache
+
+        cache = ArtifactCache(root=tmp_path)
+        cache.store("population-test", population.store)
+        loaded = Population(cache.load("population-test"))
         assert len(loaded) == len(population)
         assert (
             loaded.subscriber(17).materialize()
