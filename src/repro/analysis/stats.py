@@ -2,9 +2,13 @@
 
 Boxplot summaries (the paper's dominant visual), empirical CDFs, and the
 two hypothesis tests the paper runs: Welch's t-test (SIM vs eSIM RTTs)
-and Levene's test (variance homogeneity of RTTs). scipy is imported
-inside those two tests only: it would otherwise dominate the start-up of
-every CLI command.
+and Levene's test (variance homogeneity of RTTs). The two tests compute
+their statistics with numpy, in ``scipy.stats``' own operation order, and
+take their p-values from the ``scipy.special`` ufuncs ``scipy.stats``
+calls (``stdtr``, ``fdtrc``), so they return its floats bit for bit
+without importing ``scipy.stats``. ``scipy.special`` is imported inside
+the two tests only: it would otherwise dominate the start-up of every
+CLI command.
 """
 
 from __future__ import annotations
@@ -89,22 +93,69 @@ def percent_below(values: Sequence[float], threshold: float) -> float:
 
 
 def welch_ttest(a: Sequence[float], b: Sequence[float]) -> Tuple[float, float]:
-    """Welch's unequal-variance t-test; returns (statistic, p-value)."""
+    """Welch's unequal-variance t-test; returns (statistic, p-value).
+
+    Equals ``scipy.stats.ttest_ind(a, b, equal_var=False)`` bit for bit:
+    the same numpy operations on the same scalar types, then the
+    two-sided p-value ``2 * stdtr(df, -|t|)``.
+    """
     if len(a) < 2 or len(b) < 2:
         raise ValueError("t-test needs at least two samples per group")
-    from scipy import stats
+    from scipy.special import stdtr
 
-    result = stats.ttest_ind(list(a), list(b), equal_var=False)
-    return float(result.statistic), float(result.pvalue)
+    x1 = np.asarray(a, dtype=float)
+    x2 = np.asarray(b, dtype=float)
+    n1, n2 = x1.size, x2.size
+    # numpy scalars, as in scipy.stats: ``**2`` on a scalar calls pow(),
+    # on an array it squares, and the two can differ in the last bit.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vn1 = _sample_variance(x1) / n1
+        vn2 = _sample_variance(x2) / n2
+        df = (vn1 + vn2)**2 / (vn1**2 / (n1 - 1) + vn2**2 / (n2 - 1))
+        # A NaN df means both variances are zero; any df then works.
+        df = np.where(np.isnan(df), 1.0, df)
+        t = np.divide(np.mean(x1) - np.mean(x2), np.sqrt(vn1 + vn2))
+    p = 2 * stdtr(df, -np.abs(t))
+    return float(t), float(p)
+
+
+def _sample_variance(x: np.ndarray) -> np.floating:
+    """Variance with ddof=1, as ``scipy.stats`` computes it: the mean
+    squared deviation, then the ``n / (n - 1)`` correction."""
+    n = np.asarray(x.size, dtype=float)
+    return np.mean((x - np.mean(x, axis=-1, keepdims=True))**2) * (n / (n - 1))
 
 
 def levene_test(*groups: Sequence[float]) -> Tuple[float, float]:
-    """Levene's test for homogeneity of variances across groups."""
+    """Levene's test (median-centred) for homogeneity of variances.
+
+    Equals ``scipy.stats.levene(*groups)`` bit for bit: the
+    Brown-Forsythe statistic ``W`` in its operation order, then
+    ``fdtrc(k - 1, N - k, W)``.
+    """
     if len(groups) < 2:
         raise ValueError("Levene's test needs at least two groups")
     if any(len(g) < 2 for g in groups):
         raise ValueError("each group needs at least two samples")
-    from scipy import stats
+    from scipy.special import fdtrc
 
-    result = stats.levene(*[list(g) for g in groups])
-    return float(result.statistic), float(result.pvalue)
+    samples = [np.asarray(g, dtype=float) for g in groups]
+    k = len(samples)
+    sizes = [x.size for x in samples]
+    total = sum(sizes)
+    # One-element arrays (keepdims), as in scipy.stats, for the same
+    # ``**2`` reason as in welch_ttest.
+    deviations = [np.abs(x - np.median(x, axis=-1, keepdims=True)) for x in samples]
+    group_means = [np.mean(z, axis=-1, keepdims=True) for z in deviations]
+    grand_mean = sum(n * zbar for n, zbar in zip(sizes, group_means)) / total
+    numer = (total - k) * sum(
+        n * (zbar - grand_mean)**2 for n, zbar in zip(sizes, group_means)
+    )
+    denom = (k - 1.0) * sum(
+        np.sum((z - zbar)**2, axis=-1, keepdims=True)
+        for z, zbar in zip(deviations, group_means)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.squeeze(numer / denom)
+    p = fdtrc(np.float64(k - 1.0), np.float64(total - k), w)
+    return float(w), float(p)

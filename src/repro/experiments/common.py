@@ -42,6 +42,7 @@ _worlds: Dict[int, AiraloWorld] = {}
 _device_datasets: Dict[Tuple[int, float, Optional[ChaosConfig]], MeasurementDataset] = {}
 _web_datasets: Dict[Tuple[int, Optional[ChaosConfig]], MeasurementDataset] = {}
 _market: Dict[int, Tuple[EsimDB, CrawlDataset]] = {}
+_listings: Dict[Tuple[int, int], CrawlDataset] = {}
 _populations: Dict[Tuple[int, float], Population] = {}
 _adopted_population: Optional[Population] = None
 _countries: Optional[CountryRegistry] = None
@@ -150,6 +151,22 @@ def get_market(step_days: int = 7) -> Tuple[EsimDB, CrawlDataset]:
     return _market[step_days]
 
 
+def get_listing(snapshot_day: int, step_days: int = 7) -> CrawlDataset:
+    """The aggregator's full listing on ``snapshot_day``, as columns.
+
+    Built once per process from :func:`get_market`'s aggregator: one
+    :meth:`EsimDB.offer_table` call, which takes about half the time of
+    one :meth:`EsimDB.snapshot`. The Section 6 pricing figures all read
+    the same day, so they share one listing. It is not persisted.
+    """
+    key = (step_days, snapshot_day)
+    if key not in _listings:
+        esimdb, _ = get_market(step_days)
+        with obs.span("input.listing", day=snapshot_day):
+            _listings[key] = CrawlDataset(esimdb.offer_table([snapshot_day]))
+    return _listings[key]
+
+
 def get_population(
     seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE
 ) -> Population:
@@ -222,6 +239,7 @@ def clear_caches(disk: bool = False) -> None:
     _device_datasets.clear()
     _web_datasets.clear()
     _market.clear()
+    _listings.clear()
     _populations.clear()
     release_adopted_population()
     if disk:

@@ -14,7 +14,6 @@ from typing import Dict
 
 from repro.experiments import common
 from repro.experiments.registry import experiment
-from repro.market import median_usd_per_gb_by_country
 from repro.market.wholesale import WholesaleMarket, margin_summary
 from repro.worlds import paperdata as pd
 
@@ -22,9 +21,9 @@ from repro.worlds import paperdata as pd
 @experiment("X5", title="Extension X5 — wholesale unit economics",
             inputs=('market',))
 def run(seed: int = common.DEFAULT_SEED, snapshot_day: int = 90) -> Dict:
-    esimdb, _ = common.get_market()
-    snapshot = esimdb.snapshot(snapshot_day)
-    retail = median_usd_per_gb_by_country(snapshot.offers, provider="Airalo")
+    retail = common.get_listing(snapshot_day).median_usd_per_gb_by_country(
+        snapshot_day, provider="Airalo"
+    )
 
     offerings = [
         (spec.country_iso3, spec.b_mno, spec.v_mno)

@@ -9,11 +9,7 @@ from typing import Dict
 from repro.analysis.stats import empirical_cdf
 from repro.experiments import common
 from repro.experiments.registry import experiment
-from repro.market import (
-    DEFAULT_LOCAL_OFFERS,
-    LocalSIMSurvey,
-    provider_country_medians,
-)
+from repro.market import DEFAULT_LOCAL_OFFERS, LocalSIMSurvey
 
 PROVIDERS = ("Airhub", "MobiMatter", "Airalo", "Keepgo")
 
@@ -21,9 +17,10 @@ PROVIDERS = ("Airhub", "MobiMatter", "Airalo", "Keepgo")
 @experiment("F17", title="Figure 17 — provider $/GB CDFs + local SIM",
             inputs=('market',))
 def run(step_days: int = 7, snapshot_day: int = 90) -> Dict:
-    esimdb, _ = common.get_market(step_days)
-    snapshot = esimdb.snapshot(snapshot_day)
-    medians = provider_country_medians(snapshot.offers)
+    listing = common.get_listing(snapshot_day, step_days)
+    medians = listing.provider_country_medians(snapshot_day)
+    counts = listing.offer_counts(snapshot_day)
+    total = sum(counts.values())
 
     result: Dict = {"providers": {}}
     for provider in PROVIDERS:
@@ -32,14 +29,14 @@ def run(step_days: int = 7, snapshot_day: int = 90) -> Dict:
             "cdf": empirical_cdf(values),
             "median": statistics.median(values),
             "countries": len(values),
-            "offer_share": len(snapshot.for_provider(provider)) / len(snapshot.offers),
+            "offer_share": counts.get(provider, 0) / total,
         }
     survey = LocalSIMSurvey(DEFAULT_LOCAL_OFFERS)
     result["local_sim"] = {
         "cdf": empirical_cdf(survey.usd_per_gb_values()),
         "median": survey.median_usd_per_gb(),
     }
-    result["total_offers"] = len(snapshot.offers)
+    result["total_offers"] = total
     return result
 
 

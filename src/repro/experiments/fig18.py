@@ -11,16 +11,15 @@ from typing import Dict
 
 from repro.experiments import common
 from repro.experiments.registry import experiment
-from repro.market import decile_bounds, median_usd_per_gb_by_country
+from repro.market import decile_bounds
 
 
 @experiment("F18", title="Figure 18 — median $/GB per country",
             inputs=('market',))
 def run(step_days: int = 7, snapshot_day: int = 90) -> Dict:
-    esimdb, _ = common.get_market(step_days)
     countries = common.get_countries()
-    snapshot = esimdb.snapshot(snapshot_day)
-    per_country = median_usd_per_gb_by_country(snapshot.offers, provider="Airalo")
+    listing = common.get_listing(snapshot_day, step_days)
+    per_country = listing.median_usd_per_gb_by_country(snapshot_day, provider="Airalo")
     values = list(per_country.values())
     bounds = decile_bounds(values)
 

@@ -10,21 +10,20 @@ from typing import Dict, List, Tuple
 
 from repro.experiments import common
 from repro.experiments.registry import experiment
-from repro.market import size_price_curve
+from repro.market import AIRALO
 from repro.worlds import paperdata as pd
 
 
 @experiment("F19", title="Figure 19 — plan size vs price per b-MNO",
             inputs=('market',))
 def run(step_days: int = 7, snapshot_day: int = 90, max_gb: float = 5.0) -> Dict:
-    esimdb, _ = common.get_market(step_days)
-    snapshot = esimdb.snapshot(snapshot_day)
+    curves = common.get_listing(snapshot_day, step_days).size_price_curves(
+        snapshot_day, AIRALO, max_gb=max_gb
+    )
 
     groups: Dict[str, Dict[str, List[Tuple[float, float]]]] = {}
     for spec in pd.ESIM_OFFERINGS:
-        curve = size_price_curve(
-            snapshot.offers, spec.country_iso3, provider="Airalo", max_gb=max_gb
-        )
+        curve = curves.get(spec.country_iso3)
         if curve:
             groups.setdefault(spec.b_mno, {})[spec.country_iso3] = curve
 

@@ -7,18 +7,26 @@ April/May to test for price discrimination.
 A crawl is kept as one :class:`~repro.core.columns.ColumnStore` (see
 :meth:`~repro.market.esimdb.EsimDB.offer_table`), not as ~400k offer
 objects: the persistent cache memory-maps it back in milliseconds, and
-the Figure 16 aggregates read the columns directly.
+the Figure 16-19 aggregates read the columns directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core.columns import ColumnStore
 from repro.geo.countries import CountryRegistry
 from repro.market.esimdb import OFFER_TABLE_KIND, EsimDB
 from repro.market.models import ESIMOffer, MarketSnapshot
-from repro.market.pricing import country_median_timeline, country_medians
+from repro.market.pricing import (
+    country_median_timeline,
+    country_medians,
+    provider_medians,
+)
+from repro.market.providers import EsimProvider
 
 #: The multi-vantage check of Section 3.3.
 VANTAGE_POINTS = ("Madrid", "Abu Dhabi", "NJ")
@@ -80,11 +88,14 @@ class CrawlDataset:
     def vantage_snapshots(self) -> List[MarketSnapshot]:
         return [self._snapshot(listing) for listing in self._vantage]
 
-    def offers_on(self, day: int) -> List[ESIMOffer]:
+    def _listing_on(self, day: int) -> Listing:
         for listing in self._daily:
             if listing[0] == day:
-                return self._offers(listing)
+                return listing
         raise KeyError(f"no snapshot for day {day}")
+
+    def offers_on(self, day: int) -> List[ESIMOffer]:
+        return self._offers(self._listing_on(day))
 
     def days(self) -> List[int]:
         return [listing[0] for listing in self._daily]
@@ -93,34 +104,113 @@ class CrawlDataset:
         return [o for listing in self._daily for o in self._offers(listing)]
 
     # -- column aggregates ----------------------------------------------------
+    #
+    # Read from the columns, each equals the object-path computation in
+    # :mod:`repro.market.pricing` over the same listing's offers: equal
+    # floats, in the same order.
+
+    def _usd_per_gb(self, rows) -> np.ndarray:
+        """$/GB of ``rows`` (a slice or an index array): ``price_usd /
+        data_gb`` in float64, the division :attr:`ESIMOffer.usd_per_gb`
+        makes."""
+        table = self.table
+        return (
+            np.asarray(table.column("price_usd"))[rows]
+            / np.asarray(table.column("data_gb"))[rows]
+        )
+
+    def _provider_rows(self, first: int, end: int, provider: str) -> np.ndarray:
+        """Indexes of ``provider``'s rows in ``[first, end)``."""
+        table = self.table
+        code = table.strings("provider").lookup(provider)
+        return np.flatnonzero(np.asarray(table.column("provider"))[first:end] == code) + first
+
+    def _country_medians(self, first: int, end: int, provider: str) -> Dict[str, float]:
+        table = self.table
+        rows = self._provider_rows(first, end, provider)
+        names = table.strings("country").values()
+        return country_medians(zip(
+            [names[c] for c in np.asarray(table.column("country"))[rows].tolist()],
+            self._usd_per_gb(rows).tolist(),
+        ))
 
     def price_timeline(
         self, countries: CountryRegistry, provider: str = "Airalo"
     ) -> Dict[str, List[Tuple[int, float]]]:
         """Figure 16's per-continent series over the daily listings.
 
-        Read from the columns, it equals
-        :func:`~repro.market.pricing.price_timeline` over the same offers:
-        equal floats, in the same order.
+        The columnar :func:`~repro.market.pricing.price_timeline`.
         """
-        import numpy as np
-
-        table = self.table
-        code = table.strings("provider").lookup(provider)
-        mask = np.asarray(table.column("provider")) == code
-        country = np.asarray(table.column("country"))
-        usd_per_gb = np.asarray(table.column("price_usd")) / np.asarray(
-            table.column("data_gb")
+        return country_median_timeline(
+            {
+                day: self._country_medians(first, end, provider)
+                for day, _, first, end in self._daily
+            },
+            countries,
         )
+
+    def median_usd_per_gb_by_country(
+        self, day: int, provider: str = "Airalo"
+    ) -> Dict[str, float]:
+        """Median $/GB per country on ``day``, in first-listed order.
+
+        Figure 18's map and X5's retail prices.
+        """
+        _, _, first, end = self._listing_on(day)
+        return self._country_medians(first, end, provider)
+
+    def provider_country_medians(self, day: int) -> Dict[str, List[float]]:
+        """Per-provider sorted country medians on ``day`` (Figure 17)."""
+        _, _, first, end = self._listing_on(day)
+        table = self.table
+        names = table.strings("provider").values()
+        medians = provider_medians(zip(
+            table.column("provider")[first:end].tolist(),
+            table.column("country")[first:end].tolist(),
+            self._usd_per_gb(slice(first, end)).tolist(),
+        ))
+        return {names[code]: values for code, values in medians.items()}
+
+    def offer_counts(self, day: int) -> Dict[str, int]:
+        """Offers per provider on ``day``, in first-listed order."""
+        _, _, first, end = self._listing_on(day)
+        names = self.table.strings("provider").values()
+        counts = Counter(self.table.column("provider")[first:end].tolist())
+        return {names[code]: count for code, count in counts.items()}
+
+    def size_price_curves(
+        self, day: int, provider: EsimProvider, max_gb: float = 5.0
+    ) -> Dict[str, List[Tuple[float, float]]]:
+        """Per country, ``provider``'s (size, price) points up to ``max_gb``.
+
+        Figure 19's curves on ``day``, each as
+        :func:`~repro.market.pricing.size_price_curve` lists it.
+
+        A size is read from ``provider.plan_sizes_gb`` by the row's
+        position in the ladder, not from the float column, so it keeps
+        the provider's own type: ``1``, not ``1.0``.
+        """
+        _, _, first, end = self._listing_on(day)
+        table = self.table
+        rows = self._provider_rows(first, end, provider.name)
+        sizes = provider.plan_sizes_gb
+        ladders, partial = divmod(rows.size, len(sizes))
+        gb = np.asarray(table.column("data_gb"))[rows]
+        if partial or not np.array_equal(gb, np.tile(np.asarray(sizes, dtype=float), ladders)):
+            raise ValueError(f"{provider.name}'s rows do not follow its plan ladder")
         names = table.strings("country").values()
-        by_day: Dict[int, Dict[str, float]] = {}
-        for day, _, first, end in self._daily:
-            rows = mask[first:end]
-            by_day[day] = country_medians(zip(
-                [names[c] for c in country[first:end][rows].tolist()],
-                usd_per_gb[first:end][rows].tolist(),
-            ))
-        return country_median_timeline(by_day, countries)
+        curves: Dict[str, Set[Tuple[float, float]]] = {}
+        columns = zip(
+            np.asarray(table.column("country"))[rows].tolist(),
+            gb.tolist(),
+            np.asarray(table.column("price_usd"))[rows].tolist(),
+        )
+        for index, (country, size_gb, price) in enumerate(columns):
+            if size_gb <= max_gb:
+                curves.setdefault(names[country], set()).add(
+                    (sizes[index % len(sizes)], price)
+                )
+        return {iso3: sorted(points) for iso3, points in curves.items()}
 
     def price_discrimination_detected(self) -> bool:
         """True if any price differs between the vantage listings.

@@ -8,7 +8,7 @@ across countries sharing a b-MNO.
 from __future__ import annotations
 
 import statistics
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.geo.countries import CountryRegistry
 from repro.market.models import ESIMOffer
@@ -60,12 +60,21 @@ def provider_country_medians(
     offers: Iterable[ESIMOffer],
 ) -> Dict[str, List[float]]:
     """Per-provider lists of country medians (the Figure 17 CDFs)."""
-    buckets: Dict[Tuple[str, str], List[float]] = {}
-    for offer in offers:
-        buckets.setdefault((offer.provider, offer.country_iso3), []).append(
-            offer.usd_per_gb
-        )
-    out: Dict[str, List[float]] = {}
+    return provider_medians(
+        (offer.provider, offer.country_iso3, offer.usd_per_gb) for offer in offers
+    )
+
+
+def provider_medians(
+    triples: Iterable[Tuple[Hashable, Hashable, float]],
+) -> Dict[Hashable, List[float]]:
+    """Sorted per-provider lists of country medians from ``(provider,
+    country, value)`` triples, keyed in first-seen order (the second
+    half of :func:`provider_country_medians`)."""
+    buckets: Dict[Tuple[Hashable, Hashable], List[float]] = {}
+    for provider, country, value in triples:
+        buckets.setdefault((provider, country), []).append(value)
+    out: Dict[Hashable, List[float]] = {}
     for (provider, _country), values in buckets.items():
         out.setdefault(provider, []).append(statistics.median(values))
     for values in out.values():

@@ -19,7 +19,13 @@ Operational contract:
   handler thread: SIGTERM/SIGINT stop accepting, drain, then exit
   (130 for SIGINT, 0 for SIGTERM — matching the runner's convention).
   :meth:`stop` stops the live sampler *first* so blocked ``/events``
-  handlers wake and drain instead of deadlocking the join.
+  handlers wake and drain instead of deadlocking the join, and shuts
+  the read side of every open connection so handlers idling on a
+  keep-alive connection read EOF; a request already read still gets
+  its response.
+* **No Nagle.** Responses go out as two sends (headers, body); the
+  handler sets ``TCP_NODELAY`` so the body does not wait ~40 ms for
+  the client's delayed ACK of the headers on a keep-alive connection.
 * **Observability.** Every request runs under an ``obs.span``
   (``server.request`` with route/path/status attrs) and feeds the
   ``server.requests`` counters plus per-route ``server.latency_s.*``
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import signal
 import socket
@@ -46,7 +53,7 @@ import threading
 import time
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro import obs
 from repro.obs import exposition
@@ -95,6 +102,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"  # keep-alive: loadgen reuses connections
     server_version = "repro-serve"
+    #: TCP_NODELAY, set by ``StreamRequestHandler.setup()``.
+    disable_nagle_algorithm = True
 
     # Per-request trace context (set by do_GET; defaults cover do_POST).
     _trace: Optional[Tuple[str, str]] = None
@@ -289,10 +298,9 @@ class _Handler(BaseHTTPRequestHandler):
             )
         scale: Optional[float] = None
         if "scale" in params:
-            try:
-                scale = float(params["scale"])
-            except ValueError:
-                raise RequestError(400, f"bad scale {params['scale']!r}")
+            scale = _float_param(params, "scale", 0.0)
+            if scale <= 0:
+                raise RequestError(400, f"scale must be positive, got {scale:g}")
         render = params.get("render", "") in ("1", "true", "yes")
         payload = self.state.artefact(parts[1], scale=scale, render=render)
         self._send_json(200, payload)
@@ -388,8 +396,11 @@ class _Handler(BaseHTTPRequestHandler):
                 400, f"seconds must be in (0, {max_s:g}], got {seconds:g}"
             )
         interval_ms = _float_param(params, "interval_ms", 10.0)
-        if interval_ms < 1.0:
-            raise RequestError(400, "interval_ms must be >= 1")
+        if not 1.0 <= interval_ms <= seconds * 1000.0:
+            raise RequestError(
+                400, f"interval_ms must be in [1, {seconds * 1000.0:g}] "
+                f"(the profile window), got {interval_ms:g}"
+            )
         lock = self.server.profile_lock
         if not lock.acquire(blocking=False):
             return self._error(
@@ -427,9 +438,12 @@ def _float_param(
     if not raw:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise RequestError(400, f"{name} must be a number, got {raw!r}")
+    if not math.isfinite(value):
+        raise RequestError(400, f"{name} must be finite, got {raw!r}")
+    return value
 
 
 def _list_param(raw: str) -> Tuple[str, ...]:
@@ -466,6 +480,9 @@ class MeasurementServer(ThreadingHTTPServer):
         self._serve_thread: Optional[threading.Thread] = None
         self._stopping = threading.Event()
         self._stopped = threading.Event()
+        # Open client connections, so stop() can end idle keep-alives.
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         # Telemetry plane. A TraceRecorder keeps a span object per
         # request — unbounded on a daemon — so when nothing is
         # collecting yet, install the metrics-only recorder (bounded by
@@ -515,6 +532,35 @@ class MeasurementServer(ThreadingHTTPServer):
             host = socket.gethostname()
         return f"http://{host}:{self.port}"
 
+    # -- connections ----------------------------------------------------------
+    #
+    # Tracked on the accept thread rather than in the handler's setup():
+    # once shutdown() has returned, every accepted connection is in the
+    # set, even one whose handler thread has not started yet.
+
+    def process_request(self, request: socket.socket, client_address: Any) -> None:
+        """Track the connection, then hand it to a handler thread."""
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        """Untrack the connection, then close it."""
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def _end_reads(self) -> None:
+        """Shut the read side of every open connection: a handler idling
+        in ``readline()`` on a keep-alive connection reads EOF and
+        returns, while one mid-request still writes its response."""
+        with self._connections_lock:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the client already hung up
+
     # -- lifecycle ------------------------------------------------------------
 
     def warm_in_background(self) -> threading.Thread:
@@ -551,7 +597,9 @@ class MeasurementServer(ThreadingHTTPServer):
         joins handler threads, so an ``/events`` handler blocked in
         ``wait_for_event`` wakes (Condition broadcast), sees
         ``_stopping`` and finishes — otherwise the join would wait a
-        full SSE timeout per streaming client.
+        full SSE timeout per streaming client. Likewise the read side
+        of every connection is shut after the accept loop stops, or the
+        join would wait on each idle keep-alive client forever.
         """
         if self._stopping.is_set():
             self._stopped.wait(timeout=30.0)
@@ -559,6 +607,7 @@ class MeasurementServer(ThreadingHTTPServer):
         self._stopping.set()
         self.sampler.stop()
         self.shutdown()
+        self._end_reads()
         self.server_close()  # block_on_close joins handler threads
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=30.0)

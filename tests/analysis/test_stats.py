@@ -1,9 +1,11 @@
 """Tests for statistical helpers."""
 
+import math
 import random
+import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
     boxplot_summary,
@@ -119,3 +121,82 @@ def test_cdf_monotone_and_bounded(values):
     assert ys[-1] == pytest.approx(1.0)
     assert all(0 < y <= 1 for y in ys)
     assert all(a <= b for a, b in zip(ys, ys[1:]))
+
+
+# -- bit-for-bit against scipy.stats ------------------------------------------
+#
+# welch_ttest and levene_test reimplement scipy.stats' statistics in numpy
+# and call the same scipy.special ufuncs for the p-values. scipy.stats is
+# imported here only, as the reference.
+
+
+def _same_float(got, expected):
+    return got == expected or (math.isnan(got) and math.isnan(expected))
+
+
+def _assert_bitwise(got, expected):
+    assert all(_same_float(g, e) for g, e in zip(got, expected)), (got, expected)
+
+
+def _scipy_welch(a, b):
+    from scipy import stats
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = stats.ttest_ind(list(a), list(b), equal_var=False)
+    return float(result.statistic), float(result.pvalue)
+
+
+def _scipy_levene(*groups):
+    from scipy import stats
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = stats.levene(*[list(g) for g in groups])
+    return float(result.statistic), float(result.pvalue)
+
+
+def _ours(test, *groups):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return test(*groups)
+
+
+_samples = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12),
+    min_size=2, max_size=40,
+)
+
+
+# No deadline: the first example pays for importing scipy.stats.
+@settings(deadline=None, max_examples=300)
+@given(_samples, _samples)
+def test_welch_equals_scipy_bitwise(a, b):
+    _assert_bitwise(_ours(welch_ttest, a, b), _scipy_welch(a, b))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_samples, min_size=2, max_size=4))
+def test_levene_equals_scipy_bitwise(groups):
+    _assert_bitwise(_ours(levene_test, *groups), _scipy_levene(*groups))
+
+
+#: Degenerate inputs: zero variances (nan/inf statistics), identical
+#: samples, overflowing squares, and a three-group Levene.
+EDGE_CASES = [
+    ([1.0, 1.0, 1.0], [2.0, 2.0]),
+    ([3.0, 3.0], [3.0, 3.0]),
+    ([0.0, 0.0], [0.0, 1e-300]),
+    ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+    ([5.0, 5.0, 5.0], [1.0, 2.0, 3.0]),
+    ([1e300, -1e300, 1e300], [-1e300, 1e300]),
+    ([1e300, 1e300], [1.0, 2.0]),
+    ([1.0, 2.0, 4.0], [3.0, 3.5, 9.0, 1.0], [0.5, 0.25]),
+]
+
+
+@pytest.mark.parametrize("groups", EDGE_CASES)
+def test_edge_cases_equal_scipy_bitwise(groups):
+    if len(groups) == 2:
+        _assert_bitwise(_ours(welch_ttest, *groups), _scipy_welch(*groups))
+    _assert_bitwise(_ours(levene_test, *groups), _scipy_levene(*groups))

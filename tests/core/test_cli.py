@@ -641,6 +641,24 @@ def test_cli_import_leaves_scipy_and_networkx_unloaded():
     assert probe.stdout.strip() == "[]"
 
 
+def test_hypothesis_tests_leave_scipy_stats_unloaded(tmp_path):
+    """F11 and F13 run Welch's and Levene's tests through scipy.special
+    alone: scipy.stats (about a second of import) never loads."""
+    probe = _python(
+        "import sys\n"
+        "from repro.core import cache\n"
+        "from repro.core.study import ThickMnaStudy\n"
+        "cache.configure(root=sys.argv[1])\n"
+        "study = ThickMnaStudy(seed=2024)\n"
+        "assert study.run('F11', scale=0.02)['levene_p'] > 0\n"
+        "study.run('F13', scale=0.02)\n"
+        "print(sorted(m for m in ('scipy.special', 'scipy.stats') if m in sys.modules))",
+        str(tmp_path / "cache"), capture_output=True, text=True,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "['scipy.special']"
+
+
 def test_world_stats_text(capsys):
     assert main(["world", "stats", "--no-cache", "--scale", "0.1"]) == 0
     out = capsys.readouterr().out

@@ -3,11 +3,12 @@
 ``EsimDB.offer_table`` and ``EsimDB.snapshot`` share one price formula;
 these tests pin that every row of the cached crawl — all 18 weekly
 listings and the three late-April vantage listings — equals the offer
-the object path lists, and that Figure 16's aggregates read from the
-columns equal the ones computed over offer objects.
+the object path lists, and that the Figure 16-19 aggregates read from
+the columns equal the ones computed over offer objects.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -15,12 +16,16 @@ from repro.core import cache as cache_mod
 from repro.core.columns import ColumnStore
 from repro.geo import default_country_registry
 from repro.market import (
+    AIRALO,
     CrawlDataset,
     EsimDB,
     EsimProvider,
     MarketCrawler,
     build_provider_universe,
+    median_usd_per_gb_by_country,
     price_timeline,
+    provider_country_medians,
+    size_price_curve,
 )
 from repro.market.crawler import VANTAGE_CHECK_DAY, VANTAGE_POINTS
 from repro.market.models import MarketSnapshot
@@ -155,3 +160,68 @@ def test_cached_crawl_rebuilds_byte_identical_after_corruption(tmp_path):
     finally:
         common.clear_caches()
         cache_mod.set_default_cache(previous)
+
+
+# -- one-day listings: the Figure 17/18/19 and X5 aggregates -----------------
+
+#: Feb 1, the vantage check, the Section 6 snapshot, and the last crawl day.
+LISTING_DAYS = [0, VANTAGE_CHECK_DAY, 90, 119]
+
+
+@pytest.mark.parametrize("day", LISTING_DAYS)
+def test_listing_aggregates_equal_object_path(esimdb, day):
+    listing = CrawlDataset(esimdb.offer_table([day]))
+    offers = esimdb.snapshot(day).offers
+
+    medians = listing.provider_country_medians(day)
+    expected_medians = provider_country_medians(offers)
+    assert medians == expected_medians
+    assert list(medians) == list(expected_medians)
+
+    counts = listing.offer_counts(day)
+    assert list(counts.items()) == list(Counter(o.provider for o in offers).items())
+    assert sum(counts.values()) == len(offers)
+
+    for provider in ("Airalo", "Keepgo", "Nobody"):
+        got = listing.median_usd_per_gb_by_country(day, provider=provider)
+        expected = median_usd_per_gb_by_country(offers, provider=provider)
+        assert list(got.items()) == list(expected.items())  # first-seen order
+
+    curves = listing.size_price_curves(day, AIRALO, max_gb=5.0)
+    expected_curves = {
+        country.iso3: size_price_curve(offers, country.iso3, "Airalo", max_gb=5.0)
+        for country in esimdb.footprint("Airalo")
+    }
+    # repr, not ==: 1 == 1.0, but the export must keep the ladder's ints.
+    assert repr(curves) == repr(expected_curves)
+
+
+def test_size_price_curves_keep_ladder_types(esimdb):
+    curve = CrawlDataset(esimdb.offer_table([90])).size_price_curves(
+        90, AIRALO, max_gb=5.0
+    )["ESP"]
+    assert [size for size, _ in curve] == [0.5, 1, 2, 3, 5]
+    assert [type(size) for size, _ in curve] == [float, int, int, int, int]
+
+
+def test_size_price_curves_reject_a_foreign_ladder(esimdb):
+    listing = CrawlDataset(esimdb.offer_table([90]))
+    other = dataclasses.replace(AIRALO, plan_sizes_gb=(1, 2, 3))
+    with pytest.raises(ValueError, match="plan ladder"):
+        listing.size_price_curves(90, other)
+
+
+def test_listing_aggregates_need_a_listed_day(esimdb):
+    listing = CrawlDataset(esimdb.offer_table([90]))
+    with pytest.raises(KeyError):
+        listing.provider_country_medians(91)
+
+
+def test_listing_is_memoised_per_process():
+    from repro.experiments import common
+
+    listing = common.get_listing(90)
+    assert common.get_listing(90) is listing
+    assert listing.days() == [90]
+    common.clear_caches()
+    assert common.get_listing(90) is not listing

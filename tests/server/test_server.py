@@ -1,8 +1,10 @@
 """The measurement service: routing, warmup, concurrency, shutdown."""
 
+import http.client
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import threading
@@ -17,13 +19,19 @@ from repro.server import MeasurementServer, ServerState, create_server
 from repro.server.state import RequestError
 
 
-def _get(url, timeout=30.0):
-    """GET -> (status, parsed-json body), following the JSON error shape."""
+def _get_text(url, timeout=30.0):
+    """GET -> (status, body text), error statuses included."""
     try:
         with urllib.request.urlopen(url, timeout=timeout) as response:
-            return response.status, json.loads(response.read().decode())
+            return response.status, response.read().decode()
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read().decode())
+        return error.code, error.read().decode()
+
+
+def _get(url, timeout=30.0):
+    """GET -> (status, parsed-json body), following the JSON error shape."""
+    status, body = _get_text(url, timeout)
+    return status, json.loads(body)
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +133,10 @@ def test_concurrent_clients_get_byte_identical_responses(server):
         assert all(body == reference[url] for body in results[url])
 
 
+def _reject_constant(name):
+    raise ValueError(f"bare {name} in a JSON body")
+
+
 def test_malformed_requests_get_400s(server):
     cases = {
         "/query": "requires a kind",
@@ -135,12 +147,44 @@ def test_malformed_requests_get_400s(server):
         "/query?kind=traceroute&records=x": "must be an integer",
         "/query?kind=traceroute&day=abc": "day must be an integer",
         "/artefact": "must be /artefact/<id>",
-        "/artefact/T2?scale=abc": "bad scale",
+        "/artefact/T2?scale=abc": "scale must be a number",
+        # Non-finite and out-of-range numbers never reach a handler.
+        "/stats?window=nan": "window must be finite",
+        "/stats?window=inf": "window must be finite",
+        "/stats?window=-inf": "window must be finite",
+        "/profile?seconds=nan": "seconds must be finite",
+        "/profile?seconds=1&interval_ms=inf": "interval_ms must be finite",
+        "/profile?seconds=1&interval_ms=nan": "interval_ms must be finite",
+        "/profile?seconds=0.5&interval_ms=600": "the profile window",
+        "/artefact/F7?scale=nan": "scale must be finite",
+        "/artefact/F7?scale=inf": "scale must be finite",
+        "/artefact/F7?scale=-1": "scale must be positive",
+        "/artefact/F7?scale=0": "scale must be positive",
     }
     for path, needle in cases.items():
-        status, payload = _get(f"{server.url}{path}")
+        status, body = _get_text(f"{server.url}{path}")
         assert status == 400, path
+        payload = json.loads(body, parse_constant=_reject_constant)
         assert needle in payload["error"], path
+
+
+def test_keep_alive_requests_do_not_stall(server):
+    """Headers and body go out as two sends; without TCP_NODELAY the body
+    waits for the client's delayed ACK, about 40 ms per request."""
+    connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+    try:
+        for path in ("/healthz", "/query?kind=traceroute&count_by=country", "/metrics"):
+            walls = []
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request("GET", path)
+                response = connection.getresponse()
+                response.read()
+                walls.append(time.perf_counter() - started)
+                assert response.status == 200, path
+            assert statistics.median(walls) < 0.020, (path, walls)
+    finally:
+        connection.close()
 
 
 def test_unknown_paths_get_404(server):
@@ -269,6 +313,11 @@ def test_stop_drains_in_flight_requests():
         debug_delay=True,
     ).start()
     assert srv.state.ready.wait(timeout=120), srv.state.warm_error
+    # A keep-alive client that got its answer and then went quiet: its
+    # handler idles in readline() and must not hold up the drain.
+    idle = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=30)
+    idle.request("GET", "/healthz")
+    assert idle.getresponse().read()
     outcome = {}
 
     def slow_request():
@@ -280,14 +329,20 @@ def test_stop_drains_in_flight_requests():
     thread.start()
     time.sleep(0.3)  # let the request reach the handler's sleep
     started = time.perf_counter()
-    srv.stop()
+    stopper = threading.Thread(target=srv.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=20.0)
     stop_wall = time.perf_counter() - started
+    assert not stopper.is_alive(), "stop() hung on an idle keep-alive connection"
     thread.join(timeout=30.0)
     # stop() must have waited for the in-flight request, and the client
     # must have received the full, valid response.
     assert stop_wall >= 0.5
     assert outcome["status"] == 200
     assert outcome["payload"]["count"] > 0
+    # The idle connection was closed by the server, not left dangling.
+    assert idle.sock.recv(1) == b""
+    idle.close()
 
 
 def test_sigterm_shuts_down_with_exit_zero(tmp_path):
