@@ -10,9 +10,7 @@ Exposes the reproduction from the shell::
     python -m repro probe ESP                 # per-country eSIM diagnostic
     python -m repro market --country ESP --gb 3
     python -m repro chaos --attach-reject 0.1 # campaign under injected faults
-    python -m repro world stats --scale 50    # columnar substrate footprint
     python -m repro run-all --jobs 4          # every artefact, sharded
-    python -m repro run-all --jobs 4 --share-population
     python -m repro run-all --trace traces/   # ... with a JSONL trace file
     python -m repro run-all --history runs/   # ... appending to the run history
     python -m repro trace summary traces/run_all-seed2024-scale0.15-jobs4.jsonl
@@ -218,61 +216,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_world(args: argparse.Namespace) -> int:
-    """``repro world stats``: the columnar substrate at one (seed, scale)."""
-    import json as json_mod
-
-    from repro.core import cache as cache_mod
-    from repro.worlds.population import estimate_snapshot_bytes
-
-    if args.cache_dir or args.no_cache:
-        cache_mod.configure(root=args.cache_dir, enabled=not args.no_cache)
-    scale = args.scale if args.scale is not None else common.DEFAULT_SCALE
-    if args.action == "stats":
-        if args.estimate_only:
-            estimated = estimate_snapshot_bytes(scale)
-            print(f"world substrate estimate at scale={scale:g}:")
-            print(f"  column payload ~{_human_bytes(estimated)} "
-                  f"(excl. header/alignment)")
-            return 0
-        population = common.get_population(args.seed, scale)
-        stats = population.stats()
-        if args.json:
-            with open(args.json, "w") as handle:
-                json_mod.dump(stats, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"(world stats written to {args.json})")
-            return 0
-        print(f"world substrate @ seed={stats['seed']} scale={stats['scale']:g}")
-        print(f"  subscribers      {stats['subscribers']:>12,}")
-        print(f"  - eSIM roamers   {stats['esims']:>12,}")
-        print(f"  - local SIMs     {stats['physical_sims']:>12,}")
-        print(f"  attached         {stats['attached']:>12,}")
-        print(f"  countries        {len(stats['countries']):>12}")
-        print(f"  operators        {stats['operators']:>12}")
-        print(f"  PGW sites        {stats['pgw_sites']:>12}")
-        print(f"  monthly traffic  {stats['monthly_traffic_gb']:>12,.1f} GB")
-        print(f"  sessions         {stats['sessions']:>12,}")
-        print(f"  store size       {_human_bytes(stats['total_bytes']):>12} "
-              f"({stats['bytes_per_subscriber']} B/subscriber)")
-        print("  columns:")
-        for name, nbytes in sorted(stats["column_bytes"].items()):
-            print(f"    {name:<14} {_human_bytes(nbytes):>10}")
-        return 0
-    print(f"unknown world action {args.action!r}", file=sys.stderr)
-    return 2
-
-
-def _human_bytes(nbytes: float) -> str:
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(nbytes) < 1024 or unit == "GiB":
-            return (
-                f"{nbytes:.1f} {unit}" if unit != "B" else f"{int(nbytes)} {unit}"
-            )
-        nbytes /= 1024.0
-    return f"{nbytes:.1f} GiB"
-
-
 def _cmd_run_all(args: argparse.Namespace) -> int:
     import pathlib
 
@@ -305,7 +248,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         history_dir=args.history, journal_path=args.journal,
         artefact_timeout_s=args.artefact_timeout,
         max_attempts=args.max_attempts, exec_chaos=exec_chaos,
-        share_population=args.share_population,
     )
     profiler = None
     if args.profile:
@@ -729,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "subcommand groups and where they are documented:\n"
             "  experiments   list, run, campaign, probe, tools, trip, chaos,\n"
-            "                market, world -> docs/ARCHITECTURE.md, docs/CALIBRATION.md\n"
+            "                market -> docs/ARCHITECTURE.md, docs/CALIBRATION.md\n"
             "  execution     run-all, cache -> docs/PERFORMANCE.md, docs/FULL_RUN.md\n"
             "  observability trace, history, regress, report\n"
             "                              -> docs/OBSERVABILITY.md\n"
@@ -857,31 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 default=10.0, metavar="MS",
                                 help="profiler sampling cadence "
                                      "(default 10ms = 100 Hz)")
-    run_all_parser.add_argument("--share-population", action="store_true",
-                                help="warm the columnar subscriber substrate "
-                                     "and share it zero-copy with workers via "
-                                     "shared memory ('repro world stats' "
-                                     "shows what gets shared)")
-
-    world_parser = sub.add_parser(
-        "world", help="inspect the columnar world substrate"
-    )
-    world_parser.add_argument("action", choices=("stats",),
-                              help="stats: entity counts, column sizes, "
-                                   "memory footprint per (seed, scale)")
-    world_parser.add_argument("--scale", type=float, default=None,
-                              help="population scale (default 0.15; 50 is "
-                                   "~1.5M subscribers)")
-    world_parser.add_argument("--estimate-only", action="store_true",
-                              help="print the size estimate without building "
-                                   "or loading the population")
-    world_parser.add_argument("--json", default=None, metavar="FILE",
-                              help="dump the stats as JSON instead of text")
-    world_parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                              help="persistent cache root for the snapshot")
-    world_parser.add_argument("--no-cache", action="store_true",
-                              help="build in memory; do not touch the "
-                                   "snapshot cache")
 
     trace_parser = sub.add_parser(
         "trace", help="inspect JSONL traces written by run-all --trace"
@@ -1062,7 +979,6 @@ _HANDLERS = {
     "trip": _cmd_trip,
     "chaos": _cmd_chaos,
     "market": _cmd_market,
-    "world": _cmd_world,
     "run-all": _cmd_run_all,
     "trace": _cmd_trace,
     "history": _cmd_history,

@@ -7,8 +7,8 @@ supervised worker processes (deadlines, retries, crash-safe resume —
 see :mod:`repro.core.runner` and :mod:`repro.core.journal`);
 :class:`ArtifactCache` is the persistent store that makes fresh
 processes cheap (see :mod:`repro.core.cache`);
-:class:`ColumnStore` is the typed columnar substrate worlds share
-zero-copy across worker processes (see :mod:`repro.core.columns`).
+:class:`ColumnStore` is the typed column format the cache memory-maps
+the market crawl from (see :mod:`repro.core.columns`).
 """
 
 from repro.core.cache import (
@@ -17,14 +17,7 @@ from repro.core.cache import (
     CacheVerifyResult,
     fingerprint,
 )
-from repro.core.columns import (
-    ColumnError,
-    ColumnStore,
-    SnapshotDescriptor,
-    StringTable,
-    attach,
-    publish,
-)
+from repro.core.columns import ColumnError, ColumnStore, StringTable
 from repro.core.journal import JournalEntry, JournalMismatch, RunJournal
 from repro.core.runner import ArtefactRun, RunReport, StudyRunner
 from repro.core.study import ThickMnaStudy, EXPERIMENT_REGISTRY
@@ -41,11 +34,8 @@ __all__ = [
     "JournalMismatch",
     "RunJournal",
     "RunReport",
-    "SnapshotDescriptor",
     "StringTable",
     "StudyRunner",
     "ThickMnaStudy",
-    "attach",
     "fingerprint",
-    "publish",
 ]

@@ -1,16 +1,16 @@
 """Persistent artifact cache for expensive build products.
 
-Worlds, campaign :class:`~repro.measure.dataset.MeasurementDataset`\\ s,
-market crawls and subscriber populations are deterministic functions of
+The world, the campaign :class:`~repro.measure.dataset.MeasurementDataset`\\ s
+and the market crawl are deterministic functions of
 ``(package version, seed, scale, ChaosConfig)`` — there is no reason to
 rebuild them in every fresh process. This module stores them under
 ``~/.cache/repro-airalo/`` (override with ``$REPRO_CACHE_DIR``; disable
 entirely with ``$REPRO_CACHE_DISABLE=1``), keyed by a content
 fingerprint of everything that can change the bytes. A
-:class:`~repro.core.columns.ColumnStore` value is kept as its
-``RPCOL001`` snapshot (``<key>.cols``) and memory-mapped on load, so
-reading it costs page faults on the rows touched, not an unpickle of
-every object; any other value is a pickle (``<key>.pkl``).
+:class:`~repro.core.columns.ColumnStore` value (the market crawl) is
+kept as its ``RPCOL001`` snapshot (``<key>.cols``) and memory-mapped on
+load, so reading it costs page faults on the rows touched, not an
+unpickle of every object; any other value is a pickle (``<key>.pkl``).
 
 Design rules:
 

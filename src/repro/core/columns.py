@@ -1,31 +1,21 @@
-"""Typed columnar stores with zero-copy sharing across processes.
+"""Typed columnar stores with a byte-deterministic snapshot format.
 
-The object-graph worlds that reproduce the paper top out far below the
-"millions of subscribers" the north star asks for: every entity is a
-Python object, and every pool worker unpickles its own full copy. This
-module is the storage half of the fix — hot entity populations live in
-typed :mod:`array` columns inside a :class:`ColumnStore`, which
+Tables with hundreds of thousands of rows, such as the market crawl's
+~476k offers, cost far less as typed :mod:`array` columns than as
+Python objects. A :class:`ColumnStore` holds them that way and
 
 * serializes to one contiguous, **byte-deterministic** snapshot blob
   (header JSON + 8-aligned column payloads), so equal inputs always
   produce equal bytes and snapshots can be content-fingerprinted;
-* reattaches **zero-copy** from any buffer via ``memoryview.cast`` —
-  a ``multiprocessing.shared_memory`` segment, an ``mmap``-ed snapshot
-  file, or plain bytes — so N workers share one physical copy;
+* reopens **zero-copy** from any buffer via ``memoryview.cast`` (an
+  ``mmap``-ed snapshot file or plain bytes), so loading a snapshot
+  decodes only its header;
 * interns labels through :class:`StringTable` so categorical columns
   are small-int arrays with the vocabulary riding in the header.
 
-:func:`publish` / :func:`attach` wrap the sharing lifecycle: the parent
-publishes one snapshot (shared memory when available, a temp-file mmap
-otherwise), ships the tiny picklable :class:`SnapshotDescriptor` to its
-workers, and unlinks the segment when the run ends. Workers that attach
-a shared-memory segment deliberately unregister it from the resource
-tracker — the *parent* owns the segment's lifetime, and letting every
-worker's tracker unlink it on exit would tear the mapping out from
-under its siblings (a known CPython gotcha on 3.9–3.12).
-
-The view layer over these columns (subscriber populations exposing the
-``cellular`` entity APIs) lives in :mod:`repro.worlds.population`.
+:class:`~repro.core.cache.ArtifactCache` writes any store as
+``<key>.cols`` and memory-maps it back with :meth:`ColumnStore.load`;
+:class:`repro.market.CrawlDataset` reads the crawl from it.
 """
 
 from __future__ import annotations
@@ -35,10 +25,7 @@ import mmap
 import os
 import pathlib
 import struct
-import tempfile
-import uuid
 from array import array
-from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 MAGIC = b"RPCOL001"
@@ -110,8 +97,8 @@ class ColumnStore:
         self._specs: Dict[str, Tuple[str, Optional[str]]] = {}
         self._strings: Dict[str, StringTable] = {}
         self._order: List[str] = []
-        #: Whatever owns the attached bytes (shm, mmap, bytes) — held so
-        #: the buffer outlives every column view handed out.
+        #: Whatever owns the attached bytes (mmap, bytes) — held so the
+        #: buffer outlives every column view handed out.
         self._backing: Any = None
 
     # -- building -------------------------------------------------------------
@@ -122,7 +109,7 @@ class ColumnStore:
         """Create (and return) an appendable column.
 
         ``strings=`` names the :class:`StringTable` whose codes this
-        column holds; queries and views use it to decode transparently.
+        column holds; the snapshot header records the pairing.
         """
         if typecode not in STABLE_TYPECODES:
             raise ColumnError(
@@ -159,28 +146,6 @@ class ColumnStore:
 
     def typecode(self, name: str) -> str:
         return self._specs[name][0]
-
-    def strings_for(self, name: str) -> Optional[StringTable]:
-        """The string table decoding column ``name`` (None: numeric)."""
-        table = self._specs[name][1]
-        return self._strings[table] if table is not None else None
-
-    def rows(self, name: str) -> int:
-        return len(self._columns[name])
-
-    @property
-    def nbytes(self) -> int:
-        """Payload bytes across all columns (excludes the header)."""
-        return sum(
-            len(self._columns[name]) * STABLE_TYPECODES[self._specs[name][0]]
-            for name in self._order
-        )
-
-    def column_nbytes(self) -> Dict[str, int]:
-        return {
-            name: len(self._columns[name]) * STABLE_TYPECODES[self._specs[name][0]]
-            for name in self._order
-        }
 
     # -- snapshot codec -------------------------------------------------------
 
@@ -227,14 +192,13 @@ class ColumnStore:
 
     @classmethod
     def from_buffer(
-        cls, buffer: Union[bytes, bytearray, memoryview, mmap.mmap],
-        backing: Any = None,
+        cls, buffer: Union[bytes, bytearray, memoryview, mmap.mmap]
     ) -> "ColumnStore":
         """Zero-copy view over snapshot bytes produced by :meth:`to_bytes`.
 
         Columns become read-only ``memoryview`` casts into ``buffer``;
-        nothing is copied. ``backing`` (shm handle, mmap, file object)
-        is pinned on the store so the buffer outlives the views.
+        nothing is copied. ``buffer`` is pinned on the store so it
+        outlives the views.
         Every malformed input — short or garbage bytes, a header of the
         wrong shape, a column outside the buffer — raises
         :class:`ColumnError`, never another exception type.
@@ -274,7 +238,7 @@ class ColumnStore:
             store._columns[name] = view[start:end].cast(typecode)
             store._specs[name] = (typecode, table)
             store._order.append(name)
-        store._backing = backing if backing is not None else buffer
+        store._backing = buffer
         return store
 
     # -- snapshot files -------------------------------------------------------
@@ -295,7 +259,7 @@ class ColumnStore:
                 mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
             except ValueError:  # an empty file cannot be mapped
                 raise ColumnError("not a column snapshot (empty file)") from None
-        return cls.from_buffer(mapped, backing=mapped)
+        return cls.from_buffer(mapped)
 
 
 def _aligned(offset: int) -> int:
@@ -351,148 +315,3 @@ def _column_layout(
     end = start + nbytes
     _require(end <= buffer_len, f"column {name!r} is truncated")
     return name, typecode, table, start, end
-
-
-# -- cross-process sharing ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SnapshotDescriptor:
-    """Picklable address of a published snapshot (what initargs carry)."""
-
-    scheme: str  # "shm" | "file"
-    ref: str  # shared-memory name or snapshot file path
-    nbytes: int
-
-
-class PublishedSnapshot:
-    """Parent-side handle: owns the segment, unlinks it on close."""
-
-    def __init__(self, descriptor: SnapshotDescriptor, shm: Any = None) -> None:
-        self.descriptor = descriptor
-        self._shm = shm
-        self._closed = False
-
-    def close(self, unlink: bool = True) -> None:
-        """Release the published snapshot (idempotent).
-
-        Shared-memory segments are closed and unlinked; file snapshots
-        are unlinked from disk when ``unlink`` is set.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self._shm is not None:
-            try:
-                self._shm.close()
-            except OSError:
-                pass
-            if unlink:
-                try:
-                    self._shm.unlink()
-                except (OSError, FileNotFoundError):
-                    pass
-        elif unlink and self.descriptor.scheme == "file":
-            try:
-                os.unlink(self.descriptor.ref)
-            except OSError:
-                pass
-
-
-class AttachedSnapshot:
-    """Worker-side handle: a zero-copy store plus its mapping."""
-
-    def __init__(self, store: ColumnStore, closer: Any = None) -> None:
-        self.store = store
-        self._closer = closer
-
-    def close(self) -> None:
-        # Column memoryviews pin the buffer; drop them before closing
-        # the mapping so shm.close()/mmap.close() cannot raise
-        # BufferError("cannot close exported pointers exist").
-        self.store._columns.clear()
-        self.store._order.clear()
-        self.store._backing = None
-        if self._closer is not None:
-            try:
-                self._closer()
-            except (OSError, BufferError):
-                pass
-            self._closer = None
-
-
-def publish(
-    store: ColumnStore,
-    fallback_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
-) -> PublishedSnapshot:
-    """Publish ``store`` for zero-copy attach by other processes.
-
-    Prefers a ``multiprocessing.shared_memory`` segment; falls back to
-    an mmap-able snapshot file (in ``fallback_dir`` or the system temp
-    directory) when POSIX shared memory is unavailable. Either way the
-    returned descriptor is a few bytes — workers attach the one shared
-    copy instead of receiving pickled duplicates.
-    """
-    payload = store.to_bytes()
-    try:
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(
-            create=True, size=max(1, len(payload)),
-            name=f"repro-cols-{uuid.uuid4().hex[:16]}",
-        )
-    except (ImportError, OSError):
-        directory = pathlib.Path(
-            fallback_dir if fallback_dir is not None else tempfile.gettempdir()
-        )
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"repro-cols-{uuid.uuid4().hex[:16]}.snap"
-        path.write_bytes(payload)
-        return PublishedSnapshot(
-            SnapshotDescriptor(scheme="file", ref=str(path), nbytes=len(payload))
-        )
-    shm.buf[: len(payload)] = payload
-    return PublishedSnapshot(
-        SnapshotDescriptor(scheme="shm", ref=shm.name, nbytes=len(payload)),
-        shm=shm,
-    )
-
-
-def attach(descriptor: SnapshotDescriptor) -> AttachedSnapshot:
-    """Attach a published snapshot zero-copy (see :func:`publish`)."""
-    if descriptor.scheme == "shm":
-        # The parent owns the segment's lifetime; attaching must not
-        # involve this process's resource tracker at all (on 3.9-3.12
-        # SharedMemory(name=...) re-registers the segment, and with
-        # fork pools every worker shares the parent's tracker, so a
-        # worker's exit-time unregister corrupts the parent's entry).
-        # On Linux POSIX segments are plain files under /dev/shm —
-        # mmap one read-only and sidestep the tracker entirely.
-        dev_shm = pathlib.Path("/dev/shm") / descriptor.ref.lstrip("/")
-        if dev_shm.exists():
-            with open(dev_shm, "rb") as handle:
-                mapped = mmap.mmap(
-                    handle.fileno(), descriptor.nbytes, access=mmap.ACCESS_READ
-                )
-            store = ColumnStore.from_buffer(memoryview(mapped), backing=mapped)
-            return AttachedSnapshot(store, closer=mapped.close)
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=descriptor.ref, create=False)
-        # Non-Linux fallback: deregister the attach-side registration
-        # (3.13's track=False is not available on the 3.10 floor).
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-        store = ColumnStore.from_buffer(
-            memoryview(shm.buf)[: descriptor.nbytes], backing=shm
-        )
-        return AttachedSnapshot(store, closer=shm.close)
-    if descriptor.scheme == "file":
-        store = ColumnStore.load(descriptor.ref)
-        backing = store._backing
-        return AttachedSnapshot(store, closer=backing.close)
-    raise ColumnError(f"unknown snapshot scheme {descriptor.scheme!r}")

@@ -48,7 +48,6 @@ timestamps live only in the trace file.
 
 from __future__ import annotations
 
-import atexit
 import concurrent.futures
 import json
 import os
@@ -64,7 +63,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.core import cache as cache_mod
-from repro.core import columns as columns_mod
 from repro.core import journal as journal_mod
 from repro.faults import BackoffPolicy, ChaosConfig, ExecChaos, InjectedWorkerCrash
 
@@ -208,7 +206,6 @@ def _worker_init(
     cache_enabled: bool,
     trace: bool = False,
     exec_chaos: Optional[ExecChaos] = None,
-    population: Optional[columns_mod.SnapshotDescriptor] = None,
 ) -> None:
     """Process-pool initializer: point the worker at the parent's cache."""
     from repro.core.study import ThickMnaStudy
@@ -227,17 +224,6 @@ def _worker_init(
         target=_exit_when_orphaned, args=(os.getppid(),), daemon=True
     ).start()
     cache_mod.configure(root=cache_root, enabled=cache_enabled)
-    if population is not None:
-        # Attach the parent's published columnar population zero-copy
-        # instead of rebuilding (or unpickling) a private copy. Failure
-        # is never fatal: the experiment layer falls back to its normal
-        # mmap-then-build path, it just loses the sharing.
-        from repro.experiments import common
-
-        try:
-            common.adopt_population(population)
-        except Exception:
-            obs.counter("runner.population_adopt_failed").inc()
     global _WORKER_STUDY, _WORKER_TRACE, _WORKER_EXEC_CHAOS, _WORKER_IN_POOL
     _WORKER_STUDY = ThickMnaStudy(seed=seed, chaos=chaos)
     _WORKER_TRACE = trace
@@ -400,7 +386,6 @@ class StudyRunner:
         retry_backoff: Optional[BackoffPolicy] = None,
         exec_chaos: Optional[ExecChaos] = None,
         handle_signals: bool = True,
-        share_population: bool = False,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -427,9 +412,7 @@ class StudyRunner:
         )
         self.exec_chaos = exec_chaos
         self.handle_signals = handle_signals
-        self.share_population = share_population
         self._stop_requested = False
-        self._population_snapshot: Optional[columns_mod.PublishedSnapshot] = None
 
     # -- interruption --------------------------------------------------------
 
@@ -475,13 +458,6 @@ class StudyRunner:
         simulates a campaign. With the disk cache enabled this both
         warms this process's in-memory layer and guarantees every worker
         finds the inputs on disk instead of re-simulating per process.
-
-        The columnar subscriber population goes one step further than
-        the pickle-backed inputs: when it is needed (an artefact
-        declares it, or ``share_population=True``) and the run is
-        parallel, the parent publishes its snapshot once and workers
-        attach the same physical pages zero-copy (see
-        :mod:`repro.core.columns`).
         """
         from repro.experiments import common, registry
 
@@ -497,32 +473,7 @@ class StudyRunner:
             common.get_web_dataset(self.seed, chaos=self.chaos)
         if "market" in needed:
             common.get_market()
-        if "population" in needed or self.share_population:
-            population = common.get_population(self.seed, scale)
-            if self.jobs > 1 and self._population_snapshot is None:
-                # Publish once; every pool worker attaches this single
-                # physical copy instead of receiving a pickled world.
-                self._population_snapshot = columns_mod.publish(population.store)
-                atexit.register(self._release_population)
-                obs.event(
-                    "runner.population_published",
-                    scheme=self._population_snapshot.descriptor.scheme,
-                    nbytes=self._population_snapshot.descriptor.nbytes,
-                    subscribers=len(population),
-                )
         return time.perf_counter() - started
-
-    def _release_population(self) -> None:
-        """Unlink the published population snapshot (idempotent).
-
-        Called from ``_run_all_inner``'s finally (which also runs on
-        SIGINT/SIGTERM clean stops) and registered with ``atexit`` as a
-        back-stop, so a published shared-memory segment can never
-        outlive the parent process.
-        """
-        snapshot, self._population_snapshot = self._population_snapshot, None
-        if snapshot is not None:
-            snapshot.close()
 
     # -- checkpointing -------------------------------------------------------
 
@@ -725,7 +676,6 @@ class StudyRunner:
                     if telemetry is not None and recorder.enabled:
                         recorder.adopt(telemetry, parent_id=root.span_id)
         finally:
-            self._release_population()
             for sig, old in previous_handlers.items():
                 signal.signal(sig, old)
         report.total_wall_s = time.perf_counter() - started
@@ -793,8 +743,6 @@ class StudyRunner:
                 self.seed, self.chaos,
                 str(self.cache.root), self.cache.enabled,
                 obs.enabled(), self.exec_chaos,
-                self._population_snapshot.descriptor
-                if self._population_snapshot is not None else None,
             ),
         )
 

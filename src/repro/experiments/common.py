@@ -1,4 +1,4 @@
-"""Shared experiment infrastructure: cached worlds and campaign datasets.
+"""Shared experiment infrastructure: cached world, campaign datasets and crawl.
 
 Two cache layers sit under every getter:
 
@@ -7,8 +7,8 @@ Two cache layers sit under every getter:
 2. the persistent :mod:`repro.core.cache` store, so a fresh process (a
    CLI invocation, a ``StudyRunner`` worker) loads the bytes a previous
    process built instead of re-simulating the campaign. The market
-   crawl and subscriber populations are column stores there, memory-
-   mapped on load; the worlds and campaign datasets are pickles.
+   crawl is a column store there, memory-mapped on load; the world and
+   the campaign datasets are pickles.
 
 Entries are keyed by a content fingerprint of ``(package version, seed,
 scale, ChaosConfig)``; corrupt or stale entries fall back to a rebuild.
@@ -23,14 +23,12 @@ from typing import Dict, Optional, Tuple
 import repro
 from repro import obs
 from repro.core import cache as _cache
-from repro.core.columns import SnapshotDescriptor
 from repro.faults import ChaosConfig
 from repro.geo import CountryRegistry, default_country_registry
 from repro.market import CrawlDataset, EsimDB, MarketCrawler, build_provider_universe
 from repro.market.crawler import VANTAGE_CHECK_DAY
 from repro.measure.dataset import MeasurementDataset
 from repro.worlds import AiraloWorld, build_airalo_world
-from repro.worlds.population import Population, attach_population, build_population
 
 #: Default fraction of the Table 4 test counts the experiments replay.
 #: 0.15 keeps a bench run in seconds while every per-country series stays
@@ -43,8 +41,6 @@ _device_datasets: Dict[Tuple[int, float, Optional[ChaosConfig]], MeasurementData
 _web_datasets: Dict[Tuple[int, Optional[ChaosConfig]], MeasurementDataset] = {}
 _market: Dict[int, Tuple[EsimDB, CrawlDataset]] = {}
 _listings: Dict[Tuple[int, int], CrawlDataset] = {}
-_populations: Dict[Tuple[int, float], Population] = {}
-_adopted_population: Optional[Population] = None
 _countries: Optional[CountryRegistry] = None
 
 
@@ -167,67 +163,6 @@ def get_listing(snapshot_day: int, step_days: int = 7) -> CrawlDataset:
     return _listings[key]
 
 
-def get_population(
-    seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE
-) -> Population:
-    """The columnar subscriber population for ``(seed, scale)``.
-
-    Resolution order: a snapshot adopted from the parent process
-    (zero-copy shared memory, see :func:`adopt_population`), then the
-    process-local memo, then an mmap of the cached snapshot — the
-    columnar replacement for unpickling a world copy per process —
-    and only then a build (persisted for the next process).
-    """
-    adopted = _adopted_population
-    if adopted is not None and adopted.seed == seed and adopted.scale == scale:
-        return adopted
-    key = (seed, scale)
-    if key not in _populations:
-        with obs.span("input.population", seed=seed, scale=scale) as span:
-            store = _cache.get_default_cache()
-            disk_key = _disk_key("population", seed=seed, scale=scale)
-            table = store.load(disk_key)
-            population = None
-            if table is not None:
-                try:
-                    population = Population(table)
-                    span.set(source="mmap")
-                except ValueError:
-                    population = None
-            if population is None:
-                span.set(source="build")
-                population = build_population(seed, scale)
-                try:
-                    store.store(disk_key, population.store)
-                except OSError:
-                    pass
-        _populations[key] = population
-    return _populations[key]
-
-
-def adopt_population(descriptor: SnapshotDescriptor) -> Population:
-    """Attach the parent's published population snapshot (worker side).
-
-    Adopted once per worker from ``StudyRunner``'s pool initializer;
-    subsequent :func:`get_population` calls for the same ``(seed,
-    scale)`` return the shared zero-copy view instead of loading or
-    building a private copy.
-    """
-    global _adopted_population
-    release_adopted_population()
-    population, _ = attach_population(descriptor)
-    _adopted_population = population
-    return population
-
-
-def release_adopted_population() -> None:
-    """Drop the adopted shared snapshot, releasing its mapping."""
-    global _adopted_population
-    if _adopted_population is not None:
-        population, _adopted_population = _adopted_population, None
-        population.close()
-
-
 def clear_caches(disk: bool = False) -> None:
     """Drop every cached world/dataset (for isolation in tests).
 
@@ -240,7 +175,5 @@ def clear_caches(disk: bool = False) -> None:
     _web_datasets.clear()
     _market.clear()
     _listings.clear()
-    _populations.clear()
-    release_adopted_population()
     if disk:
         _cache.get_default_cache().clear()

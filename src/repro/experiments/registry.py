@@ -35,12 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 #: The shared inputs an experiment may declare (what the runner warms).
-#: ``population`` is the columnar subscriber substrate
-#: (:mod:`repro.worlds.population`) — warmed once in the parent and
-#: shared zero-copy with pool workers via ``multiprocessing.shared_memory``.
-INPUT_KINDS: Tuple[str, ...] = (
-    "world", "device_dataset", "web_dataset", "market", "population",
-)
+INPUT_KINDS: Tuple[str, ...] = ("world", "device_dataset", "web_dataset", "market")
 
 #: Artefact id prefix -> artefact kind (what ``python -m repro list`` prints).
 _KIND_BY_PREFIX = {

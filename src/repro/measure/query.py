@@ -39,8 +39,6 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from repro import obs
 
 #: Query kind -> the MeasurementDataset attribute holding its records.
@@ -333,108 +331,3 @@ class DatasetIndex:
 def select(dataset: Any, kind: str) -> RecordQuery:
     """Entry point used by ``MeasurementDataset.select``."""
     return RecordQuery(dataset.index.kind(kind))
-
-
-# -- columnar queries ---------------------------------------------------------
-
-#: array typecode -> numpy dtype string for zero-copy column views.
-_TYPECODE_DTYPES: Dict[str, str] = {
-    "b": "<i1", "B": "<u1", "h": "<i2", "H": "<u2",
-    "q": "<i8", "Q": "<u8", "f": "<f4", "d": "<f8",
-}
-
-
-class ColumnQuery:
-    """Chainable filters and aggregates over a ``ColumnStore``.
-
-    The columnar sibling of :class:`RecordQuery`: instead of indexing
-    record objects it reads typed columns directly — over live arrays,
-    a memory-mapped snapshot or an attached shared-memory segment alike.
-    String-table columns accept their labels transparently::
-
-        q = population.query().where(country="JPN", kind=1)
-        q.count(), q.mean("monthly_mb"), q.count_by("architecture")
-
-    Aggregation goes through ``numpy.frombuffer`` (zero-copy, no per-row
-    Python objects — this is what keeps worker RSS flat over a shared
-    snapshot).
-    """
-
-    def __init__(self, store: Any, mask: Optional[Any] = None) -> None:
-        self._store = store
-        self._mask = mask  # None = all rows; else a boolean array per row
-
-    # -- plumbing -------------------------------------------------------------
-
-    def _column(self, name: str) -> Any:
-        return np.frombuffer(
-            self._store.column(name),
-            dtype=_TYPECODE_DTYPES[self._store.typecode(name)],
-        )
-
-    def _encode(self, name: str, value: Any) -> Any:
-        if isinstance(value, str):
-            table = self._store.strings_for(name)
-            if table is None:
-                raise KeyError(
-                    f"column {name!r} has no string table; "
-                    f"filter it with a numeric value"
-                )
-            return table.lookup(value)  # -1 never matches any stored code
-        return value
-
-    def _rows(self) -> int:
-        names = self._store.column_names()
-        return self._store.rows(names[0]) if names else 0
-
-    # -- refinement -----------------------------------------------------------
-
-    def where(self, **columns: Any) -> "ColumnQuery":
-        """Narrow to rows matching every ``column=value`` given.
-
-        ``None`` values are ignored, mirroring :meth:`RecordQuery.where`.
-        """
-        mask = self._mask
-        for name, value in columns.items():
-            if value is None:
-                continue
-            code = self._encode(name, value)
-            matched = self._column(name) == code
-            mask = matched if mask is None else (mask & matched)
-        if mask is self._mask:
-            return self
-        return ColumnQuery(self._store, mask)
-
-    # -- aggregates -----------------------------------------------------------
-
-    def count(self) -> int:
-        if self._mask is None:
-            return self._rows()
-        return int(self._mask.sum())
-
-    def sum(self, name: str) -> float:
-        column = self._column(name)
-        if self._mask is not None:
-            column = column[self._mask]
-        return float(column.sum())
-
-    def mean(self, name: str) -> float:
-        n = self.count()
-        return self.sum(name) / n if n else 0.0
-
-    def values(self, name: str) -> List[Any]:
-        """Distinct values (labels for string columns), ordered."""
-        return list(self.count_by(name))
-
-    def count_by(self, name: str) -> Dict[Any, int]:
-        """Row counts per distinct value, decoded and ordered by label."""
-        column = self._column(name)
-        if self._mask is not None:
-            column = column[self._mask]
-        codes, counts = np.unique(column, return_counts=True)
-        raw = dict(zip(codes.tolist(), counts.tolist()))
-        table = self._store.strings_for(name)
-        if table is None:
-            return {value: raw[value] for value in sorted(raw)}
-        decoded = {table.value(code): n for code, n in raw.items()}
-        return {value: decoded[value] for value in sorted(decoded)}

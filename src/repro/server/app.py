@@ -61,7 +61,7 @@ from repro.server.state import RequestError, ServerState
 
 #: Routes the server understands (used for metric names and the index).
 ROUTES = (
-    "index", "healthz", "query", "artefact", "population", "history", "regress",
+    "index", "healthz", "query", "artefact", "history", "regress",
     "metrics", "stats", "events", "dashboard", "profile",
 )
 
@@ -251,10 +251,6 @@ class _Handler(BaseHTTPRequestHandler):
             return self._do_query(params)
         if route == "artefact":
             return self._do_artefact(parsed.path, params)
-        if route == "population":
-            by = params.pop("by", "") or None
-            self._send_json(200, self.state.population(by=by, where=params))
-            return 200
         if route == "history":
             self._send_json(200, self.state.history(
                 limit=_int_param(params, "limit", 50)))
@@ -301,6 +297,12 @@ class _Handler(BaseHTTPRequestHandler):
             scale = _float_param(params, "scale", 0.0)
             if scale <= 0:
                 raise RequestError(400, f"scale must be positive, got {scale:g}")
+            if scale > 1:
+                # 1.0 is the paper's full campaign; a larger scale would
+                # hold the artefact lock for a compute that grows with it.
+                raise RequestError(
+                    400, f"scale must be at most 1 (the full campaign), got {scale:g}"
+                )
         render = params.get("render", "") in ("1", "true", "yes")
         payload = self.state.artefact(parts[1], scale=scale, render=render)
         self._send_json(200, payload)

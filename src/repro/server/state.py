@@ -99,7 +99,6 @@ class ServerState:
         self.warm_error = ""
         self.warm_wall_s = 0.0
         self._datasets: Dict[str, Any] = {}
-        self._population: Optional[Any] = None
         self._artefact_lock = threading.Lock()
         self._artefact_memo: Dict[str, Any] = {}
         #: Set by the HTTP layer: a zero-argument callable returning
@@ -132,11 +131,6 @@ class ServerState:
                 self._datasets["web"] = study.web_dataset()
             self.warm_phase = "indexes"
             self._prebuild_indexes()
-            self.warm_phase = "population"
-            # The columnar subscriber substrate: mmap-attached from the
-            # shared snapshot a previous run-all left on disk (or built
-            # once and persisted), never a private pickled rebuild.
-            self._population = common.get_population(self.seed, self.scale)
             self.warm_phase = "artefacts"
             for artefact_id in self.warm_artefacts:
                 self.artefact(artefact_id)
@@ -178,8 +172,6 @@ class ServerState:
                 for name, dataset in sorted(self._datasets.items())
             },
         }
-        if self._population is not None:
-            payload["subscribers"] = len(self._population)
         if self._telemetry_info is not None:
             # Request totals + sampler liveness: smoke jobs assert the
             # telemetry plane is actually ticking, not just warm.
@@ -367,81 +359,6 @@ class ServerState:
             payload["rendered"] = spec.render(result)
         return payload
 
-    # -- /population ----------------------------------------------------------
-
-    #: ``/population?by=`` pivots (query-string name -> column name).
-    POPULATION_DIMENSIONS: Dict[str, str] = {
-        "country": "country",
-        "issuer": "issuer",
-        "provider": "provider",
-        "v_mno": "v_mno",
-        "architecture": "architecture",
-        "kind": "kind",
-        "pgw_site": "pgw_site",
-    }
-
-    def population(
-        self,
-        by: Optional[str] = None,
-        where: Optional[Dict[str, str]] = None,
-    ) -> Dict[str, Any]:
-        """Serve ``/population``: substrate stats, optionally pivoted.
-
-        Reads the warm columnar store directly through
-        :class:`~repro.measure.query.ColumnQuery` — no records are
-        materialized, so the response cost is a few column scans no
-        matter how many million subscribers the population holds.
-        """
-        population = self._population
-        if population is None:
-            raise RequestError(503, "population substrate is not warm yet")
-        if by is not None and by not in self.POPULATION_DIMENSIONS:
-            raise RequestError(
-                400,
-                f"unknown population dimension {by!r}; "
-                f"known: {', '.join(sorted(self.POPULATION_DIMENSIONS))}",
-            )
-        q = population.query()
-        filters: Dict[str, Any] = {}
-        for dimension, raw in sorted((where or {}).items()):
-            if dimension not in self.POPULATION_DIMENSIONS:
-                raise RequestError(
-                    400,
-                    f"unknown population dimension {dimension!r}; "
-                    f"known: {', '.join(sorted(self.POPULATION_DIMENSIONS))}",
-                )
-            column = self.POPULATION_DIMENSIONS[dimension]
-            value: Any = raw
-            if column == "kind":
-                value = {"esim": 1, "physical": 0}.get(raw.lower(), raw)
-            if column == "country" and isinstance(value, str):
-                value = value.upper()
-            if isinstance(value, str) and value.isdigit():
-                value = int(value)
-            filters[column] = value
-        if filters:
-            q = q.where(**filters)
-        payload: Dict[str, Any] = {
-            "seed": population.seed,
-            "scale": population.scale,
-            "subscribers": q.count(),
-            "monthly_traffic_gb": round(q.sum("monthly_mb") / 1024.0, 3),
-            "store_bytes": population.store.nbytes,
-            "where": {k: str(v) for k, v in filters.items()},
-        }
-        if by is not None:
-            counts = q.count_by(self.POPULATION_DIMENSIONS[by])
-            if by == "kind":
-                counts = {
-                    ("esim" if code else "physical"): count
-                    for code, count in counts.items()
-                }
-            payload["by"] = by
-            payload["counts"] = counts
-        else:
-            payload["stats"] = jsonable(population.stats())
-        return payload
-
     # -- /history and /regress ------------------------------------------------
 
     def _history_store(self):
@@ -505,7 +422,6 @@ class ServerState:
             {"path": "/healthz", "doc": "liveness + warm state (200 ready, 503 warming)"},
             {"path": "/query", "doc": "indexed dataset queries: kind, where dims, group_by/count_by, records=N"},
             {"path": "/artefact/<id>", "doc": "one experiment's result (render=1 for the paper-style text)"},
-            {"path": "/population", "doc": "columnar subscriber substrate stats (by=country|issuer|..., filter dims)"},
             {"path": "/history", "doc": "recorded runs in the cross-run history store"},
             {"path": "/regress", "doc": "regression verdicts for a recorded run (run=, against=, window=)"},
             {"path": "/metrics", "doc": "Prometheus text-format scrape: request counters, latency histograms, process gauges"},

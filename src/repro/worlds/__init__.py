@@ -3,21 +3,11 @@
 ``paperdata`` encodes the paper's ground truth (Table 2 topology, the
 campaign inventories of Tables 3-4, quoted calibration numbers);
 ``airalo`` assembles the full simulated ecosystem from it; ``emnify``
-builds the small validation world of Section 4.3.1; ``population``
-holds the columnar subscriber substrate that scales the ecosystem to
-millions of users (see :mod:`repro.core.columns`).
+builds the small validation world of Section 4.3.1.
 """
 
 from repro.worlds.airalo import AiraloWorld, build_airalo_world, scaled_count
 from repro.worlds.emnify import EmnifyWorld, build_emnify_world
-from repro.worlds.population import (
-    Population,
-    Subscriber,
-    SubscriberView,
-    attach_population,
-    build_population,
-    build_population_objects,
-)
 from repro.worlds import paperdata
 
 __all__ = [
@@ -25,12 +15,6 @@ __all__ = [
     "build_airalo_world",
     "EmnifyWorld",
     "build_emnify_world",
-    "Population",
-    "Subscriber",
-    "SubscriberView",
-    "attach_population",
-    "build_population",
-    "build_population_objects",
     "paperdata",
     "scaled_count",
 ]

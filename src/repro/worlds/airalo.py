@@ -183,7 +183,7 @@ class AiraloWorld:
         ``scale < 1`` shrinks the campaign (each non-zero count floors
         at 1 so every country/test series survives); ``scale > 1``
         grows it deterministically — see :func:`scaled_count` for the
-        exact rounding contract shared with the population substrate.
+        exact rounding contract.
 
         ``chaos`` (default off) runs the campaign under injected faults
         with the resilient orchestration; the result's ``health`` then
@@ -205,7 +205,7 @@ class AiraloWorld:
                 )
                 plan = entry.as_test_plan()
                 plans[entry.country_iso3] = {
-                    test: (_scaled(a, scale), _scaled(b, scale))
+                    test: (scaled_count(a, scale), scaled_count(b, scale))
                     for test, (a, b) in plan.items()
                 }
             return server.run_campaign(plans)
@@ -253,17 +253,14 @@ class AiraloWorld:
 
 
 def scaled_count(count: int, scale: float) -> int:
-    """Scale an entity/test count by ``scale``, shrinking **or growing**.
+    """Scale a campaign test count by ``scale``, shrinking **or growing**.
 
-    Both directions are deterministic and shared by every fan-out in
-    the repo (campaign test plans here, subscriber populations in
-    :mod:`repro.worlds.population`):
+    Both directions are deterministic:
 
     * ``scale < 1`` shrinks a campaign for fast runs, but never below 1
       — every non-empty series stays represented (``count=0`` stays 0:
       a test a country never ran is not invented by scaling).
-    * ``scale > 1`` grows the count for million-user worlds: a base of
-      30k subscribers at ``scale=50`` fans out to 1.5M.
+    * ``scale > 1`` grows the count: 20 tests at ``scale=2.5`` become 50.
     * Rounding is Python's ``round`` (banker's rounding on exact .5
       ties). This is frozen behavior: the committed golden run-all
       export pins the ``scale=0.05`` campaign counts byte-for-byte, so
@@ -274,10 +271,6 @@ def scaled_count(count: int, scale: float) -> int:
     if count == 0:
         return 0
     return max(1, round(count * scale))
-
-
-#: Historical internal name, kept for the campaign call sites.
-_scaled = scaled_count
 
 
 # ---------------------------------------------------------------------------

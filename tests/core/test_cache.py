@@ -179,31 +179,6 @@ def test_info_verify_and_clear_cover_column_entries(store):
     assert store.entries() == []
 
 
-def test_corrupt_population_snapshot_rebuilds_byte_identical(tmp_path):
-    from repro.experiments import common
-
-    previous = cache_mod.get_default_cache()
-    store = cache_mod.configure(root=tmp_path / "cache")
-    try:
-        common.clear_caches()
-        built = common.get_population(seed=5, scale=0.02).to_bytes()
-        (path,) = store.root.glob("population-*.cols")
-        assert path.read_bytes() == built
-        path.write_bytes(path.read_bytes()[:100])  # torn snapshot
-        common.clear_caches()
-        rebuilt = common.get_population(seed=5, scale=0.02)
-        assert store.stats.evictions == 1
-        assert rebuilt.to_bytes() == built
-        assert path.read_bytes() == built  # the rebuild was persisted
-        common.clear_caches()
-        reloaded = common.get_population(seed=5, scale=0.02)  # mmap this time
-        assert reloaded.to_bytes() == built
-        assert store.stats.hits == 1
-    finally:
-        common.clear_caches()
-        cache_mod.set_default_cache(previous)
-
-
 # -- maintenance ------------------------------------------------------------
 
 def test_info_and_clear(store):

@@ -657,55 +657,3 @@ def test_hypothesis_tests_leave_scipy_stats_unloaded(tmp_path):
     )
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.strip() == "['scipy.special']"
-
-
-def test_world_stats_text(capsys):
-    assert main(["world", "stats", "--no-cache", "--scale", "0.1"]) == 0
-    out = capsys.readouterr().out
-    assert "world substrate @ seed=2024 scale=0.1" in out
-    assert "subscribers" in out
-    assert "eSIM roamers" in out
-    assert "B/subscriber" in out
-    assert "imsi" in out  # per-column size table
-
-
-def test_world_stats_json_export(tmp_path, capsys):
-    import json
-
-    target = tmp_path / "world-stats.json"
-    assert main([
-        "world", "stats", "--no-cache", "--scale", "0.1",
-        "--json", str(target),
-    ]) == 0
-    stats = json.loads(target.read_text())
-    assert stats["scale"] == 0.1
-    assert stats["subscribers"] == stats["esims"] + stats["physical_sims"]
-    assert set(stats["column_bytes"]) >= {"imsi", "country", "monthly_mb"}
-
-
-def test_world_stats_estimate_only(capsys):
-    assert main(["world", "stats", "--scale", "50", "--estimate-only"]) == 0
-    out = capsys.readouterr().out
-    assert "estimate at scale=50" in out
-    assert "MiB" in out
-
-
-def test_world_stats_uses_snapshot_cache(tmp_path, capsys):
-    cache_dir = tmp_path / "world-cache"
-    assert main([
-        "world", "stats", "--scale", "0.05", "--cache-dir", str(cache_dir),
-    ]) == 0
-    capsys.readouterr()
-    snapshots = list(cache_dir.glob("population-*.cols"))
-    assert len(snapshots) == 1
-    assert main(["cache", "info", "--cache-dir", str(cache_dir)]) == 0
-    assert snapshots[0].stem in capsys.readouterr().out
-
-
-def test_run_all_share_population_flag(cli_cache, capsys):
-    assert main([
-        "run-all", "--scale", "0.05", "--artefacts", "T2",
-        "--share-population", "--jobs", "2", "--cache-dir", str(cli_cache),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "artefacts ok" in out

@@ -1,20 +1,12 @@
 """Tests for the typed columnar store (repro.core.columns)."""
 
 import json
-import pathlib
 import struct
 
 import pytest
 
 from repro.core import columns as columns_mod
-from repro.core.columns import (
-    ColumnError,
-    ColumnStore,
-    SnapshotDescriptor,
-    StringTable,
-    attach,
-    publish,
-)
+from repro.core.columns import ColumnError, ColumnStore, StringTable
 
 
 def _sample_store(rows: int = 100) -> ColumnStore:
@@ -63,15 +55,11 @@ class TestColumnStore:
     def test_column_views_and_sizes(self):
         store = _sample_store(10)
         assert store.column_names() == ("country", "value", "flags")
-        assert store.rows("value") == 10
         assert list(store.column("flags")) == [i % 2 for i in range(10)]
-        assert store.column_nbytes() == {
-            "country": 20, "value": 80, "flags": 10,
-        }
-        assert store.nbytes == 110
+        assert {
+            name: store.column(name).nbytes for name in store.column_names()
+        } == {"country": 20, "value": 80, "flags": 10}
         assert store.typecode("value") == "d"
-        assert store.strings_for("country") is not None
-        assert store.strings_for("value") is None
 
     def test_to_bytes_is_deterministic(self):
         assert _sample_store().to_bytes() == _sample_store().to_bytes()
@@ -115,83 +103,6 @@ class TestColumnStore:
         assert list(loaded.column("value")) == list(store.column("value"))
         # no stray temp files from the atomic write
         assert [p.name for p in path.parent.iterdir()] == ["sample.cols"]
-
-
-class TestPublishAttach:
-    def test_shm_publish_attach_roundtrip(self):
-        store = _sample_store()
-        published = publish(store)
-        try:
-            assert published.descriptor.nbytes == len(store.to_bytes())
-            attached = attach(published.descriptor)
-            try:
-                assert list(attached.store.column("value")) == list(
-                    store.column("value")
-                )
-                assert attached.store.meta == store.meta
-            finally:
-                attached.close()
-                attached.close()  # idempotent
-        finally:
-            published.close()
-            published.close()  # idempotent
-        if published.descriptor.scheme == "shm":
-            segment = pathlib.Path("/dev/shm") / published.descriptor.ref.lstrip("/")
-            assert not segment.exists(), "close() must unlink the segment"
-
-    def test_file_fallback_roundtrip(self, tmp_path):
-        store = _sample_store()
-        path = tmp_path / "fallback.snap"
-        path.write_bytes(store.to_bytes())
-        descriptor = SnapshotDescriptor(
-            scheme="file", ref=str(path), nbytes=path.stat().st_size
-        )
-        attached = attach(descriptor)
-        try:
-            assert list(attached.store.column("flags")) == list(
-                store.column("flags")
-            )
-        finally:
-            attached.close()
-
-    def test_file_fallback_when_shared_memory_is_unavailable(self, monkeypatch):
-        from multiprocessing import shared_memory
-
-        def unavailable(*args, **kwargs):
-            raise OSError("no POSIX shared memory here")
-
-        monkeypatch.setattr(shared_memory, "SharedMemory", unavailable)
-        store = _sample_store()
-        published = publish(store)  # no fallback_dir: the system temp dir
-        path = pathlib.Path(published.descriptor.ref)
-        try:
-            assert published.descriptor.scheme == "file"
-            assert path.read_bytes() == store.to_bytes()
-            attached = attach(published.descriptor)
-            try:
-                assert list(attached.store.column("value")) == list(
-                    store.column("value")
-                )
-            finally:
-                attached.close()
-        finally:
-            published.close(unlink=True)
-        assert not path.exists(), "close(unlink=True) must remove the file"
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ColumnError):
-            attach(SnapshotDescriptor(scheme="carrier-pigeon", ref="x", nbytes=1))
-
-    def test_descriptor_is_tiny_and_picklable(self):
-        import pickle
-
-        published = publish(_sample_store())
-        try:
-            blob = pickle.dumps(published.descriptor)
-            assert len(blob) < 300
-            assert pickle.loads(blob) == published.descriptor
-        finally:
-            published.close()
 
 
 def test_aligned_offsets():

@@ -73,7 +73,7 @@ def test_crawl_shape(crawl):
     assert crawl.table.column_names() == (
         "provider", "country", "vantage", "day", "data_gb", "price_usd",
     )
-    assert crawl.table.rows("price_usd") == 408_006 + 3 * 22_667
+    assert len(crawl.table.column("price_usd")) == 408_006 + 3 * 22_667
 
 
 @pytest.mark.parametrize("day", DAYS)
@@ -138,7 +138,16 @@ def test_crawl_dataset_rejects_other_tables():
         CrawlDataset(ColumnStore(meta={"kind": "subscriber-population"}))
 
 
-def test_cached_crawl_rebuilds_byte_identical_after_corruption(tmp_path):
+#: Ways a cached crawl entry gets damaged: bytes overwritten in place,
+#: and a torn write that kept only the first 100 bytes.
+DAMAGE = {
+    "scribble": lambda blob: b"\x00scribbled\x00" + blob[11:],
+    "truncate": lambda blob: blob[:100],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_cached_crawl_rebuilds_byte_identical_after_corruption(tmp_path, damage):
     from repro.experiments import common
 
     previous = cache_mod.get_default_cache()
@@ -149,10 +158,11 @@ def test_cached_crawl_rebuilds_byte_identical_after_corruption(tmp_path):
         (path,) = store.root.glob("market-columns-*.cols")
         assert not list(store.root.glob("*.pkl"))
         assert path.read_bytes() == built
-        path.write_bytes(b"\x00scribbled\x00" + built[11:])
+        path.write_bytes(DAMAGE[damage](built))
         common.clear_caches()
         assert common.get_market()[1].table.to_bytes() == built
         assert store.stats.evictions == 1
+        assert path.read_bytes() == built  # the rebuild was persisted
         common.clear_caches()
         loaded = common.get_market()[1]  # memory-mapped this time
         assert store.stats.hits == 1

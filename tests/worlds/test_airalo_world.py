@@ -9,6 +9,7 @@ from repro.analysis import classify_session_context
 from repro.cellular import SIMKind, UserEquipment
 from repro.cellular.roaming import RoamingArchitecture
 from repro.worlds import build_airalo_world, paperdata as pd
+from repro.worlds.airalo import scaled_count
 
 
 @pytest.fixture(scope="module")
@@ -210,3 +211,21 @@ def test_ipx_reachability_validated(world):
 def test_scale_validation(world):
     with pytest.raises(ValueError):
         world.run_device_campaign(scale=0.0)
+
+
+class TestScaledCount:
+    def test_shrink_keeps_historic_semantics(self):
+        assert scaled_count(100, 0.15) == 15
+        assert scaled_count(3, 0.15) == 1  # floor of one survivor
+        assert scaled_count(0, 0.15) == 0  # nothing to sample from
+
+    def test_growth_is_proportional(self):
+        assert scaled_count(750, 50) == 37500
+        assert scaled_count(500, 100) == 50000
+        assert scaled_count(1, 2.5) == 2  # banker's rounding, frozen by golden
+
+    def test_non_positive_scale_rejected(self):
+        with pytest.raises(ValueError):
+            scaled_count(10, 0)
+        with pytest.raises(ValueError):
+            scaled_count(10, -1.0)
