@@ -2,8 +2,8 @@
 
 Unlike the per-figure benches (single-round experiment replays), these
 measure the simulator's building blocks with proper multi-round timing:
-world construction, attach throughput, traceroute generation, market
-snapshots and the classifier.
+world construction, attach throughput, traceroute generation, one
+day's market listing and the classifier.
 """
 
 import random
@@ -76,8 +76,8 @@ def test_bench_classifier(benchmark, world, esp_device):
 
 def test_bench_market_snapshot(benchmark):
     esimdb, _ = common.get_market()
-    snapshot = benchmark(esimdb.snapshot, 90)
-    assert snapshot.offers
+    listing = benchmark(esimdb.offer_table, [90])
+    assert len(listing.column("price_usd")) == esimdb.total_offers_per_day()
 
 
 def test_bench_geoip_lookup(benchmark, world):

@@ -14,12 +14,16 @@ from repro.geo import default_country_registry
 from repro.market import (
     DEFAULT_LOCAL_OFFERS,
     EsimDB,
+    ItineraryPlanner,
     LocalSIMSurvey,
     MarketCrawler,
+    TripLeg,
     build_provider_universe,
-    median_usd_per_gb_by_continent,
-    provider_country_medians,
+    render_recommendation,
 )
+
+#: Late April 2024, when the paper crawled from three vantage points.
+DAY = 84
 
 
 def main() -> None:
@@ -27,18 +31,16 @@ def main() -> None:
     needed_gb = float(sys.argv[2]) if len(sys.argv) > 2 else 3.0
 
     countries = default_country_registry()
-    esimdb = EsimDB(build_provider_universe(), countries)
-    crawler = MarketCrawler(esimdb)
+    crawler = MarketCrawler(EsimDB(build_provider_universe(), countries))
 
     # Price-discrimination check from Madrid / Abu Dhabi / New Jersey.
-    snapshots = crawler.crawl_vantages(day=84)
+    crawl = crawler.crawl_daily(DAY, DAY + 1, vantage_day=DAY)
     print("price discrimination across vantage points:",
-          MarketCrawler.price_discrimination_detected(snapshots), "\n")
-    snapshot = snapshots[-1]
+          crawl.price_discrimination_detected(), "\n")
 
     # Best plans for the trip.
     candidates = [
-        offer for offer in snapshot.for_country(destination)
+        offer for offer in crawl.offers_on(DAY, destination)
         if offer.data_gb >= needed_gb
     ]
     candidates.sort(key=lambda o: o.price_usd)
@@ -61,20 +63,21 @@ def main() -> None:
 
     # Market overview.
     print("\nprovider medians across their footprints ($/GB):")
-    medians = provider_country_medians(snapshot.offers)
+    medians = crawl.provider_country_medians(DAY)
     for provider in ("Airhub", "MobiMatter", "Airalo", "Keepgo"):
         print(f"  {provider:12} ${statistics.median(medians[provider]):5.2f}")
 
-    # Multi-country trip planning: local vs regional vs global plans.
-    from repro.market import ItineraryPlanner, TripLeg, render_recommendation
-
-    planner = ItineraryPlanner(esimdb, countries)
+    # Multi-country trip planning on May 1 (day 90): local vs regional
+    # vs global plans.
+    planner = ItineraryPlanner(crawler.crawl_daily(90, 91), countries)
     legs = [TripLeg(destination, needed_gb), TripLeg("FRA", 1.0), TripLeg("ITA", 1.0)]
     print(f"\ntrip planner ({' -> '.join(leg.country_iso3 for leg in legs)}):")
-    print(render_recommendation(planner.recommend(legs)))
+    print(render_recommendation(planner.recommend(legs, day=90)))
 
     print("\nAiralo median $/GB per continent:")
-    grouped = median_usd_per_gb_by_continent(snapshot.offers, countries, provider="Airalo")
+    grouped = {}
+    for iso3, value in crawl.median_usd_per_gb_by_country(DAY, "Airalo").items():
+        grouped.setdefault(countries.get(iso3).continent, []).append(value)
     for continent, values in sorted(grouped.items()):
         print(f"  {continent:14} ${statistics.median(values):5.2f} "
               f"({len(values)} countries)")

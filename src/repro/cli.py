@@ -163,7 +163,6 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 def _cmd_trip(args: argparse.Namespace) -> int:
     from repro.market import ItineraryPlanner, TripLeg, render_recommendation
 
-    esimdb, _ = common.get_market()
     legs = []
     for spec in args.legs:
         try:
@@ -172,8 +171,8 @@ def _cmd_trip(args: argparse.Namespace) -> int:
         except ValueError:
             print(f"bad leg {spec!r}; use ISO3[:GB], e.g. ESP:2", file=sys.stderr)
             return 2
-    planner = ItineraryPlanner(esimdb, common.get_countries())
     try:
+        planner = ItineraryPlanner(common.get_listing(args.day), common.get_countries())
         plans = planner.recommend(legs, day=args.day)
     except (KeyError, ValueError) as error:
         print(str(error), file=sys.stderr)
@@ -636,14 +635,18 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_market(args: argparse.Namespace) -> int:
-    from repro.market import provider_country_medians
-
-    esimdb, _ = common.get_market()
-    snapshot = esimdb.snapshot(args.day)
+    if args.top < 1:
+        print("--top must be at least 1", file=sys.stderr)
+        return 2
+    try:
+        listing = common.get_listing(args.day)
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
+        return 2
     if args.country:
         country = args.country.upper()
         offers = [
-            o for o in snapshot.for_country(country) if o.data_gb >= args.gb
+            o for o in listing.offers_on(args.day, country) if o.data_gb >= args.gb
         ]
         offers.sort(key=lambda o: o.price_usd)
         if not offers:
@@ -654,9 +657,9 @@ def _cmd_market(args: argparse.Namespace) -> int:
             print(f"  {offer.provider:14} {offer.data_gb:5.1f} GB  "
                   f"${offer.price_usd:7.2f}  (${offer.usd_per_gb:.2f}/GB)")
         return 0
-    medians = provider_country_medians(snapshot.offers)
+    medians = listing.provider_country_medians(args.day)
     print(f"provider medians on day {args.day} "
-          f"({len(snapshot.offers)} listed offers):")
+          f"({sum(listing.offer_counts(args.day).values())} listed offers):")
     for provider in sorted(medians, key=lambda p: statistics.median(medians[p])):
         print(f"  {provider:14} ${statistics.median(medians[provider]):6.2f}/GB "
               f"({len(medians[provider])} countries)")

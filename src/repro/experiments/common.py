@@ -151,9 +151,9 @@ def get_listing(snapshot_day: int, step_days: int = 7) -> CrawlDataset:
     """The aggregator's full listing on ``snapshot_day``, as columns.
 
     Built once per process from :func:`get_market`'s aggregator: one
-    :meth:`EsimDB.offer_table` call, which takes about half the time of
-    one :meth:`EsimDB.snapshot`. The Section 6 pricing figures all read
-    the same day, so they share one listing. It is not persisted.
+    :meth:`EsimDB.offer_table` call. The Section 6 pricing figures all
+    read the same day, so they share one listing; CLI ``market`` and
+    ``trip`` read the day they are asked for. It is not persisted.
     """
     key = (step_days, snapshot_day)
     if key not in _listings:

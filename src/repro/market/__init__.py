@@ -6,7 +6,7 @@ February-May 2024, multi-vantage crawls (price-discrimination check) and
 the local physical-SIM survey — everything behind Figures 16-19.
 """
 
-from repro.market.models import ESIMOffer, LocalSIMOffer, MarketSnapshot
+from repro.market.models import ESIMOffer, LocalSIMOffer
 from repro.market.providers import (
     ContinentPricing,
     EsimProvider,
@@ -18,14 +18,7 @@ from repro.market.providers import (
 )
 from repro.market.esimdb import EsimDB
 from repro.market.crawler import MarketCrawler, CrawlDataset
-from repro.market.pricing import (
-    median_usd_per_gb_by_country,
-    median_usd_per_gb_by_continent,
-    provider_country_medians,
-    decile_bounds,
-    price_timeline,
-    size_price_curve,
-)
+from repro.market.pricing import decile_bounds
 from repro.market.regional import RegionalCatalog, RegionalPlan, REGIONAL_DEFINITIONS
 from repro.market.itinerary import (
     ItineraryPlanner,
@@ -45,7 +38,6 @@ from repro.market.survey import LocalSIMSurvey, DEFAULT_LOCAL_OFFERS
 __all__ = [
     "ESIMOffer",
     "LocalSIMOffer",
-    "MarketSnapshot",
     "ContinentPricing",
     "EsimProvider",
     "build_provider_universe",
@@ -56,12 +48,7 @@ __all__ = [
     "EsimDB",
     "MarketCrawler",
     "CrawlDataset",
-    "median_usd_per_gb_by_country",
-    "median_usd_per_gb_by_continent",
-    "provider_country_medians",
     "decile_bounds",
-    "price_timeline",
-    "size_price_curve",
     "RegionalCatalog",
     "RegionalPlan",
     "REGIONAL_DEFINITIONS",

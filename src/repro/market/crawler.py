@@ -13,14 +13,14 @@ the Figure 16-19 aggregates read the columns directly.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.columns import ColumnStore
 from repro.geo.countries import CountryRegistry
 from repro.market.esimdb import OFFER_TABLE_KIND, EsimDB
-from repro.market.models import ESIMOffer, MarketSnapshot
+from repro.market.models import ESIMOffer
 from repro.market.pricing import (
     country_median_timeline,
     country_medians,
@@ -41,10 +41,10 @@ Listing = Tuple[int, str, int, int]
 class CrawlDataset:
     """Everything the crawler collected, over one offer table.
 
-    ``days()``, ``offers_on()``, ``all_offers()`` and the two snapshot
-    lists materialise :class:`ESIMOffer` rows on demand. Read back from
-    the columns, ``data_gb`` is always a float (``1.0``, not ``1``), so
-    materialised offers are for inspection, not for exported results.
+    ``offers_on()`` and ``all_offers()`` materialise :class:`ESIMOffer`
+    rows on demand. Read back from the columns, ``data_gb`` is always a
+    float (``1.0``, not ``1``), so materialised offers are for display
+    and inspection, not for exported results.
     """
 
     def __init__(self, table: ColumnStore) -> None:
@@ -60,14 +60,14 @@ class CrawlDataset:
 
     # -- objects on demand ----------------------------------------------------
 
-    def _offers(self, listing: Listing) -> List[ESIMOffer]:
-        first, end = listing[2], listing[3]
+    def _offers(self, rows) -> List[ESIMOffer]:
+        """``rows`` (a slice or an index array) as offers, in row order."""
         table = self.table
         providers = table.strings("provider").values()
         countries = table.strings("country").values()
         vantages = table.strings("vantage").values()
         columns = (
-            table.column(name)[first:end].tolist()
+            np.asarray(table.column(name))[rows].tolist()
             for name in ("provider", "country", "data_gb", "price_usd", "day", "vantage")
         )
         return [
@@ -75,39 +75,37 @@ class CrawlDataset:
             for p, c, gb, price, day, v in zip(*columns)
         ]
 
-    def _snapshot(self, listing: Listing) -> MarketSnapshot:
-        return MarketSnapshot(
-            day=listing[0], vantage=listing[1], offers=self._offers(listing)
-        )
-
-    @property
-    def daily_snapshots(self) -> List[MarketSnapshot]:
-        return [self._snapshot(listing) for listing in self._daily]
-
-    @property
-    def vantage_snapshots(self) -> List[MarketSnapshot]:
-        return [self._snapshot(listing) for listing in self._vantage]
-
     def _listing_on(self, day: int) -> Listing:
         for listing in self._daily:
             if listing[0] == day:
                 return listing
         raise KeyError(f"no snapshot for day {day}")
 
-    def offers_on(self, day: int) -> List[ESIMOffer]:
-        return self._offers(self._listing_on(day))
+    def offers_on(self, day: int, country: Optional[str] = None) -> List[ESIMOffer]:
+        """The daily listing of ``day``, in listed order.
+
+        With ``country`` (an ISO3 code, any case), only that country's
+        offers; none for a country no provider covers.
+        """
+        _, _, first, end = self._listing_on(day)
+        if country is None:
+            return self._offers(slice(first, end))
+        return self._offers(self._rows_of(first, end, "country", country.upper()))
 
     def days(self) -> List[int]:
         return [listing[0] for listing in self._daily]
 
     def all_offers(self) -> List[ESIMOffer]:
-        return [o for listing in self._daily for o in self._offers(listing)]
+        return [
+            offer
+            for _, _, first, end in self._daily
+            for offer in self._offers(slice(first, end))
+        ]
 
     # -- column aggregates ----------------------------------------------------
     #
-    # Read from the columns, each equals the object-path computation in
-    # :mod:`repro.market.pricing` over the same listing's offers: equal
-    # floats, in the same order.
+    # Each equals the object-path computation of ``tests/market/reference.py``
+    # over the same listing's offers: equal floats, in the same order.
 
     def _usd_per_gb(self, rows) -> np.ndarray:
         """$/GB of ``rows`` (a slice or an index array): ``price_usd /
@@ -119,15 +117,16 @@ class CrawlDataset:
             / np.asarray(table.column("data_gb"))[rows]
         )
 
-    def _provider_rows(self, first: int, end: int, provider: str) -> np.ndarray:
-        """Indexes of ``provider``'s rows in ``[first, end)``."""
+    def _rows_of(self, first: int, end: int, column: str, value: str) -> np.ndarray:
+        """Indexes of the rows in ``[first, end)`` whose ``column`` (a
+        string-coded column) holds ``value``; none if it never occurs."""
         table = self.table
-        code = table.strings("provider").lookup(provider)
-        return np.flatnonzero(np.asarray(table.column("provider"))[first:end] == code) + first
+        code = table.strings(column).lookup(value)
+        return np.flatnonzero(np.asarray(table.column(column))[first:end] == code) + first
 
     def _country_medians(self, first: int, end: int, provider: str) -> Dict[str, float]:
         table = self.table
-        rows = self._provider_rows(first, end, provider)
+        rows = self._rows_of(first, end, "provider", provider)
         names = table.strings("country").values()
         return country_medians(zip(
             [names[c] for c in np.asarray(table.column("country"))[rows].tolist()],
@@ -137,10 +136,9 @@ class CrawlDataset:
     def price_timeline(
         self, countries: CountryRegistry, provider: str = "Airalo"
     ) -> Dict[str, List[Tuple[int, float]]]:
-        """Figure 16's per-continent series over the daily listings.
-
-        The columnar :func:`~repro.market.pricing.price_timeline`.
-        """
+        """Figure 16's per-continent series over the daily listings:
+        per day, the median of ``provider``'s country medians per
+        continent."""
         return country_median_timeline(
             {
                 day: self._country_medians(first, end, provider)
@@ -183,8 +181,8 @@ class CrawlDataset:
     ) -> Dict[str, List[Tuple[float, float]]]:
         """Per country, ``provider``'s (size, price) points up to ``max_gb``.
 
-        Figure 19's curves on ``day``, each as
-        :func:`~repro.market.pricing.size_price_curve` lists it.
+        Figure 19's curves on ``day``: each country's distinct points,
+        sorted by size, then price.
 
         A size is read from ``provider.plan_sizes_gb`` by the row's
         position in the ladder, not from the float column, so it keeps
@@ -192,7 +190,7 @@ class CrawlDataset:
         """
         _, _, first, end = self._listing_on(day)
         table = self.table
-        rows = self._provider_rows(first, end, provider.name)
+        rows = self._rows_of(first, end, "provider", provider.name)
         sizes = provider.plan_sizes_gb
         ladders, partial = divmod(rows.size, len(sizes))
         gb = np.asarray(table.column("data_gb"))[rows]
@@ -213,31 +211,22 @@ class CrawlDataset:
         return {iso3: sorted(points) for iso3, points in curves.items()}
 
     def price_discrimination_detected(self) -> bool:
-        """True if any price differs between the vantage listings.
-
-        :meth:`MarketCrawler.price_discrimination_detected`, read from
-        the columns.
-        """
+        """True if any (provider, country, size) price differs between
+        the vantage listings, or is missing from the first one."""
+        if len(self._vantage) < 2:
+            raise ValueError("need at least two vantage snapshots to compare")
         table = self.table
         names = ("provider", "country", "data_gb", "price_usd")
         listings = []
         for _, _, first, end in self._vantage:
             p, c, gb, price = (table.column(n)[first:end].tolist() for n in names)
             listings.append(zip(zip(p, c, gb), price))
-        return _discriminates(listings)
-
-
-def _discriminates(listings: Sequence[Iterable[Tuple[Hashable, float]]]) -> bool:
-    """True if any key's price differs from (or is absent in) the first
-    listing; each listing yields ``((provider, country, size), price)``."""
-    if len(listings) < 2:
-        raise ValueError("need at least two vantage snapshots to compare")
-    reference = dict(listings[0])
-    for listing in listings[1:]:
-        for key, price in listing:
-            if key not in reference or reference[key] != price:
-                return True
-    return False
+        reference = dict(listings[0])
+        for listing in listings[1:]:
+            for key, price in listing:
+                if key not in reference or reference[key] != price:
+                    return True
+        return False
 
 
 class MarketCrawler:
@@ -269,17 +258,3 @@ class MarketCrawler:
         return CrawlDataset(
             self.esimdb.offer_table(range(start_day, end_day, step), probes)
         )
-
-    def crawl_vantages(
-        self, day: int, vantages: Sequence[str] = VANTAGE_POINTS
-    ) -> List[MarketSnapshot]:
-        """The price-discrimination probe: one snapshot per location."""
-        return [self.esimdb.snapshot(day, vantage=v) for v in vantages]
-
-    @staticmethod
-    def price_discrimination_detected(snapshots: Sequence[MarketSnapshot]) -> bool:
-        """True if any (provider, country, size) price differs by vantage."""
-        return _discriminates([
-            [((o.provider, o.country_iso3, o.data_gb), o.price_usd) for o in s.offers]
-            for s in snapshots
-        ])

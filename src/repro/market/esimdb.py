@@ -2,10 +2,11 @@
 
 Serves daily snapshots of every provider's catalogue over the covered
 regions. The crawler queries it exactly like the paper's crawler queried
-esimdb.com: one full listing per day per vantage point. A listing comes
-back either as :class:`~repro.market.models.ESIMOffer` objects
-(:meth:`EsimDB.snapshot`) or, for a whole crawl at once, as typed
-columns (:meth:`EsimDB.offer_table`).
+esimdb.com: one full listing per day per vantage point. Listings come
+back as typed columns, a whole crawl at once (:meth:`EsimDB.offer_table`).
+Prices carry no vantage dependence: crawling from Madrid, Abu Dhabi or
+New Jersey returns identical numbers, matching the paper's
+no-price-discrimination finding.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.columns import ColumnStore
 from repro.geo.countries import Country, CountryRegistry
-from repro.market.models import MarketSnapshot
 from repro.market.providers import (
     ContinentPricing,
     EsimProvider,
@@ -27,6 +27,9 @@ DEFAULT_VANTAGE = "NJ"
 
 #: ``meta["kind"]`` of an :meth:`EsimDB.offer_table` store.
 OFFER_TABLE_KIND = "market-offers"
+
+#: The last day an offer table can hold: its ``day`` column is ``H``.
+MAX_DAY = 0xFFFF
 
 
 class EsimDB:
@@ -57,26 +60,6 @@ class EsimDB:
             raise KeyError(f"unknown provider: {provider_name}")
         return list(self._footprint[provider_name])
 
-    def snapshot(self, day: int, vantage: str = DEFAULT_VANTAGE) -> MarketSnapshot:
-        """Every offer listed on ``day`` as seen from ``vantage``.
-
-        Prices carry no vantage dependence — crawling from Madrid, Abu
-        Dhabi or New Jersey returns identical numbers, matching the
-        paper's no-price-discrimination finding.
-        """
-        if day < 0:
-            raise ValueError("day cannot be negative")
-        snapshot = MarketSnapshot(day=day, vantage=vantage)
-        for provider in self.providers:
-            for country in self._footprint[provider.name]:
-                snapshot.offers.extend(
-                    provider.offers_for(
-                        country, day, vantage=vantage,
-                        continent_pricing=self.continent_pricing,
-                    )
-                )
-        return snapshot
-
     def offer_table(
         self,
         days: Sequence[int],
@@ -86,22 +69,21 @@ class EsimDB:
 
         Holds one listing per day in ``days`` seen from
         :data:`DEFAULT_VANTAGE`, then one per ``(day, vantage)`` probe in
-        ``vantages``. Within a listing, rows follow :meth:`snapshot`'s
-        order: provider, country, then plan size. The columns are
+        ``vantages``. Within a listing, rows are ordered by provider,
+        country, then the provider's plan ladder. The columns are
         ``provider``, ``country`` and ``vantage`` (codes into string
         tables of the same names), ``day`` (``H``), and ``data_gb`` and
         ``price_usd`` (``d``). ``meta["listings"]`` holds one ``[day,
         vantage, first_row, end_row]`` per listing, and ``meta["daily"]``
         counts the leading daily ones.
 
-        Prices come from :meth:`EsimProvider.plan_prices`, the formula
-        :meth:`snapshot` uses, so every row equals the offer
-        :meth:`snapshot` lists.
+        Prices come from :meth:`EsimProvider.plan_prices`. Every day
+        must be in ``[0, MAX_DAY]``, the range of the ``day`` column.
         """
         listings = [(day, DEFAULT_VANTAGE) for day in days]
         listings += [(day, vantage) for day, vantage in vantages]
-        if any(day < 0 for day, _ in listings):
-            raise ValueError("day cannot be negative")
+        if any(not 0 <= day <= MAX_DAY for day, _ in listings):
+            raise ValueError(f"day must be in [0, {MAX_DAY}]")
         table = ColumnStore(meta={"kind": OFFER_TABLE_KIND, "daily": len(days)})
         col_provider = table.new_column("provider", "H", strings="provider")
         col_country = table.new_column("country", "H", strings="country")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geo.countries import CountryRegistry
-from repro.market.esimdb import EsimDB
+from repro.market.crawler import CrawlDataset
 from repro.market.regional import RegionalCatalog
 
 
@@ -56,29 +56,32 @@ class TripPlan:
 
 
 class ItineraryPlanner:
-    """Recommends how to buy data for a multi-country trip."""
+    """Recommends how to buy data for a multi-country trip.
+
+    Plans from ``listing``, which must hold the daily listing of every
+    day a trip is planned on; the CLI passes ``common.get_listing(day)``.
+    """
 
     def __init__(
         self,
-        esimdb: EsimDB,
+        listing: CrawlDataset,
         countries: CountryRegistry,
         provider: str = "Airalo",
     ) -> None:
-        self.esimdb = esimdb
+        self.listing = listing
         self.countries = countries
         self.provider = provider
-        self.regional = RegionalCatalog(esimdb, countries, provider=provider)
+        self.regional = RegionalCatalog(listing, countries, provider=provider)
 
     # -- strategies ------------------------------------------------------------
 
     def per_country_plan(self, legs: Sequence[TripLeg], day: int) -> Optional[TripPlan]:
         """Cheapest adequate local plan for every leg."""
-        snapshot = self.esimdb.snapshot(day)
         choices: List[PlanChoice] = []
         for leg in legs:
             candidates = [
                 offer
-                for offer in snapshot.for_country(leg.country_iso3)
+                for offer in self.listing.offers_on(day, leg.country_iso3)
                 if offer.provider == self.provider and offer.data_gb >= leg.data_gb
             ]
             if not candidates:

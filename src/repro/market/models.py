@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -51,22 +50,3 @@ class LocalSIMOffer:
     def total_cost_usd(self) -> float:
         """What the traveller actually pays up front."""
         return self.price_usd + self.sim_fee_usd
-
-
-@dataclass
-class MarketSnapshot:
-    """All offers visible on the aggregator on one day from one vantage."""
-
-    day: int
-    vantage: str
-    offers: List[ESIMOffer] = field(default_factory=list)
-
-    def providers(self) -> List[str]:
-        return sorted({offer.provider for offer in self.offers})
-
-    def for_country(self, iso3: str) -> List[ESIMOffer]:
-        iso3 = iso3.upper()
-        return [o for o in self.offers if o.country_iso3 == iso3]
-
-    def for_provider(self, provider: str) -> List[ESIMOffer]:
-        return [o for o in self.offers if o.provider == provider]

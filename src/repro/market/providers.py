@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.geo.countries import Country
-from repro.market.models import ESIMOffer
 
 #: Crawl epoch: day 0 is 2024-02-01; the campaign spans ~120 days.
 CRAWL_DAYS = 120
@@ -121,16 +120,6 @@ class EsimProvider:
             factor *= CENTRAL_AMERICA_MARKUP
         return factor
 
-    def unit_price(
-        self,
-        country: Country,
-        day: int,
-        continent_pricing: Optional[Dict[str, ContinentPricing]] = None,
-    ) -> float:
-        """$/GB for a 1 GB plan in ``country`` on ``day``."""
-        rate = continent_pricing_for(country, continent_pricing).rate_on(day)
-        return self.unit_rate(rate, self.country_factor(country))
-
     def unit_rate(self, rate: float, country_factor: float) -> float:
         """$/GB for a 1 GB plan at continent ``rate`` and ``country_factor``."""
         return rate * self.price_factor * country_factor
@@ -138,33 +127,12 @@ class EsimProvider:
     def plan_prices(self, unit: float) -> List[float]:
         """The ladder's prices in cents-rounded USD at 1 GB price ``unit``.
 
-        This is the one price formula: :meth:`offers_for` and the columnar
-        crawl (:meth:`~repro.market.esimdb.EsimDB.offer_table`) both call
-        it, so the two produce the same floats.
+        This is the one price formula; the crawl
+        (:meth:`~repro.market.esimdb.EsimDB.offer_table`) calls it per
+        (provider, country, day).
         """
         exponent = self.size_exponent
         return [round(unit * size**exponent, 2) for size in self.plan_sizes_gb]
-
-    def offers_for(
-        self,
-        country: Country,
-        day: int,
-        vantage: str = "NJ",
-        continent_pricing: Optional[Dict[str, ContinentPricing]] = None,
-    ) -> List[ESIMOffer]:
-        """The provider's plan ladder for one country on one day."""
-        prices = self.plan_prices(self.unit_price(country, day, continent_pricing))
-        return [
-            ESIMOffer(
-                provider=self.name,
-                country_iso3=country.iso3,
-                data_gb=size,
-                price_usd=price,
-                day=day,
-                vantage=vantage,
-            )
-            for size, price in zip(self.plan_sizes_gb, prices)
-        ]
 
 
 # The named providers of Figure 17, calibrated to its medians:

@@ -9,12 +9,12 @@ trip-planning problem (:mod:`repro.market.itinerary`) interesting.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.geo.countries import CountryRegistry
-from repro.market.esimdb import EsimDB
-from repro.market.pricing import median_usd_per_gb_by_country
+from repro.market.crawler import CrawlDataset
 
 #: Regional catalogue shape: (region name, continent filter, premium).
 REGIONAL_DEFINITIONS: Tuple[Tuple[str, Optional[str], float], ...] = (
@@ -62,32 +62,31 @@ class RegionalPlan:
 class RegionalCatalog:
     """Derives a provider's regional plans from its country catalogue.
 
-    The unit rate of a regional plan is the median of the covered
-    countries' per-GB medians times the region's convenience premium; the
-    plan price follows the provider's superlinear size curve.
+    The catalogue is the provider's rows of ``listing``, which must hold
+    the daily listing of every day asked for. The unit rate of a
+    regional plan is the median of the covered countries' per-GB medians
+    times the region's convenience premium; the plan price follows the
+    provider's superlinear size curve.
     """
 
     def __init__(
         self,
-        esimdb: EsimDB,
+        listing: CrawlDataset,
         countries: CountryRegistry,
         provider: str = "Airalo",
         size_exponent: float = 1.1,
     ) -> None:
         if size_exponent < 1.0:
             raise ValueError("size exponent must be >= 1")
-        self.esimdb = esimdb
+        self.listing = listing
         self.countries = countries
         self.provider = provider
         self.size_exponent = size_exponent
 
     def plans_on(self, day: int) -> List[RegionalPlan]:
-        snapshot = self.esimdb.snapshot(day)
-        per_country = median_usd_per_gb_by_country(
-            snapshot.offers, provider=self.provider
+        per_country = self.listing.median_usd_per_gb_by_country(
+            day, provider=self.provider
         )
-        import statistics
-
         plans: List[RegionalPlan] = []
         for region, continent, premium in REGIONAL_DEFINITIONS:
             if continent is None:

@@ -35,7 +35,7 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
+    Set,
     Tuple,
 )
 
@@ -83,28 +83,6 @@ def dimensions_for(kind: str) -> Dict[str, Callable[[Any], Any]]:
     return dims
 
 
-def _intersect_sorted(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Intersection of two ascending position lists, ascending.
-
-    Lopsided inputs are the common case (a narrow country+target slice
-    against the dataset-wide SIM-kind list), so the small side is
-    binary-searched into the big one — O(len(a) log len(b)) — instead
-    of hashing the big side, which would cost O(len(b)) per query and
-    hand back the full-scan complexity the index exists to avoid.
-    """
-    if len(a) > len(b):
-        a, b = b, a
-    if len(b) > 16 * len(a):
-        out = []
-        for position in a:
-            i = bisect.bisect_left(b, position)
-            if i < len(b) and b[i] == position:
-                out.append(position)
-        return out
-    bset = set(b)
-    return [p for p in a if p in bset]
-
-
 class KindIndex:
     """Hash indexes for one record kind of one dataset.
 
@@ -118,6 +96,7 @@ class KindIndex:
         self._records = records
         self._built_len = len(records)
         self._by_dimension: Dict[str, Dict[Any, List[int]]] = {}
+        self._position_sets: Dict[Tuple[str, Any], Set[int]] = {}
         self._dims = dimensions_for(kind)
 
     # -- maintenance --------------------------------------------------------
@@ -129,6 +108,7 @@ class KindIndex:
         if not self._fresh():
             self._built_len = len(self._records)
             self._by_dimension.clear()
+            self._position_sets.clear()
 
     def _ensure_dimension(self, dimension: str) -> Dict[Any, List[int]]:
         self._ensure_fresh()
@@ -157,6 +137,33 @@ class KindIndex:
     def positions(self, dimension: str, value: Any) -> List[int]:
         """Ascending positions of records whose ``dimension`` == ``value``."""
         return self._ensure_dimension(dimension).get(value, [])
+
+    def intersect(self, positions: List[int], dimension: str, value: Any) -> List[int]:
+        """The ascending ``positions`` whose record's ``dimension`` == ``value``.
+
+        Lopsided inputs are the common case (a narrow country+target
+        slice against the dataset-wide SIM-kind list). When one side is
+        over 16x longer, the short side is binary-searched into it:
+        O(short log long). Otherwise ``positions`` is probed against the
+        set of matching positions, built once per ``(dimension, value)``
+        and dropped with the index; rebuilding it per query would cost
+        O(matches) every time and hand back the full-scan complexity the
+        index exists to avoid.
+        """
+        matched = self.positions(dimension, value)
+        short, long = sorted((positions, matched), key=len)
+        if len(long) > 16 * len(short):
+            out = []
+            for position in short:
+                i = bisect.bisect_left(long, position)
+                if i < len(long) and long[i] == position:
+                    out.append(position)
+            return out
+        key = (dimension, value)
+        if key not in self._position_sets:
+            self._position_sets[key] = set(matched)
+        members = self._position_sets[key]
+        return [p for p in positions if p in members]
 
     def values(self, dimension: str) -> List[Any]:
         """Distinct values of ``dimension``, deterministically ordered."""
@@ -209,11 +216,10 @@ class RecordQuery:
                 continue
             if dimension == "country" and isinstance(value, str):
                 value = value.upper()
-            matched = self._index.positions(dimension, value)
             positions = (
-                list(matched)
+                list(self._index.positions(dimension, value))
                 if positions is None
-                else _intersect_sorted(positions, matched)
+                else self._index.intersect(positions, dimension, value)
             )
         if positions is self._positions:
             return self

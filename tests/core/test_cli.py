@@ -82,6 +82,47 @@ def test_market_impossible_query(capsys):
     assert main(["market", "--country", "ESP", "--gb", "500"]) == 2
 
 
+BAD_MARKET_INPUT = [
+    (["market", "--day", "-1"], "day must be in"),
+    (["market", "--day", "70000"], "day must be in"),
+    (["market", "--country", "ESP", "--day", "-1"], "day must be in"),
+    (["market", "--top", "0"], "--top must be at least 1"),
+    (["market", "--country", "ESP", "--top", "-1"], "--top must be at least 1"),
+    (["trip", "ESP:1", "--day", "-1"], "day must be in"),
+    (["trip", "ESP:1", "--day", "70000"], "day must be in"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, needle", BAD_MARKET_INPUT, ids=[" ".join(argv) for argv, _ in BAD_MARKET_INPUT]
+)
+def test_market_and_trip_reject_bad_input(capsys, argv, needle):
+    """Bad flag values get one line on stderr and exit 2, no traceback."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert needle in captured.err
+
+
+def test_trip_builds_one_listing(monkeypatch, capsys):
+    from repro.experiments import common
+    from repro.market import EsimDB
+
+    common.clear_caches()
+    common.get_market()  # the cached crawl, built or mapped beforehand
+    built = []
+    offer_table = EsimDB.offer_table
+
+    def counting(self, days, vantages=()):
+        built.append(list(days))
+        return offer_table(self, days, vantages)
+
+    monkeypatch.setattr(EsimDB, "offer_table", counting)
+    assert main(["trip", "ESP:1", "THA:2", "KEN:1", "--day", "45"]) == 0
+    assert "recommended" in capsys.readouterr().out
+    assert built == [[45]]
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

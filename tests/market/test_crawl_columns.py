@@ -1,10 +1,11 @@
 """The columnar market crawl against the object path, row for row.
 
-``EsimDB.offer_table`` and ``EsimDB.snapshot`` share one price formula;
-these tests pin that every row of the cached crawl — all 18 weekly
-listings and the three late-April vantage listings — equals the offer
-the object path lists, and that the Figure 16-19 aggregates read from
-the columns equal the ones computed over offer objects.
+``EsimDB.offer_table`` and the reference object path
+(``tests/market/reference.py``) share one price formula; these tests pin
+that every row of the cached crawl — all 18 weekly listings and the three
+late-April vantage listings — equals the offer the object path lists,
+and that the Figure 16-19 aggregates and the listing reads of CLI
+``market``/``trip`` equal the ones computed over offer objects.
 """
 
 import dataclasses
@@ -22,13 +23,11 @@ from repro.market import (
     EsimProvider,
     MarketCrawler,
     build_provider_universe,
-    median_usd_per_gb_by_country,
-    price_timeline,
-    provider_country_medians,
-    size_price_curve,
 )
 from repro.market.crawler import VANTAGE_CHECK_DAY, VANTAGE_POINTS
-from repro.market.models import MarketSnapshot
+from repro.market.esimdb import MAX_DAY
+
+from tests.market import reference
 
 #: The sampling step ``common.get_market`` caches.
 STEP = 7
@@ -66,7 +65,7 @@ def _rows(offers):
 
 def test_crawl_shape(crawl):
     assert crawl.days() == DAYS and len(DAYS) == 18
-    assert [(s.day, s.vantage) for s in crawl.vantage_snapshots] == [
+    assert [(s.day, s.vantage) for s in reference.vantage_snapshots(crawl)] == [
         (VANTAGE_CHECK_DAY, v) for v in VANTAGE_POINTS
     ]
     assert len(crawl.all_offers()) == 408_006
@@ -78,10 +77,10 @@ def test_crawl_shape(crawl):
 
 @pytest.mark.parametrize("day", DAYS)
 def test_daily_listing_equals_object_snapshot(crawl, esimdb, countries, timeline, day):
-    objects = esimdb.snapshot(day).offers
+    objects = reference.snapshot(esimdb, day).offers
     assert _rows(crawl.offers_on(day)) == _rows(objects)
     # Figure 16's per-day point, from the columns vs from the objects.
-    expected = price_timeline({day: objects}, countries, provider="Airalo")
+    expected = reference.price_timeline({day: objects}, countries, provider="Airalo")
     got = {
         continent: [point for point in series if point[0] == day]
         for continent, series in timeline.items()
@@ -92,14 +91,16 @@ def test_daily_listing_equals_object_snapshot(crawl, esimdb, countries, timeline
 
 @pytest.mark.parametrize("vantage", VANTAGE_POINTS)
 def test_vantage_listing_equals_object_snapshot(crawl, esimdb, vantage):
-    (listing,) = [s for s in crawl.vantage_snapshots if s.vantage == vantage]
-    expected = esimdb.snapshot(VANTAGE_CHECK_DAY, vantage=vantage).offers
+    (listing,) = [
+        s for s in reference.vantage_snapshots(crawl) if s.vantage == vantage
+    ]
+    expected = reference.snapshot(esimdb, VANTAGE_CHECK_DAY, vantage=vantage).offers
     assert _rows(listing.offers) == _rows(expected)
 
 
 def test_price_discrimination_equals_object_path(crawl, esimdb):
-    objects = MarketCrawler(esimdb).crawl_vantages(VANTAGE_CHECK_DAY)
-    assert MarketCrawler.price_discrimination_detected(objects) is False
+    objects = reference.crawl_vantages(esimdb, VANTAGE_CHECK_DAY)
+    assert reference.price_discrimination_detected(objects) is False
     assert crawl.price_discrimination_detected() is False
 
 
@@ -111,11 +112,13 @@ def test_price_discrimination_detected_from_columns(crawl):
 
 
 def test_price_discrimination_detected_from_objects(crawl):
-    madrid, abu_dhabi, _ = crawl.vantage_snapshots
+    madrid, abu_dhabi, _ = reference.vantage_snapshots(crawl)
     tweaked = list(abu_dhabi.offers)
     tweaked[0] = dataclasses.replace(tweaked[0], price_usd=tweaked[0].price_usd + 1.0)
-    changed = MarketSnapshot(abu_dhabi.day, abu_dhabi.vantage, tweaked)
-    assert MarketCrawler.price_discrimination_detected([madrid, changed])
+    changed = reference.MarketSnapshot(abu_dhabi.day, abu_dhabi.vantage, tweaked)
+    assert reference.price_discrimination_detected([madrid, changed])
+    with pytest.raises(ValueError, match="two vantage"):
+        reference.price_discrimination_detected([madrid])
 
 
 def test_offer_table_is_byte_deterministic(esimdb):
@@ -123,12 +126,19 @@ def test_offer_table_is_byte_deterministic(esimdb):
 
 
 def test_offer_table_validates_rows(countries):
-    with pytest.raises(ValueError):
-        EsimDB(build_provider_universe(), countries).offer_table([-1])
+    esimdb = EsimDB(build_provider_universe(), countries)
+    # The day column is "H": a day outside it is a ValueError, not the
+    # OverflowError array.array would raise.
+    for day in (-1, MAX_DAY + 1, 70_000):
+        with pytest.raises(ValueError, match="day must be in"):
+            esimdb.offer_table([day])
+        with pytest.raises(ValueError, match="day must be in"):
+            esimdb.offer_table([0], [(day, "NJ")])
+    assert CrawlDataset(esimdb.offer_table([MAX_DAY])).days() == [MAX_DAY]
     # A price that rounds to zero cents fails ESIMOffer's check on both paths.
     free = EsimProvider("Free", price_factor=1e-6, plan_sizes_gb=(1,), coverage_count=999)
     with pytest.raises(ValueError, match="price must be positive"):
-        EsimDB([free], countries).snapshot(0)
+        reference.snapshot(EsimDB([free], countries), 0)
     with pytest.raises(ValueError, match="price must be positive"):
         EsimDB([free], countries).offer_table([0])
 
@@ -181,10 +191,10 @@ LISTING_DAYS = [0, VANTAGE_CHECK_DAY, 90, 119]
 @pytest.mark.parametrize("day", LISTING_DAYS)
 def test_listing_aggregates_equal_object_path(esimdb, day):
     listing = CrawlDataset(esimdb.offer_table([day]))
-    offers = esimdb.snapshot(day).offers
+    offers = reference.snapshot(esimdb, day).offers
 
     medians = listing.provider_country_medians(day)
-    expected_medians = provider_country_medians(offers)
+    expected_medians = reference.provider_country_medians(offers)
     assert medians == expected_medians
     assert list(medians) == list(expected_medians)
 
@@ -194,16 +204,26 @@ def test_listing_aggregates_equal_object_path(esimdb, day):
 
     for provider in ("Airalo", "Keepgo", "Nobody"):
         got = listing.median_usd_per_gb_by_country(day, provider=provider)
-        expected = median_usd_per_gb_by_country(offers, provider=provider)
+        expected = reference.median_usd_per_gb_by_country(offers, provider=provider)
         assert list(got.items()) == list(expected.items())  # first-seen order
 
     curves = listing.size_price_curves(day, AIRALO, max_gb=5.0)
     expected_curves = {
-        country.iso3: size_price_curve(offers, country.iso3, "Airalo", max_gb=5.0)
+        country.iso3: reference.size_price_curve(offers, country.iso3, "Airalo", max_gb=5.0)
         for country in esimdb.footprint("Airalo")
     }
     # repr, not ==: 1 == 1.0, but the export must keep the ladder's ints.
     assert repr(curves) == repr(expected_curves)
+
+
+@pytest.mark.parametrize("day", LISTING_DAYS)
+def test_country_offers_equal_object_path(esimdb, countries, day):
+    """The per-country reads of CLI ``market`` and the trip planner."""
+    listing = CrawlDataset(esimdb.offer_table([day]))
+    objects = reference.snapshot(esimdb, day)
+    for iso3 in [country.iso3 for country in countries] + ["esp", "XYZ"]:
+        assert _rows(listing.offers_on(day, iso3)) == _rows(objects.for_country(iso3))
+    assert listing.offers_on(day, "XYZ") == []
 
 
 def test_size_price_curves_keep_ladder_types(esimdb):

@@ -7,6 +7,7 @@ import pytest
 from repro.geo import default_country_registry
 from repro.market import (
     AIRALO,
+    CrawlDataset,
     ESIMOffer,
     EsimDB,
     EsimProvider,
@@ -16,11 +17,6 @@ from repro.market import (
     DEFAULT_LOCAL_OFFERS,
     build_provider_universe,
     decile_bounds,
-    median_usd_per_gb_by_continent,
-    median_usd_per_gb_by_country,
-    price_timeline,
-    provider_country_medians,
-    size_price_curve,
 )
 from repro.market.providers import ContinentPricing
 
@@ -36,8 +32,8 @@ def esimdb(countries):
 
 
 @pytest.fixture(scope="module")
-def may_snapshot(esimdb):
-    return esimdb.snapshot(90)  # ~2024-05-01
+def may_listing(esimdb):
+    return CrawlDataset(esimdb.offer_table([90]))  # ~2024-05-01
 
 
 def test_universe_has_54_providers():
@@ -73,21 +69,20 @@ def test_continent_ramp():
 
 
 def test_prices_deterministic(esimdb):
-    a = esimdb.snapshot(10).offers
-    b = esimdb.snapshot(10).offers
+    a = CrawlDataset(esimdb.offer_table([10])).offers_on(10)
+    b = CrawlDataset(esimdb.offer_table([10])).offers_on(10)
     assert a == b
 
 
-def test_superlinear_size_curve(countries):
-    madrid = countries.get("ESP")
-    offers = AIRALO.offers_for(madrid, day=0)
-    by_size = {o.data_gb: o.usd_per_gb for o in offers}
+def test_superlinear_size_curve(esimdb):
+    offers = CrawlDataset(esimdb.offer_table([0])).offers_on(0, "ESP")
+    by_size = {o.data_gb: o.usd_per_gb for o in offers if o.provider == "Airalo"}
     # $/GB increases with plan size (the unjustified non-linearity).
     assert by_size[20] > by_size[5] > by_size[1]
 
 
-def test_provider_medians_ordering(may_snapshot):
-    medians = provider_country_medians(may_snapshot.offers)
+def test_provider_medians_ordering(may_listing):
+    medians = may_listing.provider_country_medians(90)
     med = {p: statistics.median(v) for p, v in medians.items() if p in
            ("Airalo", "MobiMatter", "Airhub", "Keepgo")}
     # Figure 17's ordering: Airhub < MobiMatter < Airalo < Keepgo.
@@ -96,15 +91,17 @@ def test_provider_medians_ordering(may_snapshot):
     assert 0.3 < med["MobiMatter"] / med["Airalo"] < 0.55
 
 
-def test_europe_half_of_north_america(may_snapshot, countries):
-    grouped = median_usd_per_gb_by_continent(may_snapshot.offers, countries, provider="Airalo")
+def test_europe_half_of_north_america(may_listing, countries):
+    grouped = {}
+    for iso3, value in may_listing.median_usd_per_gb_by_country(90, "Airalo").items():
+        grouped.setdefault(countries.get(iso3).continent, []).append(value)
     europe = statistics.median(grouped["Europe"])
     north_america = statistics.median(grouped["North America"])
     assert 1.6 < north_america / europe < 2.6
 
 
-def test_central_america_is_expensive(may_snapshot, countries):
-    per_country = median_usd_per_gb_by_country(may_snapshot.offers, provider="Airalo")
+def test_central_america_is_expensive(may_listing, countries):
+    per_country = may_listing.median_usd_per_gb_by_country(90, provider="Airalo")
     central = [v for iso3, v in per_country.items()
                if countries.get(iso3).subregion == "Central America"]
     rest = [v for iso3, v in per_country.items()
@@ -115,8 +112,7 @@ def test_central_america_is_expensive(may_snapshot, countries):
 def test_asia_price_drift(esimdb, countries):
     crawler = MarketCrawler(esimdb)
     dataset = crawler.crawl_daily(0, 120, step=10)
-    snapshots = {s.day: s.offers for s in dataset.daily_snapshots}
-    timeline = price_timeline(snapshots, countries)
+    timeline = dataset.price_timeline(countries)
     asia = dict(timeline["Asia"])
     assert asia[110] > asia[0] * 1.1  # upward drift
     europe = dict(timeline["Europe"])
@@ -125,11 +121,11 @@ def test_asia_price_drift(esimdb, countries):
 
 def test_no_price_discrimination(esimdb):
     crawler = MarketCrawler(esimdb)
-    snapshots = crawler.crawl_vantages(day=80)
-    assert len(snapshots) == 3
-    assert not MarketCrawler.price_discrimination_detected(snapshots)
-    with pytest.raises(ValueError):
-        MarketCrawler.price_discrimination_detected(snapshots[:1])
+    crawl = crawler.crawl_daily(80, 81, vantage_day=80)
+    assert not crawl.price_discrimination_detected()
+    # A crawl without vantage listings has nothing to compare.
+    with pytest.raises(ValueError, match="two vantage"):
+        crawler.crawl_daily(0, 3).price_discrimination_detected()
 
 
 def test_crawler_validation(esimdb):
@@ -160,8 +156,8 @@ def test_decile_bounds():
         decile_bounds([])
 
 
-def test_size_price_curve(may_snapshot):
-    curve = size_price_curve(may_snapshot.offers, "GEO", max_gb=5.0)
+def test_size_price_curve(may_listing):
+    curve = may_listing.size_price_curves(90, AIRALO, max_gb=5.0)["GEO"]
     assert curve
     sizes = [s for s, _ in curve]
     prices = [p for _, p in curve]
@@ -170,11 +166,11 @@ def test_size_price_curve(may_snapshot):
     assert max(sizes) <= 5.0
 
 
-def test_play_countries_price_gap(may_snapshot):
+def test_play_countries_price_gap(may_listing):
     """Figure 19: Georgia's Play eSIM costs more than Spain's, and the
     gap grows with plan size."""
-    geo = dict(size_price_curve(may_snapshot.offers, "GEO", max_gb=20.0))
-    esp = dict(size_price_curve(may_snapshot.offers, "ESP", max_gb=20.0))
+    curves = may_listing.size_price_curves(90, AIRALO, max_gb=20.0)
+    geo, esp = dict(curves["GEO"]), dict(curves["ESP"])
     shared = sorted(set(geo) & set(esp))
     assert shared
     gaps = [geo[s] - esp[s] for s in shared]
@@ -184,24 +180,24 @@ def test_play_countries_price_gap(may_snapshot):
         assert gaps[-1] < gaps[0]
 
 
-def test_local_sim_survey_cheapest_per_gb(may_snapshot):
+def test_local_sim_survey_cheapest_per_gb(may_listing):
     survey = LocalSIMSurvey(DEFAULT_LOCAL_OFFERS)
     airalo_medians = statistics.median(
-        provider_country_medians(may_snapshot.offers)["Airalo"]
+        may_listing.provider_country_medians(90)["Airalo"]
     )
     assert survey.median_usd_per_gb() < airalo_medians
 
 
-def test_local_sim_total_cost_often_higher(may_snapshot):
+def test_local_sim_total_cost_often_higher(may_listing):
     survey = LocalSIMSurvey(DEFAULT_LOCAL_OFFERS)
-    comparison = survey.total_cost_comparison(may_snapshot.offers, needed_gb=3.0)
+    comparison = survey.total_cost_comparison(may_listing.offers_on(90), needed_gb=3.0)
     assert "ESP" in comparison
     spain = comparison["ESP"]
     # 40 GB for $22.59: best $/GB, but more up-front than a 3 GB plan.
     assert spain["local_usd_per_gb"] < 1.0
     assert spain["local_total_usd"] > spain["airalo_total_usd"] * 0.8
     with pytest.raises(ValueError):
-        survey.total_cost_comparison(may_snapshot.offers, needed_gb=0)
+        survey.total_cost_comparison(may_listing.offers_on(90), needed_gb=0)
 
 
 def test_local_offer_validation():
@@ -222,16 +218,16 @@ def test_footprints(esimdb):
     with pytest.raises(KeyError):
         esimdb.footprint("Nope")
     # Airalo's 3% / MobiMatter's 5% share of listed offers (roughly).
-    snap = esimdb.snapshot(0)
-    total = len(snap.offers)
-    airalo_share = len(snap.for_provider("Airalo")) / total
-    mobimatter_share = len(snap.for_provider("MobiMatter")) / total
+    counts = CrawlDataset(esimdb.offer_table([0])).offer_counts(0)
+    total = sum(counts.values())
+    assert total == esimdb.total_offers_per_day()
+    airalo_share = counts["Airalo"] / total
+    mobimatter_share = counts["MobiMatter"] / total
     assert 0.02 < airalo_share < 0.09
     assert airalo_share < mobimatter_share < 0.12
 
 
-def test_country_factor_overrides_enforce_fig19_example(countries):
+def test_country_factor_overrides_enforce_fig19_example(may_listing):
     # Georgia's Play eSIM costs more than Spain's (Section 6 / Figure 19).
-    geo = AIRALO.unit_price(countries.get("GEO"), day=90)
-    esp = AIRALO.unit_price(countries.get("ESP"), day=90)
-    assert geo > esp
+    curves = may_listing.size_price_curves(90, AIRALO, max_gb=1.0)
+    assert dict(curves["GEO"])[1] > dict(curves["ESP"])[1]

