@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import random
 import statistics
 import sys
@@ -994,8 +995,28 @@ _HANDLERS = {
 }
 
 
+def _numeric_flag_error(args: argparse.Namespace) -> Optional[str]:
+    """What is wrong with ``--scale`` or ``--jobs``, if anything.
+
+    argparse checks only that they parse. A scale above 1 grows the
+    campaign (see ``scaled_count``), so only non-positive and non-finite
+    values are refused.
+    """
+    scale = getattr(args, "scale", None)
+    if scale is not None and not (math.isfinite(scale) and scale > 0):
+        return f"--scale must be a positive finite number, got {scale:g}"
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None and jobs < 1:
+        return f"--jobs must be at least 1, got {jobs}"
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    error = _numeric_flag_error(args)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     _configure_logging(args.verbose)
     return _HANDLERS[args.command](args)
 

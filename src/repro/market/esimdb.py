@@ -77,8 +77,10 @@ class EsimDB:
         vantage, first_row, end_row]`` per listing, and ``meta["daily"]``
         counts the leading daily ones.
 
-        Prices come from :meth:`EsimProvider.plan_prices`. Every day
-        must be in ``[0, MAX_DAY]``, the range of the ``day`` column.
+        Prices come from :meth:`EsimProvider.plan_prices`, once per
+        distinct set of continent rates: a listing whose rates all equal
+        an earlier listing's copies its prices. Every day must be in
+        ``[0, MAX_DAY]``, the range of the ``day`` column.
         """
         listings = [(day, DEFAULT_VANTAGE) for day in days]
         listings += [(day, vantage) for day, vantage in vantages]
@@ -118,6 +120,12 @@ class EsimDB:
         if template_gb and min(template_gb) <= 0:
             raise ValueError("plan size must be positive")
         rows = len(template_gb)
+        # A listing's prices depend on the day only through the rate of
+        # each schedule, and most days share their rates with an earlier
+        # listing (the ramps are flat outside days 13-60): price each
+        # distinct rate vector once, and copy its rows after that.
+        schedules = list(dict.fromkeys(pricing for _, pricing, _ in ladders))
+        priced: Dict[Tuple[float, ...], int] = {}  # rate vector -> first row
         bounds = []
         for day, vantage in listings:
             first = len(col_price)
@@ -126,10 +134,16 @@ class EsimDB:
             col_vantage.extend(array("H", [vantage_code(vantage)]) * rows)
             col_day.extend(array("H", [day]) * rows)
             col_gb.extend(template_gb)
-            for provider, pricing, factor in ladders:
-                col_price.extend(provider.plan_prices(
-                    provider.unit_rate(pricing.rate_on(day), factor)
-                ))
+            rates = tuple(pricing.rate_on(day) for pricing in schedules)
+            source = priced.get(rates)
+            if source is not None:
+                col_price.extend(col_price[source:source + rows])
+            else:
+                priced[rates] = first
+                for provider, pricing, factor in ladders:
+                    col_price.extend(provider.plan_prices(
+                        provider.unit_rate(pricing.rate_on(day), factor)
+                    ))
             bounds.append([day, vantage, first, len(col_price)])
         if col_price and min(col_price) <= 0:
             raise ValueError("price must be positive")

@@ -129,7 +129,7 @@ class EsimProvider:
 
         This is the one price formula; the crawl
         (:meth:`~repro.market.esimdb.EsimDB.offer_table`) calls it per
-        (provider, country, day).
+        (provider, country) and distinct set of continent rates.
         """
         exponent = self.size_exponent
         return [round(unit * size**exponent, 2) for size in self.plan_sizes_gb]

@@ -20,7 +20,7 @@ from repro.cellular.radio import RadioConditions
 from repro.measure.records import MeasurementContext, TracerouteRecord
 from repro.net.addressbook import ASAddressBook
 from repro.net.geoip import GeoIPDatabase
-from repro.net.ipv4 import is_private_ip
+from repro.net.ipv4 import IPAddress, is_private_ip, parse_ip
 from repro.services.fabric import ServiceFabric
 from repro.services.providers import ServiceProvider
 
@@ -190,11 +190,15 @@ def postprocess(
     to an ASN through the GeoIP database (unknown hops are skipped, like
     unmapped WHOIS entries).
     """
-    first_public_index: Optional[int] = None
-    for position, hop in enumerate(result.hops):
-        if hop.responded and not is_private_ip(hop.ip):
-            first_public_index = position
-            break
+    # Per hop, its address parsed once if it answered from public space;
+    # None for timeouts and private hops.
+    public_ips: List[Optional[IPAddress]] = []
+    for hop in result.hops:
+        ip = parse_ip(hop.ip) if hop.responded else None
+        public_ips.append(None if ip is None or is_private_ip(ip) else ip)
+    first_public_index = next(
+        (position for position, ip in enumerate(public_ips) if ip is not None), None
+    )
 
     if first_public_index is None:
         private_count = len(result.hops)
@@ -209,10 +213,10 @@ def postprocess(
         pgw_rtt = pgw_hop.rtt_ms
 
     unique_asns: List[int] = []
-    for hop in result.hops:
-        if not hop.responded or is_private_ip(hop.ip):
+    for ip in public_ips:
+        if ip is None:
             continue
-        record = geoip.lookup_opt(hop.ip)
+        record = geoip.lookup_opt(ip)
         if record is not None and record.asn not in unique_asns:
             unique_asns.append(record.asn)
 

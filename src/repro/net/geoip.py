@@ -38,8 +38,24 @@ class GeoIPDatabase:
     """
 
     def __init__(self) -> None:
-        # Buckets keyed by prefix length, checked from most to least specific.
-        self._by_prefixlen: Dict[int, Dict[IPNetwork, GeoIPRecord]] = {}
+        # One bucket per prefix length, most specific first. A bucket maps
+        # each network's address, as an integer, to its record. Prefixes
+        # of one length are aligned and disjoint, so an address falls in
+        # at most one per bucket: the one keyed by the address with its
+        # host bits cleared.
+        self._by_prefixlen: Dict[int, Dict[int, GeoIPRecord]] = {}
+
+    def __setstate__(self, state: dict) -> None:
+        # Re-key from the records, which carry their networks: a world
+        # pickled while buckets were keyed by ``IPv4Network`` loads into
+        # the same index as a fresh build.
+        self._by_prefixlen = {
+            prefixlen: {
+                int(record.network.network_address): record
+                for record in bucket.values()
+            }
+            for prefixlen, bucket in sorted(state["_by_prefixlen"].items(), reverse=True)
+        }
 
     def register(
         self,
@@ -51,8 +67,12 @@ class GeoIPDatabase:
     ) -> GeoIPRecord:
         """Register a prefix; re-registering the same prefix raises."""
         net = ipaddress.IPv4Network(str(network))
-        bucket = self._by_prefixlen.setdefault(net.prefixlen, {})
-        if net in bucket:
+        bucket = self._by_prefixlen.get(net.prefixlen)
+        if bucket is None:
+            bucket = self._by_prefixlen[net.prefixlen] = {}
+            self._by_prefixlen = dict(sorted(self._by_prefixlen.items(), reverse=True))
+        key = int(net.network_address)
+        if key in bucket:
             raise ValueError(f"prefix already registered: {net}")
         record = GeoIPRecord(
             network=net,
@@ -61,7 +81,7 @@ class GeoIPDatabase:
             city=city,
             location=location,
         )
-        bucket[net] = record
+        bucket[key] = record
         return record
 
     def lookup(self, ip: Union[str, IPAddress]) -> GeoIPRecord:
@@ -73,11 +93,12 @@ class GeoIPDatabase:
 
     def lookup_opt(self, ip: Union[str, IPAddress]) -> Optional[GeoIPRecord]:
         """Like ``lookup`` but returns None for unmapped addresses."""
-        addr = parse_ip(ip)
-        for prefixlen in sorted(self._by_prefixlen, reverse=True):
-            for net, record in self._by_prefixlen[prefixlen].items():
-                if addr in net:
-                    return record
+        addr = int(parse_ip(ip))
+        for prefixlen, bucket in self._by_prefixlen.items():
+            host_bits = 32 - prefixlen
+            record = bucket.get(addr >> host_bits << host_bits)
+            if record is not None:
+                return record
         return None
 
     def asn_of(self, ip: Union[str, IPAddress]) -> int:
@@ -86,7 +107,4 @@ class GeoIPDatabase:
 
     def prefixes(self) -> List[GeoIPRecord]:
         """All registered records, most specific first."""
-        records: List[GeoIPRecord] = []
-        for prefixlen in sorted(self._by_prefixlen, reverse=True):
-            records.extend(self._by_prefixlen[prefixlen].values())
-        return records
+        return [record for bucket in self._by_prefixlen.values() for record in bucket.values()]

@@ -39,6 +39,11 @@ _PRIVATE_NETWORKS = [
     ipaddress.ip_network("169.254.0.0/16"),
 ]
 
+#: ``_PRIVATE_NETWORKS`` as inclusive ``(first, last)`` integer ranges.
+_PRIVATE_RANGES = tuple(
+    (int(net.network_address), int(net.broadcast_address)) for net in _PRIVATE_NETWORKS
+)
+
 
 def is_private_ip(value: Union[str, IPAddress]) -> bool:
     """True for RFC1918 / CGN (100.64/10) / loopback / link-local space.
@@ -46,8 +51,11 @@ def is_private_ip(value: Union[str, IPAddress]) -> bool:
     The traceroute demarcation logic in the paper splits paths at the first
     *public* IP; this predicate is that split.
     """
-    ip = parse_ip(value)
-    return any(ip in net for net in _PRIVATE_NETWORKS)
+    ip = int(parse_ip(value))
+    for first, last in _PRIVATE_RANGES:
+        if first <= ip <= last:
+            return True
+    return False
 
 
 class PrefixPool:

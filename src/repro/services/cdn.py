@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Sequence
 
 from repro.cellular.core import PDNSession
-from repro.geo.coords import GeoPoint, haversine_km
+from repro.geo.coords import GeoPoint
 from repro.services.fabric import ServiceFabric
-from repro.services.providers import ServerSite
+from repro.services.providers import ServerSite, SiteFleet
 
 #: TCP initial congestion window (RFC 6928): 10 segments of ~1460 B.
 _INITCWND_BYTES = 10 * 1460
@@ -77,11 +77,11 @@ def slow_start_rounds(size_bytes: int, initcwnd_bytes: int = _INITCWND_BYTES) ->
 
 
 @dataclass
-class CDNProvider:
+class CDNProvider(SiteFleet):
     """A CDN: edge fleet, cache behaviour, and an origin for misses."""
 
     name: str
-    edges: List[ServerSite]
+    edges: Sequence[ServerSite]
     origin: ServerSite
     cache_hit_rate: float = 0.95
     server_processing_ms: float = 6.0
@@ -90,6 +90,7 @@ class CDNProvider:
     country_cache_hit_rate: Dict[str, float] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        self.edges = tuple(self.edges)
         if not self.edges:
             raise ValueError(f"CDN {self.name} needs at least one edge")
         if not 0.0 <= self.cache_hit_rate <= 1.0:
@@ -106,10 +107,7 @@ class CDNProvider:
         DNS-based steering), so the caller passes the resolver site —
         near the PGW for IHBO sessions, in the b-MNO core otherwise.
         """
-        return min(
-            self.edges,
-            key=lambda site: (haversine_km(steering_location, site.location), str(site.ip)),
-        )
+        return self._ranked(self.edges, steering_location)[0]
 
     def hit_rate_for(self, country_iso3: str) -> float:
         return self.country_cache_hit_rate.get(country_iso3.upper(), self.cache_hit_rate)

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional, Sequence
 
 from repro.cellular.core import PDNSession
-from repro.geo.coords import GeoPoint, haversine_km
+from repro.geo.coords import GeoPoint
 from repro.services.fabric import ServiceFabric
-from repro.services.providers import ServerSite
+from repro.services.providers import ServerSite, SiteFleet
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class DNSAnswer:
 
 
 @dataclass
-class DNSService:
+class DNSService(SiteFleet):
     """A DNS resolution service with one or more resolver sites.
 
     ``anycast`` services (Google DNS) pick the site nearest the querying
@@ -66,7 +66,7 @@ class DNSService:
     """
 
     name: str
-    sites: List[ServerSite]
+    sites: Sequence[ServerSite]
     anycast: bool = False
     supports_doh: bool = False
     cache_hit_rate: float = 0.8
@@ -78,6 +78,7 @@ class DNSService:
     anycast_miss_rate: float = 0.25
 
     def __post_init__(self) -> None:
+        self.sites = tuple(self.sites)
         if not self.sites:
             raise ValueError(f"DNS service {self.name} needs at least one site")
         if not 0.0 <= self.cache_hit_rate <= 1.0:
@@ -99,10 +100,7 @@ class DNSService:
         """
         if not self.anycast:
             return self.sites[0]
-        ranked = sorted(
-            self.sites,
-            key=lambda site: (haversine_km(query_origin, site.location), str(site.ip)),
-        )
+        ranked = self._ranked(self.sites, query_origin)
         if (
             rng is not None
             and len(ranked) > 1

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List
+from typing import Sequence
 
 from repro.cellular.core import PDNSession
 from repro.cellular.mno import BandwidthPolicy
 from repro.cellular.radio import RadioConditions
-from repro.geo.coords import GeoPoint, haversine_km
+from repro.geo.coords import GeoPoint
+from repro.net.ipv4 import IPAddress
 from repro.services.fabric import ServiceFabric
-from repro.services.providers import ServerSite
+from repro.services.providers import ServerSite, SiteFleet
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,10 @@ class SpeedtestServer:
     @property
     def location(self) -> GeoPoint:
         return self.site.location
+
+    @property
+    def ip(self) -> IPAddress:
+        return self.site.ip
 
 
 @dataclass(frozen=True)
@@ -44,22 +49,20 @@ class SpeedtestResult:
 
 
 @dataclass
-class SpeedtestFleet:
+class SpeedtestFleet(SiteFleet):
     """A speedtest service with geographically spread servers."""
 
     name: str
-    servers: List[SpeedtestServer]
+    servers: Sequence[SpeedtestServer]
 
     def __post_init__(self) -> None:
+        self.servers = tuple(self.servers)
         if not self.servers:
             raise ValueError(f"fleet {self.name} needs at least one server")
 
     def nearest_server(self, client_ip_location: GeoPoint) -> SpeedtestServer:
         """Server selection by the client's IP geolocation."""
-        return min(
-            self.servers,
-            key=lambda s: (haversine_km(client_ip_location, s.location), str(s.site.ip)),
-        )
+        return self._ranked(self.servers, client_ip_location)[0]
 
     def run(
         self,

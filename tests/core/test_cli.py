@@ -104,6 +104,49 @@ def test_market_and_trip_reject_bad_input(capsys, argv, needle):
     assert needle in captured.err
 
 
+BAD_NUMERIC_INPUT = [
+    ([command, *args, "--scale", value], "--scale must be a positive finite number")
+    for command, args in (("run", ["F7"]), ("run-all", []), ("campaign", ["device"]),
+                          ("chaos", []), ("serve", ["--port", "0"]))
+    for value in ("0", "-1", "nan", "inf")
+] + [
+    (["run-all", "--jobs", "0"], "--jobs must be at least 1"),
+    (["run-all", "--jobs", "-2", "--scale", "0.05"], "--jobs must be at least 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, needle", BAD_NUMERIC_INPUT, ids=[" ".join(argv) for argv, _ in BAD_NUMERIC_INPUT]
+)
+def test_bad_numeric_flags_exit_2(monkeypatch, capsys, argv, needle):
+    """A bad ``--scale`` or ``--jobs`` is refused before any command runs:
+    no traceback, and ``serve`` never starts."""
+    import repro.server
+
+    def no_server(**kwargs):
+        raise AssertionError("serve started")
+
+    monkeypatch.setattr(repro.server, "create_server", no_server)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert needle in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "F7", "--scale", "2.5"],
+    ["run-all", "--scale", "1e-3", "--jobs", "2"],
+    ["serve", "--scale", "1.5"],
+])
+def test_scale_above_one_is_accepted(monkeypatch, argv):
+    """``scaled_count`` grows a campaign for a scale above 1; only the
+    server's query string caps scale at 1."""
+    from repro import cli
+
+    monkeypatch.setitem(cli._HANDLERS, argv[0], lambda args: 0)
+    assert main(argv) == 0
+
+
 def test_trip_builds_one_listing(monkeypatch, capsys):
     from repro.experiments import common
     from repro.market import EsimDB

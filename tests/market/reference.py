@@ -73,6 +73,22 @@ def offers_for(
     ]
 
 
+def listing_prices(esimdb: EsimDB, day: int) -> List[float]:
+    """One listing's ``price_usd`` column, priced ladder by ladder.
+
+    ``offer_table`` used to price every listing this way; it now prices
+    each distinct set of continent rates once and copies those rows.
+    """
+    return [
+        price
+        for provider in esimdb.providers
+        for country in esimdb.footprint(provider.name)
+        for price in provider.plan_prices(
+            unit_price(provider, country, day, esimdb.continent_pricing)
+        )
+    ]
+
+
 def snapshot(esimdb: EsimDB, day: int, vantage: str = DEFAULT_VANTAGE) -> MarketSnapshot:
     """Every offer listed on ``day`` as seen from ``vantage``."""
     listed = MarketSnapshot(day=day, vantage=vantage)

@@ -18,6 +18,7 @@ from repro.core.columns import ColumnStore
 from repro.geo import default_country_registry
 from repro.market import (
     AIRALO,
+    ContinentPricing,
     CrawlDataset,
     EsimDB,
     EsimProvider,
@@ -123,6 +124,49 @@ def test_price_discrimination_detected_from_objects(crawl):
 
 def test_offer_table_is_byte_deterministic(esimdb):
     assert esimdb.offer_table([0, 1]).to_bytes() == esimdb.offer_table([0, 1]).to_bytes()
+
+
+#: Flat days before the Asia/Africa ramp (days 13-60), ramp days, flat
+#: days after it, and days out of order or repeated.
+REUSE_DAYS = [0, 7, 13, 14, 21, 28, 35, 42, 49, 56, 60, 63, 119, 21, 0, 56]
+
+
+def test_offer_table_reuse_equals_per_listing_pricing(esimdb):
+    table = esimdb.offer_table(REUSE_DAYS, [(84, "Madrid"), (35, "Abu Dhabi")])
+    prices = table.column("price_usd")
+    for day, _, first, end in table.meta["listings"]:
+        assert prices[first:end].tolist() == reference.listing_prices(esimdb, day), day
+
+
+def test_offer_table_reuse_with_staggered_ramps(countries):
+    """Two schedules ramping over different windows: a listing may share
+    one rate with an earlier listing but not the other."""
+    pricing = {
+        "Europe": ContinentPricing(3.4, ramp_start_day=0, ramp_end_day=10, ramp_delta=1.0),
+        "Asia": ContinentPricing(5.0, ramp_start_day=20, ramp_end_day=30, ramp_delta=1.0),
+    }
+    esimdb = EsimDB(build_provider_universe(8), countries, pricing)
+    days = [0, 10, 15, 20, 25, 30, 40, 5, 15, 25]
+    table = esimdb.offer_table(days)
+    prices = table.column("price_usd")
+    for day, _, first, end in table.meta["listings"]:
+        assert prices[first:end].tolist() == reference.listing_prices(esimdb, day), day
+
+
+def test_crawl_prices_each_rate_vector_once(esimdb, monkeypatch):
+    calls = []
+    plan_prices = EsimProvider.plan_prices
+
+    def counting(self, unit):
+        calls.append(self.name)
+        return plan_prices(self, unit)
+
+    monkeypatch.setattr(EsimProvider, "plan_prices", counting)
+    MarketCrawler(esimdb).crawl_daily(0, 120, step=STEP, vantage_day=VANTAGE_CHECK_DAY)
+    ladders = sum(len(esimdb.footprint(p.name)) for p in esimdb.providers)
+    # Days 0 and 7 share the base rates, days 14-56 ramp, and days 63-119
+    # and the three day-84 probes share the ramped ones: 9 distinct.
+    assert len(calls) == 9 * ladders
 
 
 def test_offer_table_validates_rows(countries):

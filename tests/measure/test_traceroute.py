@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.measure.traceroute import TracerouteEngine, postprocess
+from repro.measure.traceroute import Hop, TracerouteEngine, TracerouteResult, postprocess
 from repro.net.ipv4 import is_private_ip
 from tests.measure.conftest import make_session
 
@@ -180,3 +180,50 @@ def test_cgnat_override_validation(fabric, addressbook):
     with pytest.raises(ValueError):
         TracerouteEngine(fabric, addressbook,
                          cgnat_response_overrides={("DEU", "Facebook"): 1.5})
+
+
+def _split_per_string(result, geoip):
+    """Demarcation and ASN mapping as ``postprocess`` computed them when it
+    parsed each hop's address string at every check."""
+    first_public = None
+    for position, hop in enumerate(result.hops):
+        if hop.responded and not is_private_ip(hop.ip):
+            first_public = position
+            break
+    unique_asns = []
+    for hop in result.hops:
+        if not hop.responded or is_private_ip(hop.ip):
+            continue
+        record = geoip.lookup_opt(hop.ip)
+        if record is not None and record.asn not in unique_asns:
+            unique_asns.append(record.asn)
+    if first_public is None:
+        return len(result.hops), 0, None, None, unique_asns
+    hop = result.hops[first_public]
+    return first_public, len(result.hops) - first_public, hop.ip, hop.rtt_ms, unique_asns
+
+
+@pytest.mark.parametrize("cgnat_rate", [0.0, 0.5, 0.9])
+def test_postprocess_equals_per_string_parsing(
+    fabric, addressbook, google, facebook, ihbo, hr, native, conditions, geoip, cgnat_rate
+):
+    engine = TracerouteEngine(fabric, addressbook, cgnat_response_rate=cgnat_rate)
+    rng = random.Random(8)
+    results = [
+        (sim, session, engine.trace(session, provider, conditions, rng))
+        for sim, session in (ihbo, hr, native)
+        for provider in (google, facebook)
+        for _ in range(25)
+    ]
+    # A path that never leaves private space, with a timeout in it.
+    sim, session = ihbo
+    private = TracerouteResult("Google", "10.0.0.9", [
+        Hop(1, "10.0.0.1", 5.0), Hop(2, None, None), Hop(3, "100.64.0.1", 9.0),
+    ])
+    results.append((sim, session, private))
+    for sim, session, result in results:
+        record = postprocess(result, session, sim, conditions, geoip)
+        got = (record.private_hops, record.public_hops, record.pgw_ip,
+               record.pgw_rtt_ms, record.unique_asns)
+        assert got == _split_per_string(result, geoip)
+    assert record.pgw_ip is None and record.private_hops == 3

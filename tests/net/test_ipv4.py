@@ -79,19 +79,38 @@ def test_owner_of_unknown_raises():
         alloc.owner_of("203.0.113.1")
 
 
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_private_predicate_matches_explicit_ranges(raw):
-    ip = ipaddress.IPv4Address(raw)
-    ranges = [
+PRIVATE_NETWORKS = [
+    ipaddress.ip_network(net)
+    for net in (
         "10.0.0.0/8",
         "172.16.0.0/12",
         "192.168.0.0/16",
         "100.64.0.0/10",
         "127.0.0.0/8",
         "169.254.0.0/16",
-    ]
-    expected = any(ip in ipaddress.ip_network(net) for net in ranges)
-    assert is_private_ip(ip) == expected
+    )
+]
+
+
+def _in_private_network(ip):
+    return any(ip in net for net in PRIVATE_NETWORKS)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_private_predicate_matches_explicit_ranges(raw):
+    ip = ipaddress.IPv4Address(raw)
+    assert is_private_ip(ip) == _in_private_network(ip)
+
+
+@pytest.mark.parametrize("network", PRIVATE_NETWORKS, ids=str)
+def test_private_predicate_at_range_edges(network):
+    """The first and last address of each range, and one past each end."""
+    first = int(network.network_address)
+    last = int(network.broadcast_address)
+    edges = [ipaddress.IPv4Address(raw) for raw in (first - 1, first, last, last + 1)]
+    assert [_in_private_network(ip) for ip in edges] == [False, True, True, False]
+    assert [is_private_ip(ip) for ip in edges] == [False, True, True, False]
+    assert [is_private_ip(str(ip)) for ip in edges] == [False, True, True, False]
 
 
 def test_documentation_ranges_count_as_public():
