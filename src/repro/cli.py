@@ -22,8 +22,8 @@ Exposes the reproduction from the shell::
     python -m repro serve --port 8321         # always-on measurement service
     python -m repro loadgen --clients 200 --duration 30 --fail-on-slo
     python -m repro loadgen --trace traces/   # client+server spans, one tree
-    python -m repro run-all --profile prof/   # collapsed-stack flamegraph feed
     python -m repro profile -- run T2         # profile any subcommand
+    python -m repro profile --out prof/run_all.collapsed -- run-all
 """
 
 from __future__ import annotations
@@ -230,35 +230,28 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     if args.resume and not args.journal:
         print("--resume requires --journal FILE", file=sys.stderr)
         return 2
-    exec_chaos = None
-    if (
-        args.exec_crash_rate > 0
-        or args.exec_hang
-        or args.exec_corrupt_cache > 0
-    ):
+    # ``!= 0``, not ``> 0``: a negative or NaN rate must reach ExecChaos's
+    # own range check instead of silently turning chaos off.
+    wants_chaos = (
+        args.exec_crash_rate != 0 or args.exec_hang or args.exec_corrupt_cache != 0
+    )
+    try:
         exec_chaos = ExecChaos(
             seed=args.exec_chaos_seed,
             worker_crash_rate=args.exec_crash_rate,
             hang_artefacts=tuple(a.upper() for a in args.exec_hang),
             hang_s=args.exec_hang_s,
             cache_corrupt_rate=args.exec_corrupt_cache,
+        ) if wants_chaos else None
+        runner = StudyRunner(
+            seed=args.seed, jobs=args.jobs, trace_dir=args.trace,
+            history_dir=args.history, journal_path=args.journal,
+            artefact_timeout_s=args.artefact_timeout,
+            max_attempts=args.max_attempts, exec_chaos=exec_chaos,
         )
-    runner = StudyRunner(
-        seed=args.seed, jobs=args.jobs, trace_dir=args.trace,
-        history_dir=args.history, journal_path=args.journal,
-        artefact_timeout_s=args.artefact_timeout,
-        max_attempts=args.max_attempts, exec_chaos=exec_chaos,
-    )
-    profiler = None
-    if args.profile:
-        # CLI-level attach: the profiler wraps the whole runner call, so
-        # the report (and its golden JSON export) is byte-identical to
-        # an unprofiled run — sampling never touches the result path.
-        from repro.obs.profile import SamplingProfiler
-
-        profiler = SamplingProfiler(
-            interval_s=args.profile_interval_ms / 1000.0
-        ).start()
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
+        return 2
     try:
         report = runner.run_all(
             scale=args.scale, artefacts=args.artefacts or None,
@@ -270,24 +263,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     except JournalMismatch as error:
         print(str(error), file=sys.stderr)
         return 2
-    finally:
-        if profiler is not None:
-            profiler.stop()
     print(report.summary_table())
-    if profiler is not None:
-        profile_dir = pathlib.Path(args.profile)
-        profile_dir.mkdir(parents=True, exist_ok=True)
-        scale_label = (
-            f"{args.scale:g}" if args.scale is not None else "default"
-        )
-        target = profiler.write(
-            profile_dir / (
-                f"run_all-seed{args.seed}-scale{scale_label}"
-                f"-jobs{args.jobs}.collapsed"
-            )
-        )
-        print(f"(collapsed stacks written to {target}; "
-              f"{profiler.samples} ticks)")
     if report.trace_path:
         print(f"(trace written to {report.trace_path})")
     if report.history_run_id:
@@ -624,7 +600,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if command[0] == "profile":
         print("profile cannot wrap itself", file=sys.stderr)
         return 2
-    profiler = SamplingProfiler(interval_s=args.interval_ms / 1000.0)
+    try:
+        profiler = SamplingProfiler(interval_s=args.interval_ms / 1000.0)
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
+        return 2
     with profiler:
         status = main(command)
     print(file=sys.stderr)
@@ -795,14 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="append one RunRecord to the cross-run "
                                      "history store in DIR (see 'repro "
                                      "history' and 'repro regress')")
-    run_all_parser.add_argument("--profile", default=None, metavar="DIR",
-                                help="sample every thread's stack during the "
-                                     "run and write collapsed-stack "
-                                     "flamegraph input into DIR")
-    run_all_parser.add_argument("--profile-interval-ms", type=float,
-                                default=10.0, metavar="MS",
-                                help="profiler sampling cadence "
-                                     "(default 10ms = 100 Hz)")
 
     trace_parser = sub.add_parser(
         "trace", help="inspect JSONL traces written by run-all --trace"

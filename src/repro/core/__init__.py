@@ -20,7 +20,7 @@ from repro.core.cache import (
 from repro.core.columns import ColumnError, ColumnStore, StringTable
 from repro.core.journal import JournalEntry, JournalMismatch, RunJournal
 from repro.core.runner import ArtefactRun, RunReport, StudyRunner
-from repro.core.study import ThickMnaStudy, EXPERIMENT_REGISTRY
+from repro.core.study import ThickMnaStudy
 
 __all__ = [
     "ArtefactRun",
@@ -29,7 +29,6 @@ __all__ = [
     "CacheVerifyResult",
     "ColumnError",
     "ColumnStore",
-    "EXPERIMENT_REGISTRY",
     "JournalEntry",
     "JournalMismatch",
     "RunJournal",

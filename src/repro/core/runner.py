@@ -331,8 +331,6 @@ class StudyRunner:
 
     ``jobs=1`` runs everything inline (no subprocess, still isolated per
     artefact); ``jobs=N`` uses a supervised ``ProcessPoolExecutor``.
-    ``warm=False`` skips the parent-side input build, e.g. to measure
-    cold-process behaviour in benchmarks.
 
     Supervision knobs:
 
@@ -377,7 +375,6 @@ class StudyRunner:
         chaos: Optional[ChaosConfig] = None,
         jobs: int = 1,
         cache: Optional[cache_mod.ArtifactCache] = None,
-        warm: bool = True,
         trace_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
         history_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
         journal_path: Optional[Union[str, "os.PathLike[str]"]] = None,
@@ -390,14 +387,15 @@ class StudyRunner:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if artefact_timeout_s is not None and artefact_timeout_s <= 0:
-            raise ValueError("artefact_timeout_s must be positive")
+            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+        if artefact_timeout_s is not None and not artefact_timeout_s > 0:
+            raise ValueError(
+                f"artefact_timeout_s must be positive, got {artefact_timeout_s:g}"
+            )
         self.seed = seed
         self.chaos = chaos
         self.jobs = jobs
         self.cache = cache if cache is not None else cache_mod.get_default_cache()
-        self.warm = warm
         self.trace_dir = pathlib.Path(trace_dir) if trace_dir is not None else None
         self.history_dir = (
             pathlib.Path(history_dir) if history_dir is not None else None
@@ -607,11 +605,10 @@ class StudyRunner:
             with obs.span(
                 "run_all", seed=self.seed, scale=effective_scale, jobs=self.jobs,
             ) as root:
-                if self.warm:
-                    with obs.span("warm_inputs"):
-                        report.warm_wall_s = self.warm_inputs(
-                            effective_scale, artefacts
-                        )
+                with obs.span("warm_inputs"):
+                    report.warm_wall_s = self.warm_inputs(
+                        effective_scale, artefacts
+                    )
 
                 # Resume: serve checkpointed artefacts straight from the
                 # cache; anything whose payload is gone simply reruns.

@@ -33,12 +33,6 @@ from repro.measure.amigo import ConfigurationError
 from repro.measure.dataset import MeasurementDataset
 from repro.worlds import AiraloWorld
 
-#: Artefact id -> experiment module basename, derived from the specs.
-#: Kept for backward compatibility with callers of the historic
-#: hand-written table; new code should use :func:`registry.all_specs`.
-EXPERIMENT_REGISTRY: Dict[str, str] = registry.legacy_registry()
-
-
 class ThickMnaStudy:
     """Drives the full reproduction for one seed.
 

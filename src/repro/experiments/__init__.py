@@ -3,7 +3,7 @@
 One module per table/figure of the paper. Every module exposes
 ``run(...) -> dict`` returning the figure's data series plus a
 ``format_result(result) -> str`` that prints the same rows/series the
-paper reports. The benchmark harness in ``benchmarks/`` wraps these.
+paper reports. ``repro run-all --render-dir DIR`` writes every one.
 """
 
 from repro.experiments import common

@@ -193,13 +193,3 @@ def all_specs() -> Dict[str, ExperimentSpec]:
 def artefact_ids() -> List[str]:
     load_all()
     return sorted(_SPECS)
-
-
-def legacy_registry() -> Dict[str, str]:
-    """{artefact id: module basename} — the shape the old hand-written
-    ``EXPERIMENT_REGISTRY`` dict had, now derived from the specs."""
-    load_all()
-    return {
-        artefact_id: spec.module.rsplit(".", 1)[-1]
-        for artefact_id, spec in _SPECS.items()
-    }

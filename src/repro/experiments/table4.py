@@ -29,9 +29,9 @@ _TESTS = [
 def _count(dataset, country: str) -> Dict[str, Tuple[int, int]]:
     """Successful (physical SIM, eSIM) counts per test for one country.
 
-    Each cell is two position-list intersections on the dataset index —
-    the naive per-country full scans this replaced are kept honest by
-    ``benchmarks/test_bench_query.py``.
+    Each cell is two position-list intersections on the dataset index;
+    ``tests/measure/test_query.py`` holds it to the naive per-country
+    full scans it replaced, in counts and in speed.
     """
     counts: Dict[str, Tuple[int, int]] = {}
 

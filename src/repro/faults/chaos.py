@@ -94,6 +94,10 @@ class ChaosConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
         if self.max_attach_attempts < 1 or self.max_test_attempts < 1:
             raise ValueError("retry budgets must allow at least one attempt")
+        if self.max_makeup_days < 0:
+            raise ValueError(
+                f"max_makeup_days must be >= 0, got {self.max_makeup_days}"
+            )
         lo, hi = self.churn_offline_days
         if not 1 <= lo <= hi:
             raise ValueError("churn_offline_days must be an increasing pair >= 1")

@@ -72,8 +72,8 @@ class ExecChaos:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        if self.hang_s <= 0:
-            raise ValueError("hang_s must be positive")
+        if not self.hang_s > 0:  # also refuses NaN
+            raise ValueError(f"hang_s must be positive, got {self.hang_s:g}")
         if self.max_faulty_attempts < 1:
             raise ValueError("max_faulty_attempts must be >= 1")
 

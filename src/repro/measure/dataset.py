@@ -7,9 +7,8 @@ layer (:mod:`repro.measure.query`)::
 
     dataset.select("speedtest").where(country="JPN").group_by("architecture")
 
-The historic ``*_where`` helpers remain as thin wrappers over the same
-indexes, so every call site — old or new — shares one set of
-per-dimension hash tables built lazily per dataset.
+Every call site shares one set of per-dimension hash tables, built
+lazily per dataset.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.cellular.esim import SIMKind
-from repro.cellular.roaming import RoamingArchitecture
 from repro.measure import query as query_mod
 from repro.measure.records import (
     CampaignHealth,
@@ -116,47 +114,4 @@ class MeasurementDataset:
     ) -> List[TracerouteRecord]:
         return self.select("traceroute").where(
             target=target, country=country, sim_kind=sim_kind
-        ).records()
-
-    def speedtests_where(
-        self,
-        country: Optional[str] = None,
-        sim_kind: Optional[SIMKind] = None,
-        architecture: Optional[RoamingArchitecture] = None,
-        cqi_filtered: bool = False,
-    ) -> List[SpeedtestRecord]:
-        q = self.select("speedtest").where(
-            country=country, sim_kind=sim_kind, architecture=architecture
-        )
-        if cqi_filtered:
-            q = q.filter(lambda r: r.passes_cqi_filter)
-        return q.records()
-
-    def cdn_fetches_where(
-        self,
-        provider: Optional[str] = None,
-        country: Optional[str] = None,
-        sim_kind: Optional[SIMKind] = None,
-    ) -> List[CDNRecord]:
-        return self.select("cdn").where(
-            provider=provider, country=country, sim_kind=sim_kind
-        ).records()
-
-    def dns_probes_where(
-        self,
-        country: Optional[str] = None,
-        sim_kind: Optional[SIMKind] = None,
-        architecture: Optional[RoamingArchitecture] = None,
-    ) -> List[DNSRecord]:
-        return self.select("dns").where(
-            country=country, sim_kind=sim_kind, architecture=architecture
-        ).records()
-
-    def video_probes_where(
-        self,
-        country: Optional[str] = None,
-        sim_kind: Optional[SIMKind] = None,
-    ) -> List[VideoRecord]:
-        return self.select("video").where(
-            country=country, sim_kind=sim_kind
         ).records()

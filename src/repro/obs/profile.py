@@ -15,13 +15,15 @@ is the profile of the live daemon, not of CPU alone. Overhead is one
 ``sys._current_frames()`` walk per interval regardless of load, so
 the default 10 ms cadence costs well under 1% of a busy process.
 
-Attach points: ``repro profile -- <subcommand>`` (CLI),
-``run-all --profile DIR`` (batch runs), and ``GET /profile?seconds=N``
-against the live server (on-demand, serialized by the server).
+Attach points: ``repro profile [--out FILE] -- <subcommand>`` (CLI,
+``run-all`` included) and ``GET /profile?seconds=N`` against the live
+server (on-demand, serialized by the server).
 """
 
 from __future__ import annotations
 
+import os
+import pathlib
 import sys
 import threading
 import time
@@ -50,8 +52,8 @@ class SamplingProfiler:
         interval_s: float = DEFAULT_INTERVAL_S,
         include_idle: bool = True,
     ) -> None:
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
+        if not interval_s > 0:  # also refuses NaN
+            raise ValueError(f"interval_s must be positive, got {interval_s:g}")
         self.interval_s = interval_s
         #: When False, stacks whose leaf is the profiler's own wait or
         #: a ``threading`` internal wait are dropped — trims the idle
@@ -172,10 +174,21 @@ class SamplingProfiler:
         ) + ("\n" if rows else "")
 
     def write(self, path: Union[str, Any]) -> str:
-        """Write the collapsed stacks to ``path``; returns the path."""
+        """Write the collapsed stacks to ``path``; returns the path.
+
+        Creates the parent directory and writes atomically, so a failure
+        leaves no partial file. The file gets the mode a plain ``open``
+        would give it (0666 less the umask), not the temp file's 0600.
+        """
+        from repro.core.cache import atomic_write
+
         text = self.collapsed()
-        with open(path, "w") as handle:
-            handle.write(text)
+        target = pathlib.Path(path)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        atomic_write(target, lambda handle: handle.write(text), mode="w")
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(target, 0o666 & ~umask)
         return str(path)
 
     def summary(self, top: int = 10) -> str:

@@ -3,7 +3,7 @@
 Telemetry is a sidecar: the default recorder is a :class:`NullRecorder`
 whose every operation is a no-op on a shared singleton, so instrumented
 code pays one global read and one method call per touch point when
-tracing is off (the <2% budget ``benchmarks/test_bench_obs.py``
+tracing is off (under the 2% budget ``tests/core/test_obs_runner.py``
 enforces). Install a :class:`TraceRecorder` — usually via
 ``use_recorder`` or ``StudyRunner(trace_dir=...)`` — to collect.
 

@@ -112,6 +112,22 @@ BAD_NUMERIC_INPUT = [
 ] + [
     (["run-all", "--jobs", "0"], "--jobs must be at least 1"),
     (["run-all", "--jobs", "-2", "--scale", "0.05"], "--jobs must be at least 1"),
+] + [
+    # Values the runner, the chaos configs and the profiler refuse
+    # themselves; the CLI reports their message instead of a traceback.
+    (["run-all", "--max-attempts", "0"], "max_attempts must be >= 1"),
+    (["run-all", "--artefact-timeout", "0"], "artefact_timeout_s must be positive"),
+    (["run-all", "--artefact-timeout", "-1"], "artefact_timeout_s must be positive"),
+    (["run-all", "--artefact-timeout", "nan"], "artefact_timeout_s must be positive"),
+    (["run-all", "--exec-crash-rate", "2"], "worker_crash_rate must be in [0, 1]"),
+    (["run-all", "--exec-crash-rate", "-0.5"], "worker_crash_rate must be in [0, 1]"),
+    (["run-all", "--exec-crash-rate", "nan"], "worker_crash_rate must be in [0, 1]"),
+    (["run-all", "--exec-corrupt-cache", "nan"], "cache_corrupt_rate must be in [0, 1]"),
+    (["run-all", "--exec-hang", "F7", "--exec-hang-s", "0"], "hang_s must be positive"),
+    (["profile", "--interval-ms", "0", "--", "list"], "interval_s must be positive"),
+    (["profile", "--interval-ms", "nan", "--", "list"], "interval_s must be positive"),
+    (["chaos", "--makeup-days", "-1"], "max_makeup_days must be >= 0"),
+    (["chaos", "--attach-reject", "nan"], "attach_reject_rate must be in [0, 1]"),
 ]
 
 
@@ -637,6 +653,47 @@ def test_run_all_with_exec_chaos_flags(cli_cache, capsys):
         "--max-attempts", "3",
     ]) == 0
     assert "2/2 artefacts ok" in capsys.readouterr().out
+
+
+def test_profile_keeps_the_wrapped_exit_code(cli_cache, capsys):
+    assert main([
+        "profile", "--", "run-all", "--artefacts", "F99",
+        "--cache-dir", str(cli_cache),
+    ]) == 2
+    assert "unknown experiment" in capsys.readouterr().err
+
+
+def test_profile_out_creates_its_directory(cli_cache, tmp_path, capsys):
+    target = tmp_path / "new" / "profiles" / "run.collapsed"
+    assert main([
+        "profile", "--out", str(target), "--interval-ms", "1", "--",
+        "run-all", "--scale", "0.05", "--artefacts", "T2",
+        "--cache-dir", str(cli_cache),
+    ]) == 0
+    lines = target.read_text().splitlines()
+    assert lines and all(line.rsplit(" ", 1)[1].isdigit() for line in lines)
+    assert not [p for p in target.parent.iterdir() if p != target]  # no temp left
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")  # the mode a plain open() gives under this umask
+    assert target.stat().st_mode & 0o777 == plain.stat().st_mode & 0o777
+
+
+def test_profiled_run_all_exports_the_same_results(cli_cache, tmp_path, capsys):
+    import json
+
+    argv = [
+        "run-all", "--scale", "0.05", "--artefacts", "T2", "F7",
+        "--cache-dir", str(cli_cache),
+    ]
+    plain, profiled = tmp_path / "plain.json", tmp_path / "profiled.json"
+    assert main([*argv, "--json", str(plain)]) == 0
+    assert main([
+        "profile", "--out", str(tmp_path / "run.collapsed"), "--",
+        *argv, "--json", str(profiled),
+    ]) == 0
+    assert json.loads(profiled.read_text())["results"] == json.loads(
+        plain.read_text()
+    )["results"]
 
 
 def test_cache_verify_cli(cli_cache, capsys):

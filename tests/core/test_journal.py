@@ -1,12 +1,14 @@
 """The shared append-only JSONL log helpers behind the run journal and
-the history store: single-write appends, sealing, tolerant loads."""
+the history store: single-write appends, sealing, tolerant loads, and
+the journal's time budget."""
 
 import json
 import os
+import time
 
 import pytest
 
-from repro.core.journal import RunJournal, append_jsonl, load_jsonl
+from repro.core.journal import JournalEntry, RunJournal, append_jsonl, load_jsonl
 
 
 def test_append_is_a_single_write(tmp_path, monkeypatch):
@@ -70,3 +72,44 @@ def test_journal_skips_lines_with_malformed_fields(tmp_path):
                       "fingerprint": "fp", "attempts": float("inf")}) + "\n"
     )
     assert RunJournal(path).load() == (None, {})
+
+
+#: ~16 full runs of checkpoints.
+BUDGET_ENTRIES = 500
+APPEND_BUDGET_S = 2.0
+LOAD_BUDGET_S = 0.5
+
+
+def test_journal_append_and_load_budgets(tmp_path):
+    """One append per completed artefact sits on the ``run-all`` hot
+    path, and resume must cost next to nothing beside the work it skips."""
+    journal = RunJournal(tmp_path / "bench.jsonl")
+    journal.begin("bench-workload")
+    entries = [
+        JournalEntry(
+            artefact_id=f"T{index}",
+            fingerprint=f"artefact-result-{index:04d}cafefeed",
+            wall_s=0.05,
+            worker="pid-1234",
+        )
+        for index in range(BUDGET_ENTRIES)
+    ]
+
+    started = time.perf_counter()
+    for entry in entries:
+        journal.append(entry)
+    append_s = time.perf_counter() - started
+
+    started = time.perf_counter()
+    _workload, loaded = journal.load()
+    load_s = time.perf_counter() - started
+
+    assert len(loaded) == BUDGET_ENTRIES
+    assert append_s < APPEND_BUDGET_S, (
+        f"appending {BUDGET_ENTRIES} completions took {append_s:.3f}s "
+        f"(budget {APPEND_BUDGET_S:.1f}s)"
+    )
+    assert load_s < LOAD_BUDGET_S, (
+        f"loading {BUDGET_ENTRIES} completions took {load_s:.3f}s "
+        f"(budget {LOAD_BUDGET_S:.1f}s)"
+    )

@@ -78,11 +78,9 @@ def test_get_spec_is_case_insensitive_and_loud_on_unknown():
         registry.get_spec("F99")
 
 
-def test_legacy_registry_shape():
-    legacy = registry.legacy_registry()
-    assert sorted(legacy) == registry.artefact_ids()
-    assert legacy["T4"] == "table4"
-    assert legacy["RX1"] == "rx1"
+def test_spec_records_its_module():
+    assert registry.get_spec("T4").module == "repro.experiments.table4"
+    assert registry.get_spec("RX1").module == "repro.experiments.rx1"
 
 
 def test_decorator_rejects_unknown_inputs():

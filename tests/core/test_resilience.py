@@ -240,6 +240,36 @@ def test_parallel_chaos_matches_clean_run_bytes(isolated_cache):
             json.dumps(jsonable(chaotic.results[artefact_id]), sort_keys=True)
 
 
+#: A chaotic run may cost this multiple of the clean one (plus a fixed
+#: 5 s): supervision is bookkeeping, not a second campaign.
+CHAOS_OVERHEAD_X = 5.0
+
+
+@pytest.mark.chaos
+def test_supervised_chaos_overhead_is_bounded(isolated_cache):
+    # Warm pass so both timed runs read identical cached inputs.
+    StudyRunner(seed=2024, jobs=2).run_all(scale=SCALE, artefacts=SUBSET)
+
+    started = time.perf_counter()
+    clean = StudyRunner(seed=2024, jobs=2).run_all(scale=SCALE, artefacts=SUBSET)
+    clean_s = time.perf_counter() - started
+
+    chaos = ExecChaos(seed=5, worker_crash_rate=0.5)
+    started = time.perf_counter()
+    chaotic = StudyRunner(
+        seed=2024, jobs=2, exec_chaos=chaos, retry_backoff=FAST_RETRY,
+        artefact_timeout_s=30.0,
+    ).run_all(scale=SCALE, artefacts=SUBSET)
+    chaotic_s = time.perf_counter() - started
+
+    assert not clean.failed(), clean.summary_table()
+    assert not chaotic.failed(), chaotic.summary_table()
+    assert chaotic_s < clean_s * CHAOS_OVERHEAD_X + 5.0, (
+        f"chaotic run took {chaotic_s:.2f}s against a {clean_s:.2f}s clean "
+        f"run (budget {CHAOS_OVERHEAD_X:.0f}x + 5s)"
+    )
+
+
 def test_watchdog_times_out_hung_artefact(isolated_cache):
     chaos = ExecChaos(
         seed=0, hang_artefacts=("T2",), hang_s=120.0, max_faulty_attempts=99,

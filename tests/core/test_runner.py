@@ -1,6 +1,8 @@
 """Tests for the parallel study runner (repro.core.runner)."""
 
 import json
+import os
+import time
 
 import pytest
 
@@ -121,3 +123,44 @@ def test_study_run_all_jobs_parameter(isolated_cache):
     study = ThickMnaStudy(seed=2024)
     results = study.run_all(scale=SCALE, jobs=2)
     assert set(results) == set(study.available_experiments())
+
+
+def _timed_run(jobs, cache_root, scale):
+    """One full run_all from an empty in-memory state: (report, seconds)."""
+    from repro.experiments import common
+
+    common.clear_caches()
+    cache_mod.configure(root=cache_root)
+    started = time.perf_counter()
+    report = StudyRunner(seed=2024, jobs=jobs).run_all(scale=scale)
+    return report, time.perf_counter() - started
+
+
+def test_cold_and_warm_runs_serial_and_parallel(isolated_cache, tmp_path):
+    """Four full runs at scale 0.1: an empty then a primed disk cache,
+    serial and sharded. Every render is identical, and the primed cache
+    pays for itself in wall time and in the input phase."""
+    scale = 0.1
+    jobs = min(4, max(2, os.cpu_count() or 1))
+    cold_serial, cold_serial_s = _timed_run(1, tmp_path / "serial", scale)
+    warm_serial, warm_serial_s = _timed_run(1, tmp_path / "serial", scale)
+    cold_parallel, _ = _timed_run(jobs, tmp_path / "parallel", scale)
+    warm_parallel, _ = _timed_run(jobs, tmp_path / "parallel", scale)
+
+    for report in (cold_serial, warm_serial, cold_parallel, warm_parallel):
+        assert not report.failed(), report.summary_table()
+    study = ThickMnaStudy(seed=2024)
+    for artefact_id, result in cold_serial.results.items():
+        rendered = study.format_result(artefact_id, result)
+        for other in (warm_serial, cold_parallel, warm_parallel):
+            assert study.format_result(
+                artefact_id, other.results[artefact_id]
+            ) == rendered, artefact_id
+
+    assert warm_serial_s < cold_serial_s, (
+        f"warm run {warm_serial_s:.2f}s, cold run {cold_serial_s:.2f}s"
+    )
+    assert warm_serial.warm_wall_s < cold_serial.warm_wall_s, (
+        f"warm input phase {warm_serial.warm_wall_s:.2f}s, "
+        f"cold input phase {cold_serial.warm_wall_s:.2f}s"
+    )

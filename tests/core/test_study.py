@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import EXPERIMENT_REGISTRY, ThickMnaStudy
+from repro.core import ThickMnaStudy
+from repro.experiments import registry
 
 
 @pytest.fixture(scope="module")
@@ -16,14 +17,15 @@ def test_registry_covers_all_paper_artefacts():
     headline = {"HX1", "HX2"}
     resilience = {"RX1"}
     extensions = {"X1", "X2", "X3", "X4", "X5", "X6", "XA"}
-    assert set(EXPERIMENT_REGISTRY) == (
+    assert set(registry.artefact_ids()) == (
         tables | figures | headline | resilience | extensions
     )
 
 
 def test_available_experiments_sorted(study):
     experiments = study.available_experiments()
-    assert experiments == sorted(EXPERIMENT_REGISTRY)
+    assert experiments == sorted(experiments)
+    assert set(experiments) == set(registry.all_specs())
 
 
 def test_unknown_experiment_raises(study):

@@ -28,6 +28,7 @@ from repro.experiments import (
     fig19,
     fig20,
     headline,
+    rx1,
     table2,
     table3,
     table4,
@@ -270,6 +271,23 @@ def test_headline_numbers():
         result["esim_roaming_high_latency_share"]
         > 5 * result["sim_high_latency_share"]
     )
+
+
+def test_rx1_headline_shape_survives_fault_injection():
+    """The resilience acceptance bar, at the default scale: the faulted
+    campaign completes its plan, native < IHBO < HR still holds, and
+    roaming eSIMs still skew slower than physical SIMs (Figure 13)."""
+    result = rx1.run()
+    completion = result["completion_rate"]
+    assert completion is not None
+    assert completion >= rx1.COMPLETION_TARGET, (
+        f"completion {completion:.1%} (target {rx1.COMPLETION_TARGET:.0%})"
+    )
+    assert result["inflation_ordering_holds"], result["mean_latency_ms"]
+    esim = result["esim_categories_stressed"]
+    sim = result["sim_categories_stressed"]
+    assert esim["slow"] > sim["slow"], (esim, sim)
+    assert esim["fast"] < sim["fast"], (esim, sim)
 
 
 def test_validation_identifies_ground_truth():

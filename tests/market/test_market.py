@@ -213,6 +213,10 @@ def test_local_offer_validation():
         LocalSIMSurvey([])
 
 
+def test_day_listing_has_one_row_per_offer(esimdb, may_listing):
+    assert len(may_listing.table.column("price_usd")) == esimdb.total_offers_per_day()
+
+
 def test_footprints(esimdb):
     assert len(esimdb.footprint("Airalo")) == len(default_country_registry())
     with pytest.raises(KeyError):

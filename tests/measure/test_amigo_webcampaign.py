@@ -104,7 +104,9 @@ def test_dataset_merge_and_slices(world, resources, rng):
     assert ds.countries() == ["ESP"]
     assert len(ds.traceroutes_to("Google", country="esp")) == 4
     assert len(ds.traceroutes_to("Google", sim_kind=SIMKind.ESIM)) == 2
-    assert len(ds.speedtests_where(country="ESP", sim_kind=SIMKind.PHYSICAL)) == 2
+    assert ds.select("speedtest").where(
+        country="ESP", sim_kind=SIMKind.PHYSICAL
+    ).count() == 2
     other = MeasurementDataset()
     other.merge(ds)
     assert other.total_records() == ds.total_records()

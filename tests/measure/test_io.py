@@ -54,7 +54,7 @@ def test_loaded_dataset_supports_slicing(small_dataset, tmp_path):
     save_dataset(small_dataset, path)
     loaded = load_dataset(path)
     assert loaded.countries() == ["ESP"]
-    assert len(loaded.speedtests_where(sim_kind=SIMKind.ESIM)) == 2
+    assert loaded.select("speedtest").where(sim_kind=SIMKind.ESIM).count() == 2
 
 
 def test_empty_dataset_roundtrip(tmp_path):

@@ -5,15 +5,17 @@ returns *exactly* what the naive list comprehension it replaced
 returned — same records, same order — on clean and chaos-degraded
 campaigns alike. These tests pin that contract, plus the index
 maintenance rules (staleness rebuild, ``merge`` invalidation, pickle
-byte-stability).
+byte-stability) and the speedup the indexes exist for.
 """
 
 import pickle
+import time
 
 import pytest
 
 from repro.cellular.esim import SIMKind
 from repro.experiments import common
+from repro.experiments.table4 import _count
 from repro.faults import ChaosConfig
 from repro.measure.dataset import MeasurementDataset
 from repro.measure.query import KIND_FIELDS, dimensions_for
@@ -139,12 +141,11 @@ def test_where_ignores_none_and_uppercases_country(dataset):
     )
 
 
-def test_legacy_helpers_delegate_to_index(dataset):
+def test_where_then_filter_matches_naive(dataset):
     country = dataset.select("speedtest").values("country")[0]
-    assert dataset.speedtests_where(country=country) == naive(
-        dataset, "speedtest", country=country
-    )
-    assert dataset.speedtests_where(country=country, cqi_filtered=True) == [
+    query = dataset.select("speedtest").where(country=country)
+    assert query.records() == naive(dataset, "speedtest", country=country)
+    assert query.filter(lambda r: r.passes_cqi_filter).records() == [
         r
         for r in naive(dataset, "speedtest", country=country)
         if r.passes_cqi_filter
@@ -228,3 +229,85 @@ def test_pickle_drops_index_cache(clean_dataset):
     revived = pickle.loads(pickle.dumps(queried))
     assert "_index_cache" not in revived.__dict__
     assert revived.select("speedtest").count() == queried.select("speedtest").count()
+
+
+# ---------------------------------------------------------------------------
+# Speedup over the naive scans
+# ---------------------------------------------------------------------------
+
+SPEEDUP_SCALE = 1.0
+SPEEDUP_ROUNDS = 5
+MIN_SPEEDUP = 5.0
+
+#: Table 4's cells as (key, record list, field, wanted value).
+_TABLE4_TESTS = [
+    ("speedtest", "speedtests", None, None),
+    ("mtr:Facebook", "traceroutes", "target", "Facebook"),
+    ("mtr:Google", "traceroutes", "target", "Google"),
+    ("mtr:YouTube", "traceroutes", "target", "YouTube"),
+    ("cdn:Cloudflare", "cdn_fetches", "provider", "Cloudflare"),
+    ("cdn:Google CDN", "cdn_fetches", "provider", "Google CDN"),
+    ("cdn:jQuery", "cdn_fetches", "provider", "jQuery"),
+    ("cdn:jsDelivr", "cdn_fetches", "provider", "jsDelivr"),
+    ("cdn:Microsoft Ajax", "cdn_fetches", "provider", "Microsoft Ajax"),
+    ("video", "video_probes", None, None),
+]
+
+
+def _naive_table4_count(dataset, country):
+    """Table 4's counting as written before the query layer: one full
+    list scan per cell."""
+    counts = {}
+    for key, attr, field, wanted in _TABLE4_TESTS:
+        sim = esim = 0
+        for record in getattr(dataset, attr):
+            if record.context.country_iso3 != country:
+                continue
+            if field is not None and getattr(record, field) != wanted:
+                continue
+            if record.context.sim_kind is SIMKind.ESIM:
+                esim += 1
+            else:
+                sim += 1
+        counts[key] = (sim, esim)
+    return counts
+
+
+def _best_of(fn, rounds):
+    best, result = float("inf"), None
+    for _ in range(rounds):
+        started = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - started)
+    return best, result
+
+
+def test_indexed_table4_counting_beats_naive_scans():
+    """The full-scale Table 4 pass: cold (paying the index build) and
+    warm indexed counts equal the naive scans, and the warm pass, the
+    one every later artefact pays, is at least 5x faster."""
+    dataset = common.get_device_dataset(SPEEDUP_SCALE)
+    countries = sorted({
+        record.context.country_iso3
+        for _, attr, _, _ in _TABLE4_TESTS
+        for record in getattr(dataset, attr)
+    })
+
+    def table4_pass(count):
+        return {country: count(dataset, country) for country in countries}
+
+    naive_s, naive_rows = _best_of(
+        lambda: table4_pass(_naive_table4_count), SPEEDUP_ROUNDS
+    )
+    dataset.invalidate_indexes()
+    _cold_s, cold_rows = _best_of(lambda: table4_pass(_count), 1)
+    warm_s, warm_rows = _best_of(lambda: table4_pass(_count), SPEEDUP_ROUNDS)
+
+    assert cold_rows == naive_rows
+    assert warm_rows == naive_rows
+    speedup = naive_s / warm_s
+    assert speedup >= MIN_SPEEDUP, (
+        f"indexed Table 4 counting is {speedup:.1f}x the naive scans "
+        f"({warm_s * 1e3:.2f} ms vs {naive_s * 1e3:.2f} ms over "
+        f"{dataset.total_records()} records; floor {MIN_SPEEDUP:.0f}x)"
+    )

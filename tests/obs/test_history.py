@@ -1,8 +1,10 @@
 """The cross-run history store: round-trips, corruption tolerance,
-concurrent appends, and the RunReport -> RunRecord compaction."""
+concurrent appends, the RunReport -> RunRecord compaction, and the
+store's time and size budgets."""
 
 import json
 import multiprocessing
+import time
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.obs.history import (
     default_history_root,
     new_run_id,
 )
+from repro.obs.regress import detect
 
 
 def make_record(run_id="run-1", seed=2024, scale=0.05, jobs=1, **artefacts):
@@ -262,3 +265,68 @@ def test_records_without_kind_default_to_run_all(tmp_path):
     (loaded,) = store.load()
     assert loaded.kind == "run_all"
     assert loaded.artefacts["T2"].slo_s == 0.0
+
+
+# -- budgets -----------------------------------------------------------------
+
+#: A couple of months of nightly CI at several runs a day.
+BUDGET_RUNS = 200
+BUDGET_ARTEFACTS_PER_RUN = 30
+APPEND_BUDGET_S = 2.0
+DETECT_BUDGET_S = 1.0
+MAX_BYTES_PER_RUN = 16_384
+
+
+def _synthetic_record(index: int) -> RunRecord:
+    artefacts = {
+        f"T{artefact}": ArtefactStats(
+            status="ok",
+            wall_s=0.05 + 0.001 * (artefact % 7),
+            cache_hits=8,
+            cache_misses=2,
+            cache_hit_s=0.004,
+            fingerprint=f"result-{artefact:02d}feedfacecafe",
+        )
+        for artefact in range(BUDGET_ARTEFACTS_PER_RUN)
+    }
+    return RunRecord(
+        run_id=f"20260101T{index:06d}-bench",
+        created_unix=1_767_000_000.0 + 60.0 * index,
+        seed=2024,
+        scale=0.05,
+        jobs=1,
+        host="bench-host",
+        total_wall_s=sum(s.wall_s for s in artefacts.values()),
+        warm_wall_s=0.3,
+        artefacts=artefacts,
+        metrics={"cache.ledger.hits": 8.0 * BUDGET_ARTEFACTS_PER_RUN},
+    )
+
+
+def test_store_append_size_and_detect_budgets(tmp_path):
+    """One append per ``run-all`` and one ``repro regress`` per CI push:
+    200 appends, the bytes they leave and the rolling-baseline verdict
+    for the newest run each stay within budget."""
+    store = HistoryStore(tmp_path)
+    started = time.perf_counter()
+    for index in range(BUDGET_RUNS):
+        store.append(_synthetic_record(index))
+    append_s = time.perf_counter() - started
+    assert append_s < APPEND_BUDGET_S, (
+        f"appending {BUDGET_RUNS} runs took {append_s:.3f}s "
+        f"(budget {APPEND_BUDGET_S:.1f}s)"
+    )
+
+    per_run = store.path.stat().st_size / BUDGET_RUNS
+    assert per_run < MAX_BYTES_PER_RUN, (
+        f"{per_run:.0f} bytes/run on disk (budget {MAX_BYTES_PER_RUN})"
+    )
+
+    started = time.perf_counter()
+    regression = detect(store)
+    detect_s = time.perf_counter() - started
+    assert regression.ok(), regression.render()
+    assert detect_s < DETECT_BUDGET_S, (
+        f"load+detect over {BUDGET_RUNS} runs took {detect_s:.3f}s "
+        f"(budget {DETECT_BUDGET_S:.1f}s)"
+    )

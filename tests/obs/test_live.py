@@ -1,9 +1,13 @@
-"""The live sampler: ring retention, delta/rate math, bounded soak."""
+"""The live sampler: ring retention, delta/rate math, bounded soak, and
+the always-on plane's overhead budget."""
 
 import threading
+import time
 
+from repro.obs import exposition
 from repro.obs.live import LiveSampler, RingBuffer, _window_quantile
 from repro.obs.metrics import MetricsRegistry
+from tests.conftest import OVERHEAD_BUDGET
 
 import pytest
 
@@ -200,3 +204,46 @@ def test_background_thread_ticks_and_stops():
     assert not sampler.alive()
     # Stopped sampler: waiting returns immediately instead of blocking.
     assert sampler.wait_for_event(10**9, timeout_s=30.0) is None
+
+
+#: The steady-state cadences: one sampler tick per second (the default)
+#: and one Prometheus scrape every 15 s (a typical scrape_interval).
+SAMPLE_INTERVAL_S = 1.0
+SCRAPE_INTERVAL_S = 15.0
+TICK_ROUNDS = 200
+RENDER_ROUNDS = 50
+
+
+def test_live_plane_costs_under_2_percent_of_a_warm_run(warm_runs):
+    """Sampler ticks plus ``/metrics`` scrapes, priced against a registry
+    shaped like a real traced ``run_all``'s and projected over that
+    run's wall time at the steady-state cadences. A wall-time A/B at
+    this scale measures the scheduler, not the sampler."""
+    baseline_s = warm_runs.traced_s
+    registry = MetricsRegistry()
+    registry.merge_jsonable(warm_runs.trace.metrics)
+    assert registry.snapshot()
+
+    sampler = LiveSampler(registry, interval_s=SAMPLE_INTERVAL_S)
+    started = time.perf_counter()
+    for round_index in range(TICK_ROUNDS):
+        sampler.tick(now=1000.0 + round_index)
+    per_tick_s = (time.perf_counter() - started) / TICK_ROUNDS
+    assert sampler.tick_wall_s > 0  # the self-meter agrees it ran
+
+    started = time.perf_counter()
+    for _ in range(RENDER_ROUNDS):
+        body = exposition.render(registry=registry)
+    per_render_s = (time.perf_counter() - started) / RENDER_ROUNDS
+    assert body
+
+    ticks = baseline_s / SAMPLE_INTERVAL_S
+    scrapes = baseline_s / SCRAPE_INTERVAL_S
+    projected_s = ticks * per_tick_s + scrapes * per_render_s
+    assert projected_s < OVERHEAD_BUDGET * baseline_s, (
+        f"live plane projected at {projected_s * 1e3:.3f} ms "
+        f"({ticks:.0f} ticks x {per_tick_s * 1e6:.1f} us + "
+        f"{scrapes:.1f} scrapes x {per_render_s * 1e6:.1f} us), "
+        f"{projected_s / baseline_s:.3%} of the {baseline_s:.2f}s traced run "
+        f"(budget {OVERHEAD_BUDGET:.0%})"
+    )

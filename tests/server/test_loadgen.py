@@ -175,3 +175,40 @@ def test_chaos_latency_is_injected_into_recordings(tmp_path):
         assert violations
     finally:
         srv.stop()
+
+
+#: With 32 clients pausing ~0.2 s between requests, a server that is not
+#: the bottleneck sees ~150 req/s; demand half of that for slow CI boxes.
+SLO_CLIENTS = 32
+SLO_DURATION_S = 6.0
+SLO_THINK_S = 0.2
+MIN_THROUGHPUT_RPS = 75.0
+
+
+def test_warm_server_meets_every_route_slo_under_load():
+    """The seeded mixed workload against a fully warmed in-process
+    service: no errors, every route within its declared p99 SLO, and the
+    clients, not the server, set the pace."""
+    srv = create_server(scale=0.15, quiet=True).start()
+    try:
+        assert srv.state.ready.wait(timeout=300), srv.state.warm_error
+        report = LoadGenerator(
+            "127.0.0.1", srv.port, clients=SLO_CLIENTS,
+            duration_s=SLO_DURATION_S, seed=2024, think_s=SLO_THINK_S,
+        ).run()
+    finally:
+        srv.stop()
+
+    assert report.total_requests > 0
+    assert report.total_errors == 0, report.render()
+    violations = check(report)
+    assert not violations, violations
+    assert report.throughput_rps >= MIN_THROUGHPUT_RPS, (
+        f"{report.throughput_rps:.1f} req/s (floor {MIN_THROUGHPUT_RPS:.0f})"
+    )
+    record = record_from_loadgen(report)
+    assert record.kind == "loadgen"
+    assert all(
+        stats.slo_s > 0 for route, stats in record.artefacts.items()
+        if route in ROUTE_SLOS_P99_S
+    )

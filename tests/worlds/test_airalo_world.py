@@ -186,16 +186,20 @@ def test_campaigns_deterministic(world):
 
 
 def test_hr_latency_dominates(device_dataset):
-    pak_esim = device_dataset.speedtests_where(country="PAK", sim_kind=SIMKind.ESIM)
-    pak_sim = device_dataset.speedtests_where(country="PAK", sim_kind=SIMKind.PHYSICAL)
+    speedtests = device_dataset.select("speedtest").where(country="PAK")
+    pak_esim = speedtests.where(sim_kind=SIMKind.ESIM).records()
+    pak_sim = speedtests.where(sim_kind=SIMKind.PHYSICAL).records()
     assert statistics.median(r.latency_ms for r in pak_esim) > 4 * statistics.median(
         r.latency_ms for r in pak_sim
     )
 
 
 def test_korea_esim_faster_than_mvno_sim(device_dataset):
-    esim = device_dataset.speedtests_where(country="KOR", sim_kind=SIMKind.ESIM, cqi_filtered=True)
-    sim = device_dataset.speedtests_where(country="KOR", sim_kind=SIMKind.PHYSICAL, cqi_filtered=True)
+    speedtests = device_dataset.select("speedtest").where(country="KOR").filter(
+        lambda r: r.passes_cqi_filter
+    )
+    esim = speedtests.where(sim_kind=SIMKind.ESIM).records()
+    sim = speedtests.where(sim_kind=SIMKind.PHYSICAL).records()
     assert statistics.fmean(r.download_mbps for r in esim) > statistics.fmean(
         r.download_mbps for r in sim
     )
