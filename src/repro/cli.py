@@ -20,7 +20,7 @@ Exposes the reproduction from the shell::
     python -m repro report --html report.html --history runs/
     python -m repro cache info                # the persistent artifact store
     python -m repro serve --port 8321         # always-on measurement service
-    python -m repro loadgen --clients 200 --duration 30 --fail-on-slo
+    python -m repro loadgen --duration 30 --fail-on-slo
     python -m repro loadgen --trace traces/   # client+server spans, one tree
     python -m repro profile -- run T2         # profile any subcommand
     python -m repro profile --out prof/run_all.collapsed -- run-all
@@ -538,10 +538,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     try:
         report = run_loadgen(
             args.host, args.port,
-            clients=args.clients,
             duration_s=args.duration,
             seed=args.seed,
-            think_s=args.think,
             chaos_latency_s=args.chaos_latency,
             wait_ready_s=args.wait_ready,
             trace=bool(args.trace),
@@ -559,10 +557,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         trace_dir.mkdir(parents=True, exist_ok=True)
         trace_path = obs.write_trace(
             report.trace_recorder,
-            trace_dir / (
-                f"loadgen-seed{args.seed}-c{args.clients}"
-                f"-d{args.duration:g}.jsonl"
-            ),
+            trace_dir / f"loadgen-seed{args.seed}-d{args.duration:g}.jsonl",
         )
         print(f"(client+server trace written to {trace_path})")
     violations = check(report)
@@ -895,17 +890,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     loadgen_parser = sub.add_parser(
         "loadgen",
-        help="drive concurrent synthetic clients against a running server",
+        help="send a seeded open-loop request schedule to a running server",
     )
     loadgen_parser.add_argument("--host", default="127.0.0.1")
     loadgen_parser.add_argument("--port", type=int, default=8321)
-    loadgen_parser.add_argument("--clients", type=int, default=50,
-                                help="concurrent client threads (default 50)")
     loadgen_parser.add_argument("--duration", type=float, default=10.0,
                                 metavar="S", help="load duration in seconds")
-    loadgen_parser.add_argument("--think", type=float, default=0.2, metavar="S",
-                                help="mean per-client think time between "
-                                     "requests (default 0.2s)")
     loadgen_parser.add_argument("--wait-ready", type=float, default=120.0,
                                 metavar="S",
                                 help="max seconds to wait for /healthz=200 "

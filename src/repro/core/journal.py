@@ -9,15 +9,17 @@ results straight from the cache, and runs only the remaining shard —
 producing byte-identical exports to an uninterrupted run.
 
 The journal and the :mod:`repro.obs.history` store are both
-append-only JSONL logs, written and read through the two helpers here:
+append-only JSONL logs, written and read through two helpers in
+:mod:`repro.obs.sink`:
 
-* **Atomic appends** (:func:`append_jsonl`). One ``\\n``-terminated
-  line per entry, written with a single ``os.write`` on an ``O_APPEND``
-  descriptor; a crashed writer can truncate at most its own final line.
-* **Corruption tolerance** (:func:`load_jsonl`). Loads skip anything
-  unusable — a truncated final line, garbage bytes, entries with a
-  newer or malformed schema — and keep every entry that parses. A later
-  journal entry for the same artefact wins.
+* **Atomic appends** (:func:`~repro.obs.sink.append_jsonl`). One
+  ``\\n``-terminated line per entry, written with a single ``os.write``
+  on an ``O_APPEND`` descriptor; a crashed writer can truncate at most
+  its own final line.
+* **Corruption tolerance** (:func:`~repro.obs.sink.load_jsonl`). Loads
+  skip anything unusable — a truncated final line, garbage bytes,
+  entries with a newer or malformed schema — and keep every entry that
+  parses. A later journal entry for the same artefact wins.
 * **Workload-keyed.** The header line carries a content fingerprint of
   ``(seed, scale, chaos, package version)``; resuming against a journal
   written for a different workload is refused instead of silently
@@ -27,68 +29,16 @@ append-only JSONL logs, written and read through the two helpers here:
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
+
+from repro.obs.sink import append_jsonl, load_jsonl
 
 #: Bump when a reader can no longer interpret older journals.
 SCHEMA_VERSION = 1
 
 PathLike = Union[str, "pathlib.Path"]
-
-
-def append_jsonl(path: PathLike, obj: Mapping[str, Any]) -> None:
-    """Append ``obj`` to a JSONL log as one line, in one ``os.write``.
-
-    ``O_APPEND`` makes the write atomic against concurrent appenders, so
-    two processes never interleave bytes within each other's lines.
-    """
-    line = json.dumps(obj, sort_keys=True) + "\n"
-    if _needs_leading_newline(path):
-        # A killed writer left an unterminated line: seal it off so this
-        # entry starts fresh. Still one write either way.
-        line = "\n" + line
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-    try:
-        os.write(fd, line.encode("utf-8"))
-    finally:
-        os.close(fd)
-
-
-def _needs_leading_newline(path: PathLike) -> bool:
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(-1, os.SEEK_END)
-            return handle.read(1) != b"\n"
-    except OSError:  # missing or empty file
-        return False
-
-
-def load_jsonl(path: PathLike, schema_version: int) -> Iterator[Dict[str, Any]]:
-    """Every JSON object in a JSONL log a reader at ``schema_version`` can use.
-
-    Skips what a crashed or newer writer can leave behind: blank lines,
-    non-JSON (a truncated final line, garbage bytes), JSON that is not
-    an object, and objects whose ``schema`` is not an int or is newer
-    than ``schema_version``. An object without ``schema`` is taken as
-    current. A missing or unreadable file yields nothing.
-    """
-    try:
-        raw = pathlib.Path(path).read_bytes()
-    except OSError:
-        return
-    for line in raw.splitlines():
-        try:
-            data = json.loads(line)
-        except ValueError:  # bad JSON or bad UTF-8: keep the rest
-            continue
-        if not isinstance(data, dict):
-            continue
-        schema = data.get("schema", schema_version)
-        if type(schema) is not int or schema > schema_version:
-            continue  # newer or malformed writer: skip, don't guess
-        yield data
 
 
 class JournalMismatch(ValueError):

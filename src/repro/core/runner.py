@@ -199,6 +199,29 @@ _WORKER_IN_POOL = False
 _Row = Tuple[str, str, Any, str, float, str, int, int, float, Optional[Dict[str, Any]]]
 
 
+def result_key(
+    artefact_id: str,
+    seed: int,
+    scale: Optional[float],
+    chaos: Optional[ChaosConfig] = None,
+) -> str:
+    """Cache key for one artefact's result payload.
+
+    The one construction shared by ``run-all --journal`` checkpoints
+    and the server's ``/artefact`` memo, so the two share cache
+    entries. ``scale`` is dropped for artefacts that ignore it.
+    """
+    import repro
+    from repro.experiments import registry
+
+    spec = registry.get_spec(artefact_id)
+    return cache_mod.fingerprint(
+        "artefact-result", artefact=artefact_id, seed=seed,
+        scale=scale if spec.supports_scale else None,
+        chaos=chaos, version=repro.__version__,
+    )
+
+
 def _worker_init(
     seed: int,
     chaos: Optional[ChaosConfig],
@@ -489,18 +512,6 @@ class StudyRunner:
             chaos=self.chaos, version=repro.__version__,
         )
 
-    def _result_key(self, artefact_id: str, effective_scale: float) -> str:
-        """Cache key for one artefact's checkpointed result payload."""
-        import repro
-        from repro.experiments import registry
-
-        spec = registry.get_spec(artefact_id)
-        return cache_mod.fingerprint(
-            "artefact-result", artefact=artefact_id, seed=self.seed,
-            scale=effective_scale if spec.supports_scale else None,
-            chaos=self.chaos, version=repro.__version__,
-        )
-
     def _checkpoint(
         self,
         journal: Optional[journal_mod.RunJournal],
@@ -511,7 +522,7 @@ class StudyRunner:
         """Persist one completed artefact: payload to cache, line to journal."""
         if journal is None or row[1] != STATUS_OK:
             return
-        key = self._result_key(row[0], effective_scale)
+        key = result_key(row[0], self.seed, effective_scale, self.chaos)
         self.cache.store(key, row[2])
         journal.append(journal_mod.JournalEntry(
             artefact_id=row[0], fingerprint=key, status=STATUS_OK,

@@ -44,7 +44,7 @@ from repro.obs.history import (
     record_from_report,
 )
 from repro.obs.exposition import render as render_metrics
-from repro.obs.live import LiveSampler, RingBuffer
+from repro.obs.live import LiveSampler
 from repro.obs.metrics import (
     LATENCY_BUCKETS_S,
     Counter,
@@ -95,7 +95,6 @@ __all__ = [
     "NULL_RECORDER",
     "NullRecorder",
     "Phase",
-    "RingBuffer",
     "SamplingProfiler",
     "Recorder",
     "RegressionConfig",

@@ -22,8 +22,9 @@ their own for ad-hoc analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
+from repro.obs.render import _fmt_s
 from repro.obs.sink import TraceData
 
 
@@ -55,24 +56,13 @@ class Phase:
     share: float  # of the root's wall time; can exceed 1 under concurrency
 
 
-def _child_index(trace: TraceData) -> Dict[Optional[str], List[Dict[str, Any]]]:
-    children: Dict[Optional[str], List[Dict[str, Any]]] = {}
-    known = {span["span_id"] for span in trace.spans}
-    for span in trace.spans:
-        parent = span.get("parent_id")
-        if parent not in known:
-            parent = None
-        children.setdefault(parent, []).append(span)
-    return children
-
-
 def _end_unix(span: Dict[str, Any]) -> float:
     return span.get("start_unix", 0.0) + span.get("duration_s", 0.0)
 
 
 def critical_path(trace: TraceData) -> List[CriticalStep]:
     """The last-finishing chain from the longest root down to a leaf."""
-    children = _child_index(trace)
+    children = trace.child_index()
     roots = children.get(None, [])
     if not roots:
         return []
@@ -102,7 +92,7 @@ def critical_path(trace: TraceData) -> List[CriticalStep]:
 
 def phase_attribution(trace: TraceData) -> List[Phase]:
     """Root wall time grouped by direct-child span name (+ unattributed)."""
-    children = _child_index(trace)
+    children = trace.child_index()
     roots = children.get(None, [])
     if not roots:
         return []
@@ -133,12 +123,6 @@ def phase_attribution(trace: TraceData) -> List[Phase]:
             share=remainder / root_wall,
         ))
     return phases
-
-
-def _fmt_s(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:8.2f}s"
-    return f"{seconds * 1000:7.1f}ms"
 
 
 def render_critical(trace: TraceData) -> str:

@@ -10,14 +10,14 @@ regression engine (:mod:`repro.obs.regress`) and the HTML report
 into longitudinal trend data.
 
 The file is an append-only JSONL log written and read through the
-helpers in :mod:`repro.core.journal`, shared with the run journal:
+helpers in :mod:`repro.obs.sink`, shared with the run journal:
 
-* **Atomic appends** (:func:`~repro.core.journal.append_jsonl`). A
+* **Atomic appends** (:func:`~repro.obs.sink.append_jsonl`). A
   record is serialized to one ``\\n``-terminated line and written with
   a single ``os.write`` on an ``O_APPEND`` file descriptor, so two
   concurrent ``run-all --history`` invocations can never interleave
   bytes within each other's records.
-* **Corruption tolerance** (:func:`~repro.core.journal.load_jsonl`).
+* **Corruption tolerance** (:func:`~repro.obs.sink.load_jsonl`).
   Loads skip anything they cannot use — a truncated final line from a
   killed writer, garbage bytes, records with an unknown (newer) or
   malformed schema version, fields of the wrong type — and keep every
@@ -38,7 +38,7 @@ import uuid
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
-from repro.core import journal as journal_mod
+from repro.obs import sink
 
 #: Bump when a reader can no longer interpret older records.
 SCHEMA_VERSION = 1
@@ -260,7 +260,7 @@ class HistoryStore:
     def append(self, record: RunRecord) -> RunRecord:
         """Persist ``record`` as one line; atomic against concurrent appends."""
         self.root.mkdir(parents=True, exist_ok=True)
-        journal_mod.append_jsonl(self.path, record.to_jsonable())
+        sink.append_jsonl(self.path, record.to_jsonable())
         return record
 
     # -- load ----------------------------------------------------------------
@@ -269,12 +269,12 @@ class HistoryStore:
         """Every loadable record, in append order.
 
         Tolerates anything a crashed or newer writer can leave behind:
-        the lines :func:`~repro.core.journal.load_jsonl` skips, plus
+        the lines :func:`~repro.obs.sink.load_jsonl` skips, plus
         JSON objects that do not decode to a record. Skipped lines never
         hide the records around them.
         """
         records: List[RunRecord] = []
-        for data in journal_mod.load_jsonl(self.path, SCHEMA_VERSION):
+        for data in sink.load_jsonl(self.path, SCHEMA_VERSION):
             try:
                 records.append(RunRecord.from_jsonable(data))
             except (KeyError, TypeError, ValueError, AttributeError, OverflowError):

@@ -2,11 +2,12 @@
 
 A :class:`LiveSampler` thread snapshots a
 :class:`~repro.obs.metrics.MetricsRegistry` every ``interval_s``
-seconds into fixed-capacity :class:`RingBuffer` series — bounded
-memory no matter how long the daemon runs. From the retained window it
-derives what a post-hoc trace cannot show while the process lives:
-per-counter deltas and rates, windowed histogram quantiles (bucket
-diffs between two snapshots), and process gauges (RSS, FDs, threads).
+seconds into fixed-capacity series (``deque(maxlen=capacity)`` rings of
+``(t, value)`` samples) — bounded memory no matter how long the daemon
+runs. From the retained window it derives what a post-hoc trace cannot
+show while the process lives: per-counter deltas and rates, windowed
+histogram quantiles (bucket diffs between two snapshots), and process
+gauges (RSS, FDs, threads).
 
 Consumers:
 
@@ -25,9 +26,11 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.exposition import process_samples
+from repro.obs.metrics import quantile_bucket
 
 #: Default sampler cadence (seconds) — also the SSE delta cadence.
 DEFAULT_INTERVAL_S = 1.0
@@ -43,56 +46,17 @@ PROCESS_SERIES = (
     "process_threads",
 )
 
+#: One retained sample: ``(t, value)``.
+Sample = Tuple[float, Any]
 
-class RingBuffer:
-    """A fixed-capacity ring of ``(t, value)`` samples.
 
-    Appending past ``capacity`` overwrites the oldest sample; memory
-    never grows after the first wrap. Reads return chronological
-    copies, so a reader race-costs one list build, never a lock on the
-    writer's cadence.
+def _since(buffer: Deque[Sample], t_min: float) -> List[Sample]:
+    """Samples with ``t >= t_min``, oldest first.
+
+    ``list()`` copies the deque in one C call, so a tick appending from
+    the sampler thread cannot break a reader mid-iteration.
     """
-
-    __slots__ = ("capacity", "_times", "_values", "_next", "_size")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 2:
-            raise ValueError("ring buffer capacity must be >= 2")
-        self.capacity = capacity
-        self._times: List[float] = [0.0] * capacity
-        self._values: List[Any] = [None] * capacity
-        self._next = 0
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def append(self, t: float, value: Any) -> None:
-        self._times[self._next] = t
-        self._values[self._next] = value
-        self._next = (self._next + 1) % self.capacity
-        if self._size < self.capacity:
-            self._size += 1
-
-    def items(self) -> List[Tuple[float, Any]]:
-        """Chronological ``(t, value)`` pairs, oldest first."""
-        if self._size < self.capacity:
-            indexes = range(self._size)
-        else:
-            indexes = [
-                (self._next + offset) % self.capacity
-                for offset in range(self.capacity)
-            ]
-        return [(self._times[i], self._values[i]) for i in indexes]
-
-    def since(self, t_min: float) -> List[Tuple[float, Any]]:
-        """Samples with ``t >= t_min``, oldest first."""
-        return [(t, v) for t, v in self.items() if t >= t_min]
-
-    def last(self) -> Optional[Tuple[float, Any]]:
-        if not self._size:
-            return None
-        return self.items()[-1]
+    return [sample for sample in list(buffer) if sample[0] >= t_min]
 
 
 def _window_quantile(
@@ -105,18 +69,10 @@ def _window_quantile(
     bucket's upper bound; overflow observations clamp to the last
     finite bound (JSON has no ``+Inf``).
     """
-    total = sum(delta_counts)
-    if not total:
+    index = quantile_bucket(delta_counts, q)
+    if index is None:
         return None
-    target = q * total
-    seen = 0
-    for index, count in enumerate(delta_counts):
-        seen += count
-        if seen >= target and count:
-            if index < len(buckets):
-                return float(buckets[index])
-            return float(buckets[-1])
-    return float(buckets[-1])
+    return float(buckets[min(index, len(buckets) - 1)])
 
 
 class LiveSampler:
@@ -149,9 +105,9 @@ class LiveSampler:
         #: Cumulative wall seconds spent inside ``tick()`` (the
         #: overhead benchmark divides this by run wall time).
         self.tick_wall_s = 0.0
-        self._series: Dict[str, RingBuffer] = {}
+        self._series: Dict[str, Deque[Sample]] = {}
         self._kinds: Dict[str, str] = {}
-        self._hist: Dict[str, RingBuffer] = {}
+        self._hist: Dict[str, Deque[Sample]] = {}
         self._hist_buckets: Dict[str, Tuple[float, ...]] = {}
         self._last_stamp: Optional[float] = None
         self._latest_event: Optional[Dict[str, Any]] = None
@@ -192,10 +148,10 @@ class LiveSampler:
 
     # -- sampling -------------------------------------------------------------
 
-    def _buffer(self, name: str, kind: str) -> RingBuffer:
+    def _buffer(self, name: str, kind: str) -> Deque[Sample]:
         buffer = self._series.get(name)
         if buffer is None:
-            buffer = self._series[name] = RingBuffer(self.capacity)
+            buffer = self._series[name] = deque(maxlen=self.capacity)
             self._kinds[name] = kind
         return buffer
 
@@ -216,8 +172,8 @@ class LiveSampler:
             name, kind = item["name"], item["type"]
             if kind in ("counter", "gauge"):
                 buffer = self._buffer(name, kind)
-                previous = buffer.last()
-                buffer.append(stamp, item["value"])
+                previous = buffer[-1] if buffer else None
+                buffer.append((stamp, item["value"]))
                 if kind == "gauge":
                     gauges[name] = {"value": item["value"]}
                 else:
@@ -234,11 +190,11 @@ class LiveSampler:
             elif kind == "histogram":
                 buffer = self._hist.get(name)
                 if buffer is None:
-                    buffer = self._hist[name] = RingBuffer(self.capacity)
+                    buffer = self._hist[name] = deque(maxlen=self.capacity)
                     self._hist_buckets[name] = tuple(item["buckets"])
-                previous = buffer.last()
+                previous = buffer[-1] if buffer else None
                 state = (item["count"], item["sum"], tuple(item["counts"]))
-                buffer.append(stamp, state)
+                buffer.append((stamp, state))
                 histograms[name] = self._hist_delta(
                     name, previous[1] if previous else None, state, dt
                 )
@@ -247,7 +203,7 @@ class LiveSampler:
                 if sample["name"] not in PROCESS_SERIES:
                     continue
                 self._buffer(sample["name"], "gauge").append(
-                    stamp, sample["value"]
+                    (stamp, sample["value"])
                 )
                 gauges[sample["name"]] = {"value": sample["value"]}
 
@@ -335,7 +291,7 @@ class LiveSampler:
             "histograms": {},
         }
         for name, buffer in sorted(self._series.items()):
-            points = buffer.since(cutoff)
+            points = _since(buffer, cutoff)
             if not points:
                 continue
             first_t, first_v = points[0]
@@ -360,7 +316,7 @@ class LiveSampler:
                     "samples": len(points),
                 }
         for name, buffer in sorted(self._hist.items()):
-            points = buffer.since(cutoff)
+            points = _since(buffer, cutoff)
             if not points:
                 continue
             first_t, first_state = points[0]
@@ -377,7 +333,7 @@ class LiveSampler:
                 buffer = self._series.get(name)
                 if buffer is not None:
                     payload["series"][name] = [
-                        [round(t, 3), v] for t, v in buffer.since(cutoff)
+                        [round(t, 3), v] for t, v in _since(buffer, cutoff)
                     ]
         return payload
 
@@ -404,5 +360,4 @@ __all__ = [
     "DEFAULT_INTERVAL_S",
     "PROCESS_SERIES",
     "LiveSampler",
-    "RingBuffer",
 ]

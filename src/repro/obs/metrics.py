@@ -29,6 +29,25 @@ LATENCY_BUCKETS_S: Tuple[float, ...] = (
 )
 
 
+def quantile_bucket(counts: Sequence[int], q: float) -> Optional[int]:
+    """Index of the bucket that holds quantile ``q`` of ``counts``.
+
+    ``counts`` are per-bucket counts whose last slot is the overflow
+    (``len(counts) - 1`` means "above the last bound"). ``None`` when
+    every count is zero. Each caller maps the index to its own value.
+    """
+    total = sum(counts)
+    if not total:
+        return None
+    target = q * total
+    seen = 0
+    for index, count in enumerate(counts):
+        seen += count
+        if seen >= target and count:
+            return index
+    return len(counts) - 1
+
+
 class Counter:
     """A monotonically increasing count."""
 
@@ -108,16 +127,11 @@ class Histogram:
         """Bucket-resolution quantile (the bucket's upper bound)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
-        if not self.count:
+        index = quantile_bucket(self.counts, q)
+        if index is None:
             return None
-        target = q * self.count
-        seen = 0
-        for index, count in enumerate(self.counts):
-            seen += count
-            if seen >= target and count:
-                if index < len(self.buckets):
-                    return self.buckets[index]
-                return float("inf")
+        if index < len(self.buckets):
+            return self.buckets[index]
         return float("inf")
 
     def to_jsonable(self) -> Dict[str, Any]:

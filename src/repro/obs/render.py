@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.obs.metrics import quantile_bucket
 from repro.obs.sink import TraceData
 
 
@@ -105,7 +106,7 @@ def _metric_tables(trace: TraceData) -> List[str]:
             lines.append(
                 f"{metric['name']:24} {metric['count']:8d} "
                 f"{_fmt_s(_hist_mean(metric)):>9} {_hist_quantile(metric, 0.5):>9} "
-                f"{_hist_quantile(metric, 0.95):>9} {_hist_max_bound(metric):>9}"
+                f"{_hist_quantile(metric, 0.95):>9} {_hist_quantile(metric, 1.0):>9}"
             )
     return lines
 
@@ -123,40 +124,19 @@ def _hist_mean(metric: Dict[str, Any]) -> float:
 
 
 def _hist_quantile(metric: Dict[str, Any], q: float) -> str:
-    """Bucket-resolution quantile bound, formatted."""
-    count = metric["count"]
-    if not count:
+    """Bucket-resolution quantile bound, formatted (``q=1``: the highest
+    occupied bucket's bound)."""
+    index = quantile_bucket(metric["counts"], q)
+    if index is None:
         return "-"
-    target = q * count
-    seen = 0
-    for index, bucket_count in enumerate(metric["counts"]):
-        seen += bucket_count
-        if seen >= target and bucket_count:
-            if index < len(metric["buckets"]):
-                return _fmt_s(metric["buckets"][index])
-            return ">max"
+    if index < len(metric["buckets"]):
+        return _fmt_s(metric["buckets"][index])
     return ">max"
-
-
-def _hist_max_bound(metric: Dict[str, Any]) -> str:
-    """Upper bound of the highest occupied bucket."""
-    for index in range(len(metric["counts"]) - 1, -1, -1):
-        if metric["counts"][index]:
-            if index < len(metric["buckets"]):
-                return _fmt_s(metric["buckets"][index])
-            return ">max"
-    return "-"
 
 
 def tree(trace: TraceData, max_depth: Optional[int] = None) -> str:
     """The span hierarchy, children in start order, one line per span."""
-    children: Dict[Optional[str], List[Dict[str, Any]]] = {}
-    known = {span["span_id"] for span in trace.spans}
-    for span in trace.spans:
-        parent = span.get("parent_id")
-        if parent not in known:
-            parent = None
-        children.setdefault(parent, []).append(span)
+    children = trace.child_index()
     for bucket in children.values():
         bucket.sort(key=lambda span: (span["start_unix"], span["span_id"]))
 

@@ -13,15 +13,22 @@ Format — one JSON object per line, discriminated by ``type``:
 
 Timestamps live *only* here — never in artefact bytes — so a traced
 ``run_all`` exports byte-identical results to an untraced one.
+
+The module also holds the two helpers every append-only JSONL log in
+the package shares — the :mod:`repro.obs.history` store and the
+:mod:`repro.core.journal` run journal: :func:`append_jsonl` (one line,
+one atomic ``O_APPEND`` write) and :func:`load_jsonl` (keep every line
+that parses, skip what a crashed or newer writer left behind).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 
 from repro.obs.recorder import TraceRecorder
 
@@ -49,6 +56,21 @@ class TraceData:
 
     def children_of(self, span_id: Optional[str]) -> List[Dict[str, Any]]:
         return [span for span in self.spans if span.get("parent_id") == span_id]
+
+    def child_index(self) -> Dict[Optional[str], List[Dict[str, Any]]]:
+        """Parent span id -> child spans, in file order.
+
+        Roots, and orphans whose parent is not in the trace, sit under
+        ``None``.
+        """
+        children: Dict[Optional[str], List[Dict[str, Any]]] = {}
+        known = {span["span_id"] for span in self.spans}
+        for span in self.spans:
+            parent = span.get("parent_id")
+            if parent not in known:
+                parent = None
+            children.setdefault(parent, []).append(span)
+        return children
 
 
 def write_trace(
@@ -110,3 +132,56 @@ def load_trace(path: PathLike) -> TraceData:
         elif kind == "metric":
             trace.metrics.append(record["metric"])
     return trace
+
+
+def append_jsonl(path: PathLike, obj: Mapping[str, Any]) -> None:
+    """Append ``obj`` to a JSONL log as one line, in one ``os.write``.
+
+    ``O_APPEND`` makes the write atomic against concurrent appenders, so
+    two processes never interleave bytes within each other's lines.
+    """
+    line = json.dumps(obj, sort_keys=True) + "\n"
+    if _needs_leading_newline(path):
+        # A killed writer left an unterminated line: seal it off so this
+        # entry starts fresh. Still one write either way.
+        line = "\n" + line
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        os.write(fd, line.encode("utf-8"))
+    finally:
+        os.close(fd)
+
+
+def _needs_leading_newline(path: PathLike) -> bool:
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(-1, os.SEEK_END)
+            return handle.read(1) != b"\n"
+    except OSError:  # missing or empty file
+        return False
+
+
+def load_jsonl(path: PathLike, schema_version: int) -> Iterator[Dict[str, Any]]:
+    """Every JSON object in a JSONL log a reader at ``schema_version`` can use.
+
+    Skips what a crashed or newer writer can leave behind: blank lines,
+    non-JSON (a truncated final line, garbage bytes), JSON that is not
+    an object, and objects whose ``schema`` is not an int or is newer
+    than ``schema_version``. An object without ``schema`` is taken as
+    current. A missing or unreadable file yields nothing.
+    """
+    try:
+        raw = pathlib.Path(path).read_bytes()
+    except OSError:
+        return
+    for line in raw.splitlines():
+        try:
+            data = json.loads(line)
+        except ValueError:  # bad JSON or bad UTF-8: keep the rest
+            continue
+        if not isinstance(data, dict):
+            continue
+        schema = data.get("schema", schema_version)
+        if type(schema) is not int or schema > schema_version:
+            continue  # newer or malformed writer: skip, don't guess
+        yield data

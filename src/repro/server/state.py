@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import repro
 from repro import obs
 from repro.core import cache as cache_mod
+from repro.core.runner import result_key
 from repro.experiments import common, registry
 from repro.experiments.export import jsonable
 from repro.measure import query as query_mod
@@ -294,20 +295,6 @@ class ServerState:
 
     # -- /artefact ------------------------------------------------------------
 
-    def _result_key(self, artefact_id: str, scale: Optional[float]) -> str:
-        """The journal-compatible cache key for one artefact result.
-
-        Identical construction to ``StudyRunner._result_key`` (chaos is
-        always None for the served study), so ``run-all --journal``
-        checkpoints and served results share cache entries.
-        """
-        spec = registry.get_spec(artefact_id)
-        return cache_mod.fingerprint(
-            "artefact-result", artefact=artefact_id, seed=self.seed,
-            scale=scale if spec.supports_scale else None,
-            chaos=None, version=repro.__version__,
-        )
-
     def artefact(
         self,
         artefact_id: str,
@@ -329,7 +316,8 @@ class ServerState:
         effective_scale = scale
         if effective_scale is None and spec.supports_scale:
             effective_scale = self.scale
-        key = self._result_key(artefact_id, effective_scale)
+        # The served study never runs under chaos.
+        key = result_key(artefact_id, self.seed, effective_scale)
         source = "memo"
         result = self._artefact_memo.get(key)
         if result is None:

@@ -138,12 +138,9 @@ BAD_NUMERIC_INPUT = [
     (["serve", "--port", "-1"], "port must be in [0, 65535]"),
     (["serve", "--profile-max", "-1"], "profile_max_s must be a positive finite number"),
     (["serve", "--profile-max", "nan"], "profile_max_s must be a positive finite number"),
-    (["loadgen", "--clients", "0"], "clients must be >= 1"),
     (["loadgen", "--duration", "-1"], "duration_s must be a positive finite number"),
     (["loadgen", "--duration", "inf"], "duration_s must be a positive finite number"),
     (["loadgen", "--duration", "nan"], "duration_s must be a positive finite number"),
-    (["loadgen", "--think", "-1"], "think_s must be a non-negative finite number"),
-    (["loadgen", "--think", "nan"], "think_s must be a non-negative finite number"),
     (["loadgen", "--chaos-latency", "nan"], "chaos_latency_s must be a non-negative finite"),
     (["regress", "--latency-threshold", "nan"], "latency_threshold must be > 0"),
     (["report", "--html", "r.html", "--latency-threshold", "nan"],

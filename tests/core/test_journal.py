@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from repro.core.journal import JournalEntry, RunJournal, append_jsonl, load_jsonl
+from repro.core.journal import JournalEntry, RunJournal
+from repro.obs.sink import append_jsonl, load_jsonl
 
 
 def test_append_is_a_single_write(tmp_path, monkeypatch):

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core import cache as cache_mod
 from repro.core.journal import JournalEntry, JournalMismatch, RunJournal
-from repro.core.runner import StudyRunner
+from repro.core.runner import StudyRunner, result_key
 from repro.faults import BackoffPolicy, ExecChaos, InjectedWorkerCrash
 from repro.faults import execchaos as execchaos_mod
 
@@ -329,7 +329,7 @@ def test_resume_reruns_artefact_with_missing_payload(isolated_cache, tmp_path):
     first = runner.run_all(scale=SCALE, artefacts=["T2", "F7"])
     assert not first.failed()
     # Evict one checkpointed payload: resume must recompute just that one.
-    key = runner._result_key("T2", SCALE)
+    key = result_key("T2", 2024, SCALE)
     (isolated_cache.root / f"{key}.pkl").unlink()
     resumed = StudyRunner(
         seed=2024, jobs=1, journal_path=journal_path,
@@ -338,6 +338,29 @@ def test_resume_reruns_artefact_with_missing_payload(isolated_cache, tmp_path):
     assert by_id["T2"].worker != "journal"  # recomputed
     assert by_id["F7"].worker == "journal"  # served from the checkpoint
     assert not resumed.failed()
+
+
+def test_served_artefact_reads_the_journal_checkpoint(
+    isolated_cache, tmp_path, monkeypatch
+):
+    """A ``run-all --journal`` checkpoint and ``/artefact`` share one key:
+    the server answers from the checkpoint and computes nothing."""
+    from repro.core.study import ThickMnaStudy
+    from repro.experiments.export import jsonable
+    from repro.server.state import ServerState
+
+    report = StudyRunner(
+        seed=2024, jobs=1, journal_path=tmp_path / "run.jsonl",
+    ).run_all(scale=SCALE, artefacts=["T2"])
+    assert not report.failed()
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the server recomputed a checkpointed result")
+
+    monkeypatch.setattr(ThickMnaStudy, "run", no_compute)
+    payload = ServerState(seed=2024, scale=SCALE, datasets=()).artefact("T2")
+    assert payload["source"] == "cache"
+    assert payload["result"] == jsonable(report.results["T2"])
 
 
 # -- interruption -------------------------------------------------------------

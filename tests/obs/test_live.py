@@ -1,59 +1,16 @@
 """The live sampler: ring retention, delta/rate math, bounded soak, and
 the always-on plane's overhead budget."""
 
+import sys
 import threading
 import time
 
 from repro.obs import exposition
-from repro.obs.live import LiveSampler, RingBuffer, _window_quantile
+from repro.obs.live import LiveSampler, _window_quantile
 from repro.obs.metrics import MetricsRegistry
 from tests.conftest import OVERHEAD_BUDGET
 
 import pytest
-
-
-class TestRingBuffer:
-    def test_capacity_is_pinned(self):
-        ring = RingBuffer(4)
-        for i in range(100):
-            ring.append(float(i), i * 10)
-        assert len(ring) == 4
-        assert ring.capacity == 4
-        # Internal storage never grew past the preallocated slots.
-        assert len(ring._times) == 4
-        assert len(ring._values) == 4
-
-    def test_keeps_newest_in_order(self):
-        ring = RingBuffer(3)
-        for i in range(5):
-            ring.append(float(i), i)
-        assert ring.items() == [(2.0, 2), (3.0, 3), (4.0, 4)]
-        assert ring.last() == (4.0, 4)
-
-    def test_since_filters_by_time(self):
-        ring = RingBuffer(10)
-        for i in range(6):
-            ring.append(float(i), i)
-        assert ring.since(3.0) == [(3.0, 3), (4.0, 4), (5.0, 5)]
-        assert ring.since(99.0) == []
-
-    def test_partial_fill(self):
-        ring = RingBuffer(8)
-        assert ring.last() is None
-        ring.append(1.0, "a")
-        assert ring.items() == [(1.0, "a")]
-
-    def test_tiny_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            RingBuffer(1)
-
-
-def test_window_quantile_clamps_overflow_to_finite():
-    # All observations in the overflow bucket: quantile must stay a
-    # JSON-encodable finite number (the last bound), not +Inf.
-    assert _window_quantile((0.1, 1.0), [0, 0, 5], 0.99) == 1.0
-    assert _window_quantile((0.1, 1.0), [3, 1, 0], 0.5) == 0.1
-    assert _window_quantile((0.1, 1.0), [0, 0, 0], 0.5) is None
 
 
 def _sampler(interval_s=1.0, capacity=600):
@@ -63,6 +20,58 @@ def _sampler(interval_s=1.0, capacity=600):
         include_process=False,
     )
     return registry, sampler
+
+
+class TestRingBuffer:
+    """Each sampler series is a ring: the newest ``capacity`` samples,
+    oldest first."""
+
+    @staticmethod
+    def _points(sampler, window_s=1e9, now=1e6):
+        stats = sampler.stats(window_s=window_s, series=("depth",), now=now)
+        return stats["series"].get("depth")
+
+    def _ticks(self, capacity, values):
+        registry, sampler = _sampler(capacity=capacity)
+        for t, value in enumerate(values):
+            registry.gauge("depth").set(value)
+            sampler.tick(now=float(t))
+        return sampler
+
+    def test_capacity_is_pinned(self):
+        sampler = self._ticks(4, [float(i) for i in range(100)])
+        assert len(self._points(sampler)) == 4
+        assert sampler.info()["capacity"] == 4
+
+    def test_keeps_newest_in_order(self):
+        sampler = self._ticks(3, [0.0, 1.0, 2.0, 3.0, 4.0])
+        assert self._points(sampler) == [[2.0, 2.0], [3.0, 3.0], [4.0, 4.0]]
+
+    def test_since_filters_by_time(self):
+        sampler = self._ticks(10, [float(i) for i in range(6)])
+        assert self._points(sampler, window_s=2.0, now=5.0) == [
+            [3.0, 3.0], [4.0, 4.0], [5.0, 5.0],
+        ]
+        assert self._points(sampler, window_s=1.0, now=99.0) == []
+
+    def test_partial_fill(self):
+        registry, sampler = _sampler(capacity=8)
+        registry.gauge("depth").set(1.0)
+        assert self._points(sampler) is None  # no tick: no series yet
+        sampler.tick(now=1.0)
+        assert self._points(sampler) == [[1.0, 1.0]]
+
+    def test_tiny_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            _sampler(capacity=1)
+
+
+def test_window_quantile_clamps_overflow_to_finite():
+    # All observations in the overflow bucket: quantile must stay a
+    # JSON-encodable finite number (the last bound), not +Inf.
+    assert _window_quantile((0.1, 1.0), [0, 0, 5], 0.99) == 1.0
+    assert _window_quantile((0.1, 1.0), [3, 1, 0], 0.5) == 0.1
+    assert _window_quantile((0.1, 1.0), [0, 0, 0], 0.5) is None
 
 
 def test_tick_derives_counter_delta_and_rate():
@@ -143,14 +152,49 @@ def test_soak_simulated_minutes_memory_is_bounded():
             sizes.add((
                 len(sampler._series["reqs"]),
                 len(sampler._hist["lat"]),
-                len(sampler._series["reqs"]._times),
             ))
     # Once warm, every buffer is pinned at exactly `capacity`.
-    assert sizes == {(60, 60, 60)}
+    assert sizes == {(60, 60)}
     assert sampler.ticks == 300
     # The retained window still answers correctly after wrap.
     stats = sampler.stats(window_s=10.0, now=2299.0)
     assert stats["counters"]["reqs"]["rate_per_s"] == pytest.approx(3.0)
+
+
+def test_stats_reads_race_ticks_without_error():
+    """Handler threads read the series while the sampler appends to them:
+    no read may fail, and every read sees its samples in time order."""
+    registry, sampler = _sampler(capacity=600)
+    counter = registry.counter("reqs")
+    stop = threading.Event()
+    failures = []
+
+    def read():
+        while not stop.is_set():
+            try:
+                points = sampler.stats(window_s=1e9, series=("reqs",), now=1e9)
+                times = [t for t, _ in points["series"].get("reqs", [])]
+                assert times == sorted(times)
+            except Exception as error:  # any failure fails the test
+                failures.append(error)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    readers = [threading.Thread(target=read) for _ in range(4)]
+    try:
+        for reader in readers:
+            reader.start()
+        for tick in range(3000):
+            counter.inc()
+            sampler.tick(now=float(tick))
+    finally:
+        stop.set()
+        for reader in readers:
+            reader.join(timeout=10.0)
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert not failures, failures[:1]
 
 
 def test_info_reports_liveness_shape():

@@ -8,10 +8,12 @@ from repro.obs.history import HistoryStore
 from repro.obs.regress import KIND_LATENCY, KIND_SLO, compare, detect
 from repro.server import create_server
 from repro.server.loadgen import (
+    MIX,
+    RATE_RPS,
+    SENDERS,
     LoadGenerator,
     LoadgenReport,
     RouteStats,
-    _Client,
     run_loadgen,
 )
 from repro.server.slo import (
@@ -29,7 +31,7 @@ def make_report(p99_s=0.01, route="query", count=100, errors=0):
         latencies_s=[p99_s * 0.1] * (count - 1) + [p99_s],
     )
     return LoadgenReport(
-        url="http://test:0", clients=10, duration_s=1.0, seed=1,
+        url="http://test:0", senders=SENDERS, duration_s=1.0, seed=1,
         wall_s=1.0, total_requests=count, total_errors=errors,
         routes={route: stats},
     )
@@ -43,17 +45,30 @@ def test_percentiles_are_exact_order_statistics():
     assert RouteStats().percentile(0.99) == 0.0
 
 
-def test_workload_walk_is_deterministic_per_seed():
-    def walk(seed):
-        generator = LoadGenerator("h", 1, clients=1, seed=seed)
-        generator.countries = ("USA", "ESP", "JPN")
-        client = _Client(generator, 0)
-        return [client._pick() for _ in range(50)]
+def _schedule(seed, duration_s=10.0):
+    generator = LoadGenerator("h", 1, duration_s=duration_s, seed=seed)
+    generator.countries = ("USA", "ESP", "JPN")
+    return generator.schedule()
 
-    assert walk(7) == walk(7)
-    assert walk(7) != walk(8)
-    routes = {route for route, _ in walk(7)}
+
+def test_schedule_is_deterministic_per_seed():
+    requests = _schedule(7)
+    assert requests == _schedule(7)
+    assert requests != _schedule(8)
+    dues = [due_s for due_s, _, _ in requests]
+    assert dues == sorted(dues)
+    assert all(0 <= due_s < 10.0 for due_s in dues)
+    routes = {route for _, route, _ in requests}
     assert "query" in routes and "healthz" in routes
+
+
+def test_schedule_offers_the_rate_and_the_mix():
+    requests = _schedule(2024, duration_s=60.0)
+    assert len(requests) == pytest.approx(RATE_RPS * 60.0, rel=0.05)
+    total = sum(weight for _, weight in MIX)
+    for route, weight in MIX:
+        share = sum(r == route for _, r, _ in requests) / len(requests)
+        assert abs(share - weight / total) <= 0.02, (route, share)
 
 
 def test_slo_check_flags_only_over_budget_routes():
@@ -70,7 +85,7 @@ def test_record_from_loadgen_shape():
     record = record_from_loadgen(report, now=123.0, host="ci")
     assert record.kind == "loadgen"
     assert record.group_key().startswith("loadgen-")
-    assert record.jobs == report.clients
+    assert record.jobs == report.senders
     assert record.status == "ok"
     stats = record.artefacts["query"]
     assert stats.wall_s == pytest.approx(0.02)
@@ -122,8 +137,6 @@ def test_detect_flags_seeded_latency_regression(tmp_path):
 
 def test_loadgen_input_validation():
     with pytest.raises(ValueError):
-        LoadGenerator("h", 1, clients=0)
-    with pytest.raises(ValueError):
         LoadGenerator("h", 1, duration_s=0)
 
 
@@ -132,11 +145,10 @@ def test_loadgen_against_live_server(tmp_path):
         scale=0.02, datasets=("device",), warm_artefacts=("T2",),
     ).start()
     try:
-        report = run_loadgen(
-            "127.0.0.1", srv.port, clients=8, duration_s=1.5, seed=3,
-            think_s=0.05,
-        )
-        assert report.total_requests > 0
+        report = run_loadgen("127.0.0.1", srv.port, duration_s=1.5, seed=3)
+        # Every scheduled request was sent, and the count is the seed's.
+        assert report.total_requests == len(_schedule(3, duration_s=1.5))
+        assert report.unsent == 0
         assert report.total_errors == 0
         assert report.throughput_rps > 0
         assert set(report.routes) <= {"query", "artefact", "history",
@@ -149,7 +161,11 @@ def test_loadgen_against_live_server(tmp_path):
         assert "p99_s" in payload["routes"]["query"]
         # The rendered summary is human-shaped.
         text = report.render()
-        assert "clients" in text and "req/s" in text
+        assert "senders" in text and "req/s" in text
+        # The record keys on the served scale, not a default.
+        record = record_from_loadgen(report)
+        assert record.scale == 0.02
+        assert "scale0.02" in record.group_key()
     finally:
         srv.stop()
 
@@ -160,8 +176,8 @@ def test_chaos_latency_is_injected_into_recordings(tmp_path):
     ).start()
     try:
         report = run_loadgen(
-            "127.0.0.1", srv.port, clients=2, duration_s=1.0, seed=3,
-            think_s=0.05, chaos_latency_s=2.0,
+            "127.0.0.1", srv.port, duration_s=1.0, seed=3,
+            chaos_latency_s=2.0,
         )
         latencies = [
             latency for stats in report.routes.values()
@@ -177,24 +193,22 @@ def test_chaos_latency_is_injected_into_recordings(tmp_path):
         srv.stop()
 
 
-#: With 32 clients pausing ~0.2 s between requests, a server that is not
-#: the bottleneck sees ~150 req/s; demand half of that for slow CI boxes.
-SLO_CLIENTS = 32
+#: The schedule offers RATE_RPS (200 req/s), which a server that keeps up
+#: delivers; a server that falls behind stretches the run's wall time.
+#: The floor leaves room for slow CI boxes.
 SLO_DURATION_S = 6.0
-SLO_THINK_S = 0.2
 MIN_THROUGHPUT_RPS = 75.0
 
 
 def test_warm_server_meets_every_route_slo_under_load():
     """The seeded mixed workload against a fully warmed in-process
-    service: no errors, every route within its declared p99 SLO, and the
-    clients, not the server, set the pace."""
+    service: no errors (an unsent request is one), every route within its
+    declared p99 SLO, and the schedule, not the server, sets the pace."""
     srv = create_server(scale=0.15, quiet=True).start()
     try:
         assert srv.state.ready.wait(timeout=300), srv.state.warm_error
         report = LoadGenerator(
-            "127.0.0.1", srv.port, clients=SLO_CLIENTS,
-            duration_s=SLO_DURATION_S, seed=2024, think_s=SLO_THINK_S,
+            "127.0.0.1", srv.port, duration_s=SLO_DURATION_S, seed=2024,
         ).run()
     finally:
         srv.stop()

@@ -19,7 +19,7 @@ import pytest
 from repro import obs
 from repro.obs import exposition
 from repro.server import ROUTE_SLOS_P99_S, LoadGenerator, create_server
-from repro.server.loadgen import MIX
+from repro.server.loadgen import MIX, SENDERS
 
 
 def _get(url, timeout=30.0, headers=None):
@@ -247,8 +247,7 @@ def test_traceparent_yields_an_adoptable_server_span(server):
 
 def test_traced_loadgen_merges_both_sides(server):
     generator = LoadGenerator(
-        "127.0.0.1", server.port, clients=4, duration_s=1.5,
-        seed=7, think_s=0.05, trace=True,
+        "127.0.0.1", server.port, duration_s=1.5, seed=7, trace=True,
     )
     report = generator.run()
     assert report.total_requests > 0
@@ -267,6 +266,9 @@ def test_traced_loadgen_merges_both_sides(server):
     assert server_spans
     assert len(server_spans) == len(client_spans)
     assert all(span.parent_id in client_ids for span in server_spans)
+    # The server parsed each sender's trace id whole out of traceparent.
+    sender_trace_ids = {f"loadgen{7:x}s{index:x}" for index in range(SENDERS)}
+    assert {span.attrs["trace_id"] for span in server_spans} <= sender_trace_ids
 
 
 def test_ops_routes_answer_before_the_server_is_warm(tmp_path):
