@@ -6,9 +6,8 @@ figure by its identifier. :class:`StudyRunner` shards ``run_all`` over
 supervised worker processes (deadlines, retries, crash-safe resume —
 see :mod:`repro.core.runner` and :mod:`repro.core.journal`);
 :class:`ArtifactCache` is the persistent store that makes fresh
-processes cheap (see :mod:`repro.core.cache`);
-:class:`ColumnStore` is the typed column format the cache memory-maps
-the market crawl from (see :mod:`repro.core.columns`).
+processes cheap: one digest-checked pickle per input (see
+:mod:`repro.core.cache`).
 """
 
 from repro.core.cache import (
@@ -17,7 +16,6 @@ from repro.core.cache import (
     CacheVerifyResult,
     fingerprint,
 )
-from repro.core.columns import ColumnError, ColumnStore, StringTable
 from repro.core.journal import JournalEntry, JournalMismatch, RunJournal
 from repro.core.runner import ArtefactRun, RunReport, StudyRunner
 from repro.core.study import ThickMnaStudy
@@ -27,13 +25,10 @@ __all__ = [
     "ArtifactCache",
     "CacheStats",
     "CacheVerifyResult",
-    "ColumnError",
-    "ColumnStore",
     "JournalEntry",
     "JournalMismatch",
     "RunJournal",
     "RunReport",
-    "StringTable",
     "StudyRunner",
     "ThickMnaStudy",
     "fingerprint",

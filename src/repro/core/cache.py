@@ -6,11 +6,9 @@ and the market crawl are deterministic functions of
 rebuild them in every fresh process. This module stores them under
 ``~/.cache/repro-airalo/`` (override with ``$REPRO_CACHE_DIR``; disable
 entirely with ``$REPRO_CACHE_DISABLE=1``), keyed by a content
-fingerprint of everything that can change the bytes. A
-:class:`~repro.core.columns.ColumnStore` value (the market crawl) is
-kept as its ``RPCOL001`` snapshot (``<key>.cols``) and memory-mapped on
-load, so reading it costs page faults on the rows touched, not an
-unpickle of every object; any other value is a pickle (``<key>.pkl``).
+fingerprint of everything that can change the bytes. Every entry is
+one file, ``<key>.pkl``: the pickle of the value followed by the 32-byte
+sha256 digest of that pickle.
 
 Design rules:
 
@@ -19,11 +17,13 @@ Design rules:
   concurrent writer can never leave a half-written entry under the
   final name. :func:`atomic_write` is that discipline, shared with
   every other whole-file writer in the package.
-* **Corruption tolerance.** A load that fails for *any* reason (
-  truncated pickle or snapshot, stale class layout, wrong protocol,
-  malformed snapshot header) is treated as a miss: the entry is deleted
-  and the caller rebuilds. The cache can therefore always be deleted,
-  truncated or hand-edited with no effect beyond a rebuild.
+* **Corruption tolerance.** A load that fails for *any* reason (a
+  digest that does not match, a truncated file, stale class layout,
+  wrong protocol) is treated as a miss: the entry is deleted and the
+  caller rebuilds. The digest is checked before anything is unpickled,
+  so a flipped byte is caught even where it would still unpickle. The
+  cache can therefore always be deleted, truncated or hand-edited with
+  no effect beyond a rebuild.
 * **Versioned keys.** The package version is part of every fingerprint,
   so upgrading the simulator silently invalidates old entries instead
   of serving artefacts built by different code.
@@ -39,27 +39,58 @@ import pathlib
 import pickle
 import tempfile
 import time
+import types
 from dataclasses import dataclass
 from typing import IO, Any, Callable, Dict, List, Optional, Union
 
 from repro import obs
-from repro.core.columns import ColumnStore
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE_DISABLE = "REPRO_CACHE_DISABLE"
 
+#: Bytes of the sha256 trailer that ends every entry.
+DIGEST_BYTES = hashlib.sha256().digest_size
 
-def _read_pickle(path: pathlib.Path) -> Any:
+#: How much of an entry is hashed per read.
+_CHUNK_BYTES = 1 << 20
+
+
+def _write_entry(value: Any, handle: IO[bytes]) -> None:
+    """Pickle ``value`` into ``handle``, then append the pickle's sha256."""
+    digest = hashlib.sha256()
+
+    def write(data: bytes) -> None:
+        digest.update(data)
+        handle.write(data)
+
+    pickle.dump(
+        value, types.SimpleNamespace(write=write), protocol=pickle.HIGHEST_PROTOCOL
+    )
+    handle.write(digest.digest())
+
+
+def _read_entry(path: pathlib.Path) -> Any:
+    """Check an entry's sha256 trailer, reading in chunks, then unpickle it.
+
+    Raises ``ValueError`` on a digest mismatch (a flipped byte, a torn
+    write, an entry from before the trailer) and whatever ``open`` or
+    ``pickle.load`` raise otherwise.
+    """
     with path.open("rb") as handle:
+        remaining = os.fstat(handle.fileno()).st_size - DIGEST_BYTES
+        if remaining < 0:
+            raise ValueError(f"{path.name}: shorter than its digest")
+        digest = hashlib.sha256()
+        while remaining:
+            chunk = handle.read(min(remaining, _CHUNK_BYTES))
+            if not chunk:
+                raise ValueError(f"{path.name}: shrank while being read")
+            digest.update(chunk)
+            remaining -= len(chunk)
+        if handle.read() != digest.digest():
+            raise ValueError(f"{path.name}: digest mismatch")
+        handle.seek(0)
         return pickle.load(handle)
-
-
-#: Entry suffix -> reader, in load-preference order. Column snapshots
-#: are memory-mapped (zero-copy); everything else is unpickled.
-_READERS: Dict[str, Callable[[pathlib.Path], Any]] = {
-    ".cols": ColumnStore.load,
-    ".pkl": _read_pickle,
-}
 
 
 def default_cache_root() -> pathlib.Path:
@@ -181,10 +212,9 @@ class CacheVerifyResult:
 
     #: Keys whose entries loaded cleanly.
     ok: List[str]
-    #: Keys whose entries failed to load (truncated, scribbled, …).
+    #: Keys whose entries failed to load (digest mismatch, truncated, …).
     corrupt: List[str]
-    #: Stray ``.{key}.pkl.*`` / ``.{key}.cols.*`` temp files from
-    #: crashed writers.
+    #: Stray ``.{key}.pkl.*`` temp files from crashed writers.
     stray: List[str]
     #: Corrupt entries + stray temp files actually deleted (``prune=True``).
     pruned: List[str]
@@ -195,7 +225,7 @@ class CacheVerifyResult:
 
 
 class ArtifactCache:
-    """Pickle and column-snapshot store: atomic, corruption-tolerant."""
+    """Digest-checked pickle store: atomic, corruption-tolerant."""
 
     def __init__(
         self,
@@ -216,64 +246,44 @@ class ArtifactCache:
     # -- load / store -------------------------------------------------------
 
     def load(self, key: str) -> Optional[Any]:
-        """The cached object, or ``None`` on miss *or* corrupt entry.
-
-        ``<key>.cols`` comes back as a memory-mapped
-        :class:`~repro.core.columns.ColumnStore`; otherwise
-        ``<key>.pkl`` is unpickled.
-        """
+        """The cached object, or ``None`` on miss *or* corrupt entry."""
         if not self.enabled:
             return None
         started = time.perf_counter()
-        for suffix, read in _READERS.items():
-            path = self.root / f"{key}{suffix}"
+        path = self.root / f"{key}.pkl"
+        try:
+            value = _read_entry(path)
+        except FileNotFoundError:
+            self._miss(started)
+            return None
+        except Exception:
+            # Digest mismatch, truncated write, stale class layout,
+            # garbage bytes: drop the entry and let the caller rebuild
+            # from scratch.
+            self._miss(started)
+            self.stats.evictions += 1
+            obs.counter("cache.corrupt").inc()
+            obs.event("cache.corrupt", key=key)
             try:
-                value = read(path)
-            except FileNotFoundError:
-                continue
-            except Exception:
-                # Truncated write, stale class layout, garbage bytes,
-                # malformed snapshot header: drop the entry and let the
-                # caller rebuild from scratch.
-                self._miss(started)
-                self.stats.evictions += 1
-                obs.counter("cache.corrupt").inc()
-                obs.event("cache.corrupt", key=key)
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-                return None
-            elapsed = time.perf_counter() - started
-            self.stats.hits += 1
-            self.stats.hit_time_s += elapsed
-            obs.counter("cache.hit").inc()
-            obs.histogram("cache.load_s").observe(elapsed)
-            return value
-        self._miss(started)
-        return None
+                path.unlink()
+            except OSError:
+                pass
+            return None
+        elapsed = time.perf_counter() - started
+        self.stats.hits += 1
+        self.stats.hit_time_s += elapsed
+        obs.counter("cache.hit").inc()
+        obs.histogram("cache.load_s").observe(elapsed)
+        return value
 
     def store(self, key: str, value: Any) -> Optional[pathlib.Path]:
-        """Atomically persist ``value``; returns the entry path.
-
-        A :class:`~repro.core.columns.ColumnStore` is written as its
-        snapshot bytes (``<key>.cols``), anything else as a pickle.
-        """
+        """Atomically persist ``value`` as ``<key>.pkl``; returns its path."""
         if not self.enabled:
             return None
         self.root.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
-        if isinstance(value, ColumnStore):
-            path = self.root / f"{key}.cols"
-            value.save(path)
-        else:
-            path = self.root / f"{key}.pkl"
-            atomic_write(
-                path,
-                lambda handle: pickle.dump(
-                    value, handle, protocol=pickle.HIGHEST_PROTOCOL
-                ),
-            )
+        path = self.root / f"{key}.pkl"
+        atomic_write(path, lambda handle: _write_entry(value, handle))
         self.stats.stores += 1
         obs.counter("cache.store").inc()
         obs.histogram("cache.store_s").observe(time.perf_counter() - started)
@@ -281,25 +291,23 @@ class ArtifactCache:
 
     # -- maintenance --------------------------------------------------------
 
-    def _stray_temps(self) -> List[pathlib.Path]:
-        """Leftover ``.{key}.{random}`` temp files from crashed writers.
-
-        :func:`atomic_write` names its temp files with a leading dot, so
-        anything hidden in the cache directory is an in-progress (or
-        abandoned) write, never a live entry.
-        """
+    def _files(self, pattern: str) -> List[pathlib.Path]:
+        """Regular files in the cache root matching ``pattern``, by name."""
         if not self.root.is_dir():
             return []
-        return sorted(self.root.glob(".*"))
+        return sorted(path for path in self.root.glob(pattern) if path.is_file())
+
+    def _stray_temps(self) -> List[pathlib.Path]:
+        """Leftover ``.{key}.pkl.{random}`` temp files from crashed writers.
+
+        :func:`atomic_write` names an entry's temp file that way; no
+        other file in the cache root, hidden or not, is the cache's.
+        """
+        return self._files(".*.pkl.*")
 
     def _entry_paths(self) -> List[pathlib.Path]:
-        """Every live entry, pickle or column snapshot, sorted by name."""
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            (path for suffix in _READERS for path in self.root.glob(f"*{suffix}")),
-            key=lambda path: path.name,
-        )
+        """Every live entry, sorted by name."""
+        return self._files("[!.]*.pkl")
 
     def entries(self) -> List[CacheEntryInfo]:
         found = []
@@ -328,9 +336,10 @@ class ArtifactCache:
         return removed
 
     def verify(self, prune: bool = False) -> CacheVerifyResult:
-        """Eagerly load-check every entry instead of waiting for a miss.
+        """Eagerly check every entry instead of waiting for a miss.
 
-        Loads never go through :meth:`load`, so hit/miss stats and
+        Each entry is read as :meth:`load` reads it, digest first, then
+        unpickled, but never through :meth:`load`: hit/miss stats and
         telemetry are untouched and nothing is silently evicted — a
         corrupt entry is only deleted when ``prune=True`` asks for it.
         Stray temp files (a writer that died between ``tempfile`` and
@@ -340,7 +349,7 @@ class ArtifactCache:
         bad: List[pathlib.Path] = []
         for path in self._entry_paths():
             try:
-                _READERS[path.suffix](path)
+                _read_entry(path)
             except Exception:
                 bad.append(path)
             else:

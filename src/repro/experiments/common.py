@@ -6,9 +6,9 @@ Two cache layers sit under every getter:
    input exactly once and always hands back the *same object*;
 2. the persistent :mod:`repro.core.cache` store, so a fresh process (a
    CLI invocation, a ``StudyRunner`` worker) loads the bytes a previous
-   process built instead of re-simulating the campaign. The market
-   crawl is a column store there, memory-mapped on load; the world and
-   the campaign datasets are pickles.
+   process built instead of re-simulating the campaign. Every input is
+   one pickle there, the market crawl included (its typed columns
+   unpickle as whole arrays).
 
 Entries are keyed by a content fingerprint of ``(package version, seed,
 scale, ChaosConfig)``; corrupt or stale entries fall back to a rebuild.
@@ -27,6 +27,7 @@ from repro.faults import ChaosConfig
 from repro.geo import CountryRegistry, default_country_registry
 from repro.market import CrawlDataset, EsimDB, MarketCrawler, build_provider_universe
 from repro.market.crawler import VANTAGE_CHECK_DAY
+from repro.market.esimdb import OfferTable
 from repro.measure.dataset import MeasurementDataset
 from repro.worlds import AiraloWorld, build_airalo_world
 
@@ -121,8 +122,9 @@ def get_market(step_days: int = 7) -> Tuple[EsimDB, CrawlDataset]:
     """The aggregator plus a Feb-May crawl sampled every ``step_days``.
 
     The crawl also holds the late-April three-vantage listings. It is
-    cached as one column store and memory-mapped back; the aggregator
-    itself is rebuilt, which is cheaper than any load.
+    cached as its :class:`~repro.market.esimdb.OfferTable`, rebuilt when
+    the loaded value is not one; the aggregator itself is rebuilt, which
+    is cheaper than any load.
     """
     if step_days not in _market:
         with obs.span("input.market", step_days=step_days) as span:
@@ -130,14 +132,10 @@ def get_market(step_days: int = 7) -> Tuple[EsimDB, CrawlDataset]:
             disk_key = _disk_key("market-columns", step_days=step_days)
             esimdb = EsimDB(build_provider_universe(), get_countries())
             table = store.load(disk_key)
-            crawl = None
-            if table is not None:
-                try:
-                    crawl = CrawlDataset(table)
-                    span.set(source="mmap")
-                except (KeyError, TypeError, ValueError):
-                    crawl = None
-            if crawl is None:
+            if isinstance(table, OfferTable):
+                span.set(source="disk")
+                crawl = CrawlDataset(table)
+            else:
                 span.set(source="build")
                 crawl = MarketCrawler(esimdb).crawl_daily(
                     0, 120, step=step_days, vantage_day=VANTAGE_CHECK_DAY

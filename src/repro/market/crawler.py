@@ -4,22 +4,22 @@ Daily retrievals of the aggregator's full listing from February to May
 2024, plus the three-vantage crawl (Madrid, Abu Dhabi, New Jersey) run in
 April/May to test for price discrimination.
 
-A crawl is kept as one :class:`~repro.core.columns.ColumnStore` (see
-:meth:`~repro.market.esimdb.EsimDB.offer_table`), not as ~400k offer
-objects: the persistent cache memory-maps it back in milliseconds, and
-the Figure 16-19 aggregates read the columns directly. Those methods
-import numpy where they compute, so importing this module (which
-``repro list`` does) does not load it.
+A crawl is kept as one :class:`~repro.market.esimdb.OfferTable` of
+typed columns (see :meth:`~repro.market.esimdb.EsimDB.offer_table`), not
+as ~400k offer objects: the persistent cache unpickles it in
+milliseconds, and the Figure 16-19 aggregates read the columns directly.
+Those methods import numpy where they compute, so importing this module
+(which ``repro list`` does) does not load it.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.core.columns import ColumnStore
 from repro.geo.countries import CountryRegistry
-from repro.market.esimdb import OFFER_TABLE_KIND, EsimDB
+from repro.market.esimdb import EsimDB, Listing, OfferTable
 from repro.market.models import ESIMOffer
 from repro.market.pricing import (
     country_median_timeline,
@@ -37,9 +37,6 @@ VANTAGE_POINTS = ("Madrid", "Abu Dhabi", "NJ")
 #: When the multi-vantage check ran: day 84 is late April 2024.
 VANTAGE_CHECK_DAY = 84
 
-#: One listing's rows: ``[day, vantage, first_row, end_row]``.
-Listing = Tuple[int, str, int, int]
-
 
 class CrawlDataset:
     """Everything the crawler collected, over one offer table.
@@ -50,16 +47,12 @@ class CrawlDataset:
     and inspection, not for exported results.
     """
 
-    def __init__(self, table: ColumnStore) -> None:
-        if table.meta.get("kind") != OFFER_TABLE_KIND:
-            raise ValueError(
-                f"not an offer table: meta kind {table.meta.get('kind')!r}"
-            )
+    def __init__(self, table: OfferTable) -> None:
+        if not isinstance(table, OfferTable):
+            raise ValueError(f"not an offer table: {type(table).__name__}")
         self.table = table
-        listings = [tuple(listing) for listing in table.meta["listings"]]
-        daily = table.meta["daily"]
-        self._daily: List[Listing] = listings[:daily]
-        self._vantage: List[Listing] = listings[daily:]
+        self._daily = table.listings[:table.daily]
+        self._vantage = table.listings[table.daily:]
 
     # -- objects on demand ----------------------------------------------------
 
@@ -68,13 +61,14 @@ class CrawlDataset:
         import numpy as np
 
         table = self.table
-        providers = table.strings("provider").values()
-        countries = table.strings("country").values()
-        vantages = table.strings("vantage").values()
         columns = (
-            np.asarray(table.column(name))[rows].tolist()
-            for name in ("provider", "country", "data_gb", "price_usd", "day", "vantage")
+            np.asarray(column)[rows].tolist()
+            for column in (
+                table.provider, table.country, table.data_gb,
+                table.price_usd, table.day, table.vantage,
+            )
         )
+        providers, countries, vantages = table.providers, table.countries, table.vantages
         return [
             ESIMOffer(providers[p], countries[c], gb, price, day, vantages[v])
             for p, c, gb, price, day, v in zip(*columns)
@@ -95,7 +89,10 @@ class CrawlDataset:
         _, _, first, end = self._listing_on(day)
         if country is None:
             return self._offers(slice(first, end))
-        return self._offers(self._rows_of(first, end, "country", country.upper()))
+        table = self.table
+        return self._offers(
+            self._rows_of(first, end, table.country, table.countries, country.upper())
+        )
 
     def days(self) -> List[int]:
         return [listing[0] for listing in self._daily]
@@ -119,28 +116,27 @@ class CrawlDataset:
         import numpy as np
 
         table = self.table
-        return (
-            np.asarray(table.column("price_usd"))[rows]
-            / np.asarray(table.column("data_gb"))[rows]
-        )
+        return np.asarray(table.price_usd)[rows] / np.asarray(table.data_gb)[rows]
 
-    def _rows_of(self, first: int, end: int, column: str, value: str) -> np.ndarray:
-        """Indexes of the rows in ``[first, end)`` whose ``column`` (a
-        string-coded column) holds ``value``; none if it never occurs."""
+    @staticmethod
+    def _rows_of(
+        first: int, end: int, column: array, labels: Tuple[str, ...], value: str
+    ) -> np.ndarray:
+        """Indexes of the rows in ``[first, end)`` whose ``column`` holds
+        ``value``'s code in ``labels``; none if ``value`` is no label."""
         import numpy as np
 
-        table = self.table
-        code = table.strings(column).lookup(value)
-        return np.flatnonzero(np.asarray(table.column(column))[first:end] == code) + first
+        code = labels.index(value) if value in labels else -1
+        return np.flatnonzero(np.asarray(column)[first:end] == code) + first
 
     def _country_medians(self, first: int, end: int, provider: str) -> Dict[str, float]:
         import numpy as np
 
         table = self.table
-        rows = self._rows_of(first, end, "provider", provider)
-        names = table.strings("country").values()
+        rows = self._rows_of(first, end, table.provider, table.providers, provider)
+        names = table.countries
         return country_medians(zip(
-            [names[c] for c in np.asarray(table.column("country"))[rows].tolist()],
+            [names[c] for c in np.asarray(table.country)[rows].tolist()],
             self._usd_per_gb(rows).tolist(),
         ))
 
@@ -172,19 +168,18 @@ class CrawlDataset:
         """Per-provider sorted country medians on ``day`` (Figure 17)."""
         _, _, first, end = self._listing_on(day)
         table = self.table
-        names = table.strings("provider").values()
         medians = provider_medians(zip(
-            table.column("provider")[first:end].tolist(),
-            table.column("country")[first:end].tolist(),
+            table.provider[first:end].tolist(),
+            table.country[first:end].tolist(),
             self._usd_per_gb(slice(first, end)).tolist(),
         ))
-        return {names[code]: values for code, values in medians.items()}
+        return {table.providers[code]: values for code, values in medians.items()}
 
     def offer_counts(self, day: int) -> Dict[str, int]:
         """Offers per provider on ``day``, in first-listed order."""
         _, _, first, end = self._listing_on(day)
-        names = self.table.strings("provider").values()
-        counts = Counter(self.table.column("provider")[first:end].tolist())
+        names = self.table.providers
+        counts = Counter(self.table.provider[first:end].tolist())
         return {names[code]: count for code, count in counts.items()}
 
     def size_price_curves(
@@ -203,18 +198,18 @@ class CrawlDataset:
 
         _, _, first, end = self._listing_on(day)
         table = self.table
-        rows = self._rows_of(first, end, "provider", provider.name)
+        rows = self._rows_of(first, end, table.provider, table.providers, provider.name)
         sizes = provider.plan_sizes_gb
         ladders, partial = divmod(rows.size, len(sizes))
-        gb = np.asarray(table.column("data_gb"))[rows]
+        gb = np.asarray(table.data_gb)[rows]
         if partial or not np.array_equal(gb, np.tile(np.asarray(sizes, dtype=float), ladders)):
             raise ValueError(f"{provider.name}'s rows do not follow its plan ladder")
-        names = table.strings("country").values()
+        names = table.countries
         curves: Dict[str, Set[Tuple[float, float]]] = {}
         columns = zip(
-            np.asarray(table.column("country"))[rows].tolist(),
+            np.asarray(table.country)[rows].tolist(),
             gb.tolist(),
-            np.asarray(table.column("price_usd"))[rows].tolist(),
+            np.asarray(table.price_usd)[rows].tolist(),
         )
         for index, (country, size_gb, price) in enumerate(columns):
             if size_gb <= max_gb:
@@ -229,10 +224,10 @@ class CrawlDataset:
         if len(self._vantage) < 2:
             raise ValueError("need at least two vantage snapshots to compare")
         table = self.table
-        names = ("provider", "country", "data_gb", "price_usd")
+        columns = (table.provider, table.country, table.data_gb, table.price_usd)
         listings = []
         for _, _, first, end in self._vantage:
-            p, c, gb, price = (table.column(n)[first:end].tolist() for n in names)
+            p, c, gb, price = (column[first:end].tolist() for column in columns)
             listings.append(zip(zip(p, c, gb), price))
         reference = dict(listings[0])
         for listing in listings[1:]:

@@ -12,9 +12,9 @@ no-price-discrimination finding.
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.columns import ColumnStore
 from repro.geo.countries import Country, CountryRegistry
 from repro.market.providers import (
     ContinentPricing,
@@ -25,11 +25,36 @@ from repro.market.providers import (
 #: Where a listing is crawled from unless a vantage is named.
 DEFAULT_VANTAGE = "NJ"
 
-#: ``meta["kind"]`` of an :meth:`EsimDB.offer_table` store.
-OFFER_TABLE_KIND = "market-offers"
-
 #: The last day an offer table can hold: its ``day`` column is ``H``.
 MAX_DAY = 0xFFFF
+
+#: One listing's rows: ``(day, vantage, first_row, end_row)``.
+Listing = Tuple[int, str, int, int]
+
+
+@dataclass(frozen=True)
+class OfferTable:
+    """A whole crawl as typed columns, one row per offer.
+
+    ``provider``, ``country`` and ``vantage`` are ``H`` codes into the
+    ``providers``, ``countries`` and ``vantages`` label tuples; ``day``
+    is ``H``, ``data_gb`` and ``price_usd`` are ``d``. ``listings``
+    holds the row range of each listing in crawl order, and the first
+    ``daily`` of them are the daily ones. It pickles as is: an ``array``
+    records its machine format and converts on load.
+    """
+
+    provider: array
+    country: array
+    vantage: array
+    day: array
+    data_gb: array
+    price_usd: array
+    providers: Tuple[str, ...]
+    countries: Tuple[str, ...]
+    vantages: Tuple[str, ...]
+    listings: Tuple[Listing, ...]
+    daily: int
 
 
 class EsimDB:
@@ -64,18 +89,14 @@ class EsimDB:
         self,
         days: Sequence[int],
         vantages: Sequence[Tuple[int, str]] = (),
-    ) -> ColumnStore:
-        """A whole crawl as one column store.
+    ) -> OfferTable:
+        """A whole crawl as one :class:`OfferTable`.
 
         Holds one listing per day in ``days`` seen from
         :data:`DEFAULT_VANTAGE`, then one per ``(day, vantage)`` probe in
         ``vantages``. Within a listing, rows are ordered by provider,
-        country, then the provider's plan ladder. The columns are
-        ``provider``, ``country`` and ``vantage`` (codes into string
-        tables of the same names), ``day`` (``H``), and ``data_gb`` and
-        ``price_usd`` (``d``). ``meta["listings"]`` holds one ``[day,
-        vantage, first_row, end_row]`` per listing, and ``meta["daily"]``
-        counts the leading daily ones.
+        country, then the provider's plan ladder; labels are coded in
+        first-listed order.
 
         Prices come from :meth:`EsimProvider.plan_prices`, once per
         distinct set of continent rates: a listing whose rates all equal
@@ -86,16 +107,13 @@ class EsimDB:
         listings += [(day, vantage) for day, vantage in vantages]
         if any(not 0 <= day <= MAX_DAY for day, _ in listings):
             raise ValueError(f"day must be in [0, {MAX_DAY}]")
-        table = ColumnStore(meta={"kind": OFFER_TABLE_KIND, "daily": len(days)})
-        col_provider = table.new_column("provider", "H", strings="provider")
-        col_country = table.new_column("country", "H", strings="country")
-        col_vantage = table.new_column("vantage", "H", strings="vantage")
-        col_day = table.new_column("day", "H")
-        col_gb = table.new_column("data_gb", "d")
-        col_price = table.new_column("price_usd", "d")
-        provider_code = table.strings("provider").code
-        country_code = table.strings("country").code
-        vantage_code = table.strings("vantage").code
+        col_provider, col_country = array("H"), array("H")
+        col_vantage, col_day = array("H"), array("H")
+        col_gb, col_price = array("d"), array("d")
+        # Label -> code, in first-listed order.
+        provider_codes: Dict[str, int] = {}
+        country_codes: Dict[str, int] = {}
+        vantage_codes: Dict[str, int] = {}
 
         # Provider, country and size repeat in every listing: lay them
         # out once. Per (provider, country), keep what does not depend on
@@ -105,7 +123,7 @@ class EsimDB:
         template_provider, template_country = array("H"), array("H")
         template_gb = array("d")
         for provider in self.providers:
-            code = provider_code(provider.name)
+            code = provider_codes.setdefault(provider.name, len(provider_codes))
             n = len(provider.plan_sizes_gb)
             for country in self._footprint[provider.name]:
                 ladders.append((
@@ -114,7 +132,8 @@ class EsimDB:
                     provider.country_factor(country),
                 ))
                 template_provider.extend([code] * n)
-                template_country.extend([country_code(country.iso3)] * n)
+                country_code = country_codes.setdefault(country.iso3, len(country_codes))
+                template_country.extend([country_code] * n)
                 template_gb.extend(provider.plan_sizes_gb)
         # ESIMOffer's validation, as one check over the rows.
         if template_gb and min(template_gb) <= 0:
@@ -131,7 +150,8 @@ class EsimDB:
             first = len(col_price)
             col_provider.extend(template_provider)
             col_country.extend(template_country)
-            col_vantage.extend(array("H", [vantage_code(vantage)]) * rows)
+            vantage_code = vantage_codes.setdefault(vantage, len(vantage_codes))
+            col_vantage.extend(array("H", [vantage_code]) * rows)
             col_day.extend(array("H", [day]) * rows)
             col_gb.extend(template_gb)
             rates = tuple(pricing.rate_on(day) for pricing in schedules)
@@ -144,11 +164,14 @@ class EsimDB:
                     col_price.extend(provider.plan_prices(
                         provider.unit_rate(pricing.rate_on(day), factor)
                     ))
-            bounds.append([day, vantage, first, len(col_price)])
+            bounds.append((day, vantage, first, len(col_price)))
         if col_price and min(col_price) <= 0:
             raise ValueError("price must be positive")
-        table.meta["listings"] = bounds
-        return table
+        return OfferTable(
+            col_provider, col_country, col_vantage, col_day, col_gb, col_price,
+            tuple(provider_codes), tuple(country_codes), tuple(vantage_codes),
+            tuple(bounds), len(days),
+        )
 
     def total_offers_per_day(self) -> int:
         """Catalogue size (the paper quotes 75,875 offers on 2024-05-01)."""

@@ -23,6 +23,11 @@ Operational contract:
   the read side of every open connection so handlers idling on a
   keep-alive connection read EOF; a request already read still gets
   its response.
+* **Bounded threads.** At most :data:`MAX_CONNECTIONS` connections
+  are open at once, one handler thread each. The accept thread closes
+  any connection beyond that without starting a handler and counts it
+  in ``server.connections_refused``, so clients outside the process
+  cannot set the server's thread count.
 * **No Nagle.** Responses go out as two sends (headers, body); the
   handler sets ``TCP_NODELAY`` so the body does not wait ~40 ms for
   the client's delayed ACK of the headers on a keep-alive connection.
@@ -58,6 +63,9 @@ from typing import Any, Dict, Optional, Set, Tuple
 from repro import obs
 from repro.obs import exposition
 from repro.server.state import RequestError, ServerState
+
+#: Open connections (and so handler threads) the server allows at once.
+MAX_CONNECTIONS = 64
 
 #: Routes the server understands (used for metric names and the index).
 ROUTES = (
@@ -563,9 +571,19 @@ class MeasurementServer(ThreadingHTTPServer):
     # set, even one whose handler thread has not started yet.
 
     def process_request(self, request: socket.socket, client_address: Any) -> None:
-        """Track the connection, then hand it to a handler thread."""
+        """Track the connection, then hand it to a handler thread.
+
+        Past :data:`MAX_CONNECTIONS` open connections, close it here
+        instead, unserved.
+        """
         with self._connections_lock:
-            self._connections.add(request)
+            admitted = len(self._connections) < MAX_CONNECTIONS
+            if admitted:
+                self._connections.add(request)
+        if not admitted:
+            obs.counter("server.connections_refused").inc()
+            self.shutdown_request(request)
+            return
         super().process_request(request, client_address)
 
     def shutdown_request(self, request: socket.socket) -> None:

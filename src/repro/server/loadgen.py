@@ -57,6 +57,10 @@ SENDERS = 4
 #: How long past the duration a backlog may still be sent.
 DRAIN_GRACE_S = 5.0
 
+#: The longest run: the schedule is built whole before the first send,
+#: and an hour of it is ~720k requests.
+MAX_DURATION_S = 3600.0
+
 #: Socket timeout of every connection the load generator opens.
 TIMEOUT_S = 30.0
 
@@ -308,9 +312,10 @@ class LoadGenerator:
     ) -> None:
         # ``not x > 0``-style checks, so NaN is refused too: a NaN
         # duration would run no request and pass the SLO gate.
-        if not 0 < duration_s < math.inf:
+        if not 0 < duration_s <= MAX_DURATION_S:
             raise ValueError(
-                f"duration_s must be a positive finite number, got {duration_s:g}"
+                f"duration_s must be a positive finite number "
+                f"<= {MAX_DURATION_S:g}, got {duration_s:g}"
             )
         if not 0 <= chaos_latency_s < math.inf:
             raise ValueError(

@@ -1,12 +1,18 @@
 """Tests for the persistent artifact cache (repro.core.cache)."""
 
+import contextlib
+import hashlib
+import json
 import os
+import pathlib
+import pickle
+import pickletools
+import shutil
 
 import pytest
 
 from repro.core import cache as cache_mod
-from repro.core.cache import ArtifactCache, fingerprint
-from repro.core.columns import ColumnStore
+from repro.core.cache import DIGEST_BYTES, ArtifactCache, fingerprint
 from repro.faults import ChaosConfig
 
 
@@ -80,10 +86,12 @@ def test_garbage_entry_is_a_silent_miss(store):
 
 def test_unresolvable_entry_class_is_a_silent_miss(store):
     # Simulates a stale entry whose class no longer exists after an
-    # upgrade: well-formed pickle bytes, unresolvable import.
+    # upgrade: well-formed pickle bytes and their digest, unresolvable
+    # import.
     key = fingerprint("blob", n=1)
     store.root.mkdir(parents=True)
-    (store.root / f"{key}.pkl").write_bytes(b"cno_such_module_xyz\nNoClass\n.")
+    payload = b"cno_such_module_xyz\nNoClass\n."
+    (store.root / f"{key}.pkl").write_bytes(payload + hashlib.sha256(payload).digest())
     assert store.load(key) is None
     assert store.stats.evictions == 1
 
@@ -106,31 +114,44 @@ def test_env_cache_dir(tmp_path, monkeypatch):
     assert cache_mod.default_cache_root() == tmp_path / "elsewhere"
 
 
-# -- column-store entries ---------------------------------------------------
-
-def _columns(rows: int = 50) -> ColumnStore:
-    table = ColumnStore(meta={"kind": "test"})
-    label = table.new_column("label", "H", strings="label")
-    value = table.new_column("value", "d")
-    for i in range(rows):
-        label.append(table.strings("label").code(f"l{i % 4}"))
-        value.append(i / 3)
-    return table
+def test_entry_is_the_pickle_then_its_sha256(store):
+    key = fingerprint("blob", n=1)
+    blob = store.store(key, {"value": [1, 2, 3]}).read_bytes()
+    payload, digest = blob[:-DIGEST_BYTES], blob[-DIGEST_BYTES:]
+    assert digest == hashlib.sha256(payload).digest()
+    assert payload == pickle.dumps({"value": [1, 2, 3]}, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def test_column_store_roundtrip_is_memory_mapped(store):
-    import mmap
+def test_entry_without_a_digest_trailer_is_an_evicted_miss(store):
+    """A bare pickle, as written before entries carried a digest."""
+    key = fingerprint("blob", n=1)
+    store.root.mkdir(parents=True)
+    path = store.root / f"{key}.pkl"
+    path.write_bytes(pickle.dumps(list(range(100))))
+    assert store.load(key) is None
+    assert store.stats.evictions == 1 and not path.exists()
 
+
+# -- the market crawl's column entry ------------------------------------------
+
+def _columns():
+    """A small crawl: two daily listings and one vantage probe."""
+    from repro.geo import default_country_registry
+    from repro.market import EsimDB, build_provider_universe
+
+    esimdb = EsimDB(build_provider_universe(4), default_country_registry())
+    return esimdb.offer_table([0, 7], [(84, "Madrid")])
+
+
+def test_offer_table_roundtrips_as_one_pickle(store):
     table = _columns()
     key = fingerprint("cols", n=1)
     path = store.store(key, table)
-    assert path.name == f"{key}.cols"
-    assert path.read_bytes() == table.to_bytes()
-    assert not list(store.root.glob("*.pkl"))
+    assert [p.name for p in store.root.iterdir()] == [f"{key}.pkl"]
     loaded = store.load(key)
-    assert isinstance(loaded, ColumnStore)
-    assert isinstance(loaded._backing, mmap.mmap)
-    assert loaded.to_bytes() == table.to_bytes()
+    assert loaded == table and loaded is not table
+    assert loaded.price_usd.typecode == "d" and loaded.provider.typecode == "H"
+    assert loaded.price_usd.tobytes() == table.price_usd.tobytes()
     assert store.stats.hits == 1 and store.stats.stores == 1
 
 
@@ -154,7 +175,7 @@ def test_column_entry_corruption_counts_as_corrupt(store):
     from repro import obs
 
     key = fingerprint("cols", n=1)
-    store.store(key, _columns()).write_bytes(b"RPCOL001 but not really")
+    store.store(key, _columns()).write_bytes(b"a pickle but not really")
     recorder = obs.TraceRecorder()
     with obs.use_recorder(recorder):
         assert store.load(key) is None
@@ -170,7 +191,10 @@ def test_info_verify_and_clear_cover_column_entries(store):
         "columns-entry", "pickled-entry",
     ]
     assert store.verify().ok == ["columns-entry", "pickled-entry"]
-    (store.root / "columns-entry.cols").write_bytes(b"garbage")
+    assert sorted(p.name for p in store.root.iterdir()) == [
+        "columns-entry.pkl", "pickled-entry.pkl",
+    ]
+    (store.root / "columns-entry.pkl").write_bytes(b"garbage")
     result = store.verify()
     assert result.corrupt == ["columns-entry"] and not result.clean
     assert store.verify(prune=True).pruned == ["columns-entry"]
@@ -235,6 +259,117 @@ def test_warm_load_equals_fresh_build(tmp_path):
         cache_mod.set_default_cache(previous)
 
 
+# -- byte-flip table: every entry kind is digest-checked ---------------------
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "run_all_seed2024_scale0.05.json"
+SEED, SCALE = 2024, 0.05
+
+
+def _flip_table():
+    """Entry kind -> (its cache key, an artefact whose export reads it)."""
+    from repro.core.runner import result_key
+    from repro.experiments import common
+    from repro.experiments.rx1 import default_chaos
+
+    return {
+        "world": (common._disk_key("world", seed=SEED), "T2"),
+        "device": (common._disk_key(
+            "device-dataset", seed=SEED, scale=SCALE, chaos=None), "F7"),
+        "chaos-device": (common._disk_key(
+            "device-dataset", seed=SEED, scale=SCALE, chaos=default_chaos(SEED)), "RX1"),
+        "web": (common._disk_key("web-dataset", seed=SEED, chaos=None), "T3"),
+        "market": (common._disk_key("market-columns", step_days=7), "F16"),
+        "journal-result": (result_key("F16", SEED, SCALE), "F16"),
+    }
+
+
+#: Pickle opcodes whose argument is raw data, with the width of the length
+#: prefix before it: a bit flipped there still unpickles, to a wrong value.
+DATA_OPCODES = {"BINFLOAT": 0, "SHORT_BINBYTES": 1, "BINBYTES": 4, "BINBYTES8": 8}
+
+
+def _payload_byte(blob, near):
+    """A byte of a float or bytes argument in ``blob``'s pickle: ``near``
+    if such an argument spans it, else the last byte of the last one
+    starting before it."""
+    found = data = None
+    for op, _, pos in pickletools.genops(blob):
+        if data is not None:  # the previous opcode's argument is blob[data:pos]
+            if data <= near < pos:
+                return near
+            found = pos - 1
+        if pos > near:
+            break
+        data = pos + 1 + DATA_OPCODES[op.name] if op.name in DATA_OPCODES else None
+    assert found is not None, "no float or bytes argument before the offset"
+    return found
+
+
+@contextlib.contextmanager
+def _default_cache(root):
+    """``root`` as the process-default cache, with empty memo layers."""
+    from repro.experiments import common
+
+    previous = cache_mod.get_default_cache()
+    common.clear_caches()
+    try:
+        yield cache_mod.configure(root=root)
+    finally:
+        common.clear_caches()
+        cache_mod.set_default_cache(previous)
+
+
+@pytest.fixture(scope="module")
+def flip_primed(tmp_path_factory):
+    """A cache holding every entry kind, and the journal of its run."""
+    from repro.core.runner import StudyRunner
+
+    root = tmp_path_factory.mktemp("flip-primed")
+    artefacts = sorted({artefact for _, artefact in _flip_table().values()})
+    with _default_cache(root / "cache") as store:
+        report = StudyRunner(
+            seed=SEED, jobs=1, cache=store, journal_path=root / "journal.jsonl",
+        ).run_all(scale=SCALE, artefacts=artefacts)
+    assert not report.failed(), report.summary_table()
+    return root
+
+
+@pytest.mark.parametrize("kind", sorted(_flip_table()))
+def test_flipped_byte_is_an_evicted_miss_that_rebuilds_to_golden(
+    flip_primed, tmp_path, kind
+):
+    """One payload byte flipped in any entry: ``verify`` names the entry,
+    the next load evicts it, and the rerun exports golden bytes."""
+    from repro.core.runner import StudyRunner
+    from repro.experiments.export import jsonable
+
+    key, artefact = _flip_table()[kind]
+    shutil.copytree(flip_primed, tmp_path / "run")
+    root = tmp_path / "run" / "cache"
+    path = root / f"{key}.pkl"
+    blob = bytearray(path.read_bytes())
+    # 8,000 bytes before the end lies in the crawl's float64 prices; an
+    # entry too small for that is hit at a float near its middle.
+    near = len(blob) - 8000 if len(blob) > 16_000 else len(blob) // 2
+    blob[_payload_byte(blob, near)] ^= 0x40
+    path.write_bytes(bytes(blob))
+
+    assert ArtifactCache(root).verify().corrupt == [key]
+
+    with _default_cache(root) as store:
+        # A checkpointed result is read on resume; an input on any run.
+        journal = tmp_path / "run" / "journal.jsonl" if kind == "journal-result" else None
+        report = StudyRunner(
+            seed=SEED, jobs=1, cache=store, journal_path=journal,
+        ).run_all(scale=SCALE, artefacts=[artefact], resume=journal is not None)
+    assert store.stats.evictions == 1
+    assert ArtifactCache(root).verify().clean and path.is_file()
+    golden = json.loads(GOLDEN.read_text())["results"][artefact]
+    assert json.dumps(jsonable(report.results[artefact]), indent=2, sort_keys=True) == (
+        json.dumps(golden, indent=2, sort_keys=True)
+    )
+
+
 # -- verify / prune ----------------------------------------------------------
 
 def test_verify_clean_cache(store):
@@ -261,10 +396,10 @@ def test_verify_reports_corrupt_entries_without_evicting(store):
 
 def test_verify_reports_stray_temp_files(store):
     store.store("good-entry", {"v": 1})
-    stray = store.root / ".good-entry.abc123"
+    stray = store.root / ".good-entry.pkl.abc123"
     stray.write_bytes(b"half-written")
     result = store.verify()
-    assert result.stray == [".good-entry.abc123"]
+    assert result.stray == [".good-entry.pkl.abc123"]
     assert not result.clean
 
 
@@ -272,10 +407,10 @@ def test_verify_prune_removes_corrupt_and_stray(store):
     store.store("good-entry", {"v": 1})
     bad = store.store("bad-entry", {"v": 2})
     bad.write_bytes(b"truncated")
-    stray = store.root / ".bad-entry.xyz"
+    stray = store.root / ".bad-entry.pkl.xyz"
     stray.write_bytes(b"leftover")
     result = store.verify(prune=True)
-    assert sorted(result.pruned) == [".bad-entry.xyz", "bad-entry"]
+    assert sorted(result.pruned) == [".bad-entry.pkl.xyz", "bad-entry"]
     assert not bad.exists() and not stray.exists()
     assert store.verify().clean
     assert store.load("good-entry") == {"v": 1}
@@ -288,9 +423,29 @@ def test_verify_missing_root(tmp_path):
 
 def test_clear_removes_stray_temp_files(store):
     store.store("entry-a", {"v": 1})
-    (store.root / ".entry-a.tmp123").write_bytes(b"leftover")
+    (store.root / ".entry-a.pkl.tmp123").write_bytes(b"leftover")
     assert store.clear() == 2
     assert not list(store.root.iterdir())
+
+
+def test_clear_and_prune_delete_only_the_caches_own_files(store):
+    """Entries and atomic_write's ``.{key}.pkl.*`` temps are the cache's;
+    a dotfile or a hidden directory in the same root is not."""
+    store.store("entry-a", {"v": 1})
+    (store.root / ".entry-a.pkl.tmp123").write_bytes(b"leftover")
+    (store.root / ".bashrc").write_text("export PS1='$ '\n")
+    (store.root / ".notes.pkl").write_bytes(b"not an entry")
+    (store.root / ".ssh").mkdir()
+    (store.root / ".ssh" / "config").write_text("Host *\n")
+    (store.root / ".ssh.pkl.d").mkdir()
+    result = store.verify(prune=True)
+    assert result.ok == ["entry-a"] and not result.corrupt
+    assert result.stray == result.pruned == [".entry-a.pkl.tmp123"]
+    assert store.clear() == 1
+    assert sorted(p.name for p in store.root.iterdir()) == [
+        ".bashrc", ".notes.pkl", ".ssh", ".ssh.pkl.d",
+    ]
+    assert (store.root / ".ssh" / "config").read_text() == "Host *\n"
 
 
 # -- atomic_write --------------------------------------------------------------

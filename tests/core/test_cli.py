@@ -141,6 +141,7 @@ BAD_NUMERIC_INPUT = [
     (["loadgen", "--duration", "-1"], "duration_s must be a positive finite number"),
     (["loadgen", "--duration", "inf"], "duration_s must be a positive finite number"),
     (["loadgen", "--duration", "nan"], "duration_s must be a positive finite number"),
+    (["loadgen", "--duration", "1e7"], "duration_s must be a positive finite number <= 3600"),
     (["loadgen", "--chaos-latency", "nan"], "chaos_latency_s must be a non-negative finite"),
     (["regress", "--latency-threshold", "nan"], "latency_threshold must be > 0"),
     (["report", "--html", "r.html", "--latency-threshold", "nan"],
@@ -193,7 +194,7 @@ def test_trip_builds_one_listing(monkeypatch, capsys):
     from repro.market import EsimDB
 
     common.clear_caches()
-    common.get_market()  # the cached crawl, built or mapped beforehand
+    common.get_market()  # the cached crawl, built or loaded beforehand
     built = []
     offer_table = EsimDB.offer_table
 
@@ -742,9 +743,10 @@ def test_cache_verify_cli(cli_cache, capsys):
     assert not victim.exists()
 
 
-def test_cache_verify_names_a_damaged_column_snapshot(cli_cache, capsys):
-    """The market crawl is cached as one column snapshot, never a pickle;
-    ``info`` lists it, ``verify`` names it once torn, ``--prune`` drops it."""
+def test_cache_verify_names_a_damaged_market_entry(cli_cache, capsys):
+    """The market crawl is cached as one pickle like every input; ``info``
+    lists it, ``verify`` names it once one byte of its prices is flipped
+    (the entry still unpickles), ``--prune`` drops it."""
     from repro.experiments import common
 
     common.clear_caches()  # F16's crawl must be built into this cache
@@ -754,12 +756,14 @@ def test_cache_verify_names_a_damaged_column_snapshot(cli_cache, capsys):
     ]) == 0
     capsys.readouterr()
     root = pathlib.Path(cli_cache)
-    (victim,) = root.glob("market-*.cols")
-    assert not list(root.glob("market-*.pkl"))
+    (victim,) = root.glob("market-*")
+    assert victim.suffix == ".pkl"
     assert main(["cache", "info", "--cache-dir", str(cli_cache)]) == 0
     out = capsys.readouterr().out
     assert "entries    : 1" in out and victim.stem in out
-    victim.write_bytes(victim.read_bytes()[:64])
+    blob = bytearray(victim.read_bytes())
+    blob[-8000] ^= 0x40
+    victim.write_bytes(bytes(blob))
     assert main(["cache", "verify", "--cache-dir", str(cli_cache)]) == 1
     assert f"corrupt {victim.stem}" in capsys.readouterr().out
     assert main([

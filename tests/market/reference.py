@@ -113,13 +113,11 @@ def crawl_vantages(
 def vantage_snapshots(crawl: CrawlDataset) -> List[MarketSnapshot]:
     """The crawl's ``(day, vantage)`` probe listings, in crawl order."""
     table = crawl.table
-    providers = table.strings("provider").values()
-    countries = table.strings("country").values()
-    vantages = table.strings("vantage").values()
+    providers, countries, vantages = table.providers, table.countries, table.vantages
     names = ("provider", "country", "data_gb", "price_usd", "day", "vantage")
     out = []
-    for day, vantage, first, end in table.meta["listings"][table.meta["daily"]:]:
-        columns = (table.column(name)[first:end].tolist() for name in names)
+    for day, vantage, first, end in table.listings[table.daily:]:
+        columns = (getattr(table, name)[first:end].tolist() for name in names)
         out.append(MarketSnapshot(day, vantage, [
             ESIMOffer(providers[p], countries[c], gb, price, d, vantages[v])
             for p, c, gb, price, d, v in zip(*columns)

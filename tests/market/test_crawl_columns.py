@@ -9,12 +9,12 @@ and that the Figure 16-19 aggregates and the listing reads of CLI
 """
 
 import dataclasses
+from array import array
 from collections import Counter
 
 import pytest
 
 from repro.core import cache as cache_mod
-from repro.core.columns import ColumnStore
 from repro.geo import default_country_registry
 from repro.market import (
     AIRALO,
@@ -33,6 +33,9 @@ from tests.market import reference
 #: The sampling step ``common.get_market`` caches.
 STEP = 7
 DAYS = list(range(0, 120, STEP))
+
+#: An offer table's typed columns.
+COLUMNS = ("provider", "country", "vantage", "day", "data_gb", "price_usd")
 
 
 @pytest.fixture(scope="module")
@@ -70,10 +73,12 @@ def test_crawl_shape(crawl):
         (VANTAGE_CHECK_DAY, v) for v in VANTAGE_POINTS
     ]
     assert len(crawl.all_offers()) == 408_006
-    assert crawl.table.column_names() == (
-        "provider", "country", "vantage", "day", "data_gb", "price_usd",
-    )
-    assert len(crawl.table.column("price_usd")) == 408_006 + 3 * 22_667
+    assert {name: getattr(crawl.table, name).typecode for name in COLUMNS} == {
+        "provider": "H", "country": "H", "vantage": "H", "day": "H",
+        "data_gb": "d", "price_usd": "d",
+    }
+    for name in COLUMNS:
+        assert len(getattr(crawl.table, name)) == 408_006 + 3 * 22_667
 
 
 @pytest.mark.parametrize("day", DAYS)
@@ -106,9 +111,9 @@ def test_price_discrimination_equals_object_path(crawl, esimdb):
 
 
 def test_price_discrimination_detected_from_columns(crawl):
-    table = ColumnStore.from_buffer(bytearray(crawl.table.to_bytes()))
-    prices = table.column("price_usd")
+    prices = array("d", crawl.table.price_usd)
     prices[len(prices) - 1] += 0.01  # the NJ listing's last plan
+    table = dataclasses.replace(crawl.table, price_usd=prices)
     assert CrawlDataset(table).price_discrimination_detected() is True
 
 
@@ -123,7 +128,10 @@ def test_price_discrimination_detected_from_objects(crawl):
 
 
 def test_offer_table_is_byte_deterministic(esimdb):
-    assert esimdb.offer_table([0, 1]).to_bytes() == esimdb.offer_table([0, 1]).to_bytes()
+    table, again = esimdb.offer_table([0, 1]), esimdb.offer_table([0, 1])
+    assert table == again
+    for name in COLUMNS:
+        assert getattr(table, name).tobytes() == getattr(again, name).tobytes()
 
 
 #: Flat days before the Asia/Africa ramp (days 13-60), ramp days, flat
@@ -133,8 +141,8 @@ REUSE_DAYS = [0, 7, 13, 14, 21, 28, 35, 42, 49, 56, 60, 63, 119, 21, 0, 56]
 
 def test_offer_table_reuse_equals_per_listing_pricing(esimdb):
     table = esimdb.offer_table(REUSE_DAYS, [(84, "Madrid"), (35, "Abu Dhabi")])
-    prices = table.column("price_usd")
-    for day, _, first, end in table.meta["listings"]:
+    prices = table.price_usd
+    for day, _, first, end in table.listings:
         assert prices[first:end].tolist() == reference.listing_prices(esimdb, day), day
 
 
@@ -148,8 +156,8 @@ def test_offer_table_reuse_with_staggered_ramps(countries):
     esimdb = EsimDB(build_provider_universe(8), countries, pricing)
     days = [0, 10, 15, 20, 25, 30, 40, 5, 15, 25]
     table = esimdb.offer_table(days)
-    prices = table.column("price_usd")
-    for day, _, first, end in table.meta["listings"]:
+    prices = table.price_usd
+    for day, _, first, end in table.listings:
         assert prices[first:end].tolist() == reference.listing_prices(esimdb, day), day
 
 
@@ -189,7 +197,7 @@ def test_offer_table_validates_rows(countries):
 
 def test_crawl_dataset_rejects_other_tables():
     with pytest.raises(ValueError):
-        CrawlDataset(ColumnStore(meta={"kind": "subscriber-population"}))
+        CrawlDataset({"kind": "subscriber-population"})
 
 
 #: Ways a cached crawl entry gets damaged: bytes overwritten in place,
@@ -208,19 +216,19 @@ def test_cached_crawl_rebuilds_byte_identical_after_corruption(tmp_path, damage)
     store = cache_mod.configure(root=tmp_path / "cache")
     try:
         common.clear_caches()
-        built = common.get_market()[1].table.to_bytes()
-        (path,) = store.root.glob("market-columns-*.cols")
-        assert not list(store.root.glob("*.pkl"))
-        assert path.read_bytes() == built
-        path.write_bytes(DAMAGE[damage](built))
+        built = common.get_market()[1].table
+        (path,) = store.root.iterdir()
+        assert path.name.startswith("market-columns-") and path.suffix == ".pkl"
+        blob = path.read_bytes()
+        path.write_bytes(DAMAGE[damage](blob))
         common.clear_caches()
-        assert common.get_market()[1].table.to_bytes() == built
+        assert common.get_market()[1].table == built
         assert store.stats.evictions == 1
-        assert path.read_bytes() == built  # the rebuild was persisted
+        assert path.read_bytes() == blob  # the rebuild was persisted
         common.clear_caches()
-        loaded = common.get_market()[1]  # memory-mapped this time
+        loaded = common.get_market()[1]  # unpickled this time
         assert store.stats.hits == 1
-        assert loaded.table.to_bytes() == built
+        assert loaded.table == built
     finally:
         common.clear_caches()
         cache_mod.set_default_cache(previous)

@@ -214,7 +214,7 @@ def test_local_offer_validation():
 
 
 def test_day_listing_has_one_row_per_offer(esimdb, may_listing):
-    assert len(may_listing.table.column("price_usd")) == esimdb.total_offers_per_day()
+    assert len(may_listing.table.price_usd) == esimdb.total_offers_per_day()
 
 
 def test_footprints(esimdb):

@@ -8,6 +8,7 @@ from repro.obs.history import HistoryStore
 from repro.obs.regress import KIND_LATENCY, KIND_SLO, compare, detect
 from repro.server import create_server
 from repro.server.loadgen import (
+    MAX_DURATION_S,
     MIX,
     RATE_RPS,
     SENDERS,
@@ -138,6 +139,11 @@ def test_detect_flags_seeded_latency_regression(tmp_path):
 def test_loadgen_input_validation():
     with pytest.raises(ValueError):
         LoadGenerator("h", 1, duration_s=0)
+    # The schedule is built whole before the first send: refuse a run
+    # longer than an hour before building any of it.
+    with pytest.raises(ValueError, match="<= 3600"):
+        LoadGenerator("h", 1, duration_s=1e7)
+    assert LoadGenerator("h", 1, duration_s=MAX_DURATION_S).duration_s == 3600
 
 
 def test_loadgen_against_live_server(tmp_path):

@@ -4,6 +4,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import statistics
 import subprocess
 import sys
@@ -372,6 +373,35 @@ def test_stop_drains_in_flight_requests():
     # The idle connection was closed by the server, not left dangling.
     assert idle.sock.recv(1) == b""
     idle.close()
+
+
+def test_connections_past_the_cap_are_refused():
+    """Open connections hold one handler thread each; past
+    ``MAX_CONNECTIONS`` the accept thread closes a new one unserved."""
+    from repro.server.app import MAX_CONNECTIONS
+
+    srv = create_server(scale=0.02, datasets=("device",), warm_artefacts=()).start()
+    idle = []
+    try:
+        for _ in range(MAX_CONNECTIONS):
+            connection = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=30)
+            connection.request("GET", "/healthz")
+            connection.getresponse().read()
+            idle.append(connection)  # keep-alive: its handler waits on it
+        refused = socket.create_connection(("127.0.0.1", srv.port), timeout=5)
+        try:
+            assert refused.recv(1) == b""  # closed without a response
+        finally:
+            refused.close()
+        idle[0].request("GET", "/healthz")
+        response = idle[0].getresponse()
+        assert response.status in (200, 503)
+        assert json.loads(response.read())["phase"]
+        assert srv.registry.counter("server.connections_refused").value == 1
+    finally:
+        for connection in idle:
+            connection.close()
+        srv.stop()
 
 
 def test_sigterm_shuts_down_with_exit_zero(tmp_path):
