@@ -2,6 +2,6 @@
 
 import sys
 
-from repro.cli import main
+from repro.cli import console_main
 
-sys.exit(main())
+sys.exit(console_main())

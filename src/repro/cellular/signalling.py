@@ -19,8 +19,8 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
-from typing import Dict, Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 
 class SignallingEvent(enum.Enum):
@@ -54,12 +54,22 @@ class SignallingProfile:
 
     name: str
     daily_rates: Mapping[SignallingEvent, float]
+    #: ``(event, exp(-rate), size in KB)`` per event, in ``daily_rates``
+    #: order, computed once: the samplers run once per subscriber-day.
+    #: A zero rate has no threshold (``None``) and draws nothing.
+    _draws: Tuple[Tuple[SignallingEvent, Optional[float], float], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.daily_rates:
             raise ValueError("profile needs at least one event rate")
         if any(rate < 0 for rate in self.daily_rates.values()):
             raise ValueError("event rates cannot be negative")
+        object.__setattr__(self, "_draws", tuple(
+            (event, math.exp(-rate) if rate > 0 else None, EVENT_SIZE_KB[event])
+            for event, rate in self.daily_rates.items()
+        ))
 
     def expected_daily_kb(self) -> float:
         """Mean signalling volume per subscriber-day."""
@@ -69,27 +79,32 @@ class SignallingProfile:
 
     def sample_daily_kb(self, rng: random.Random) -> float:
         """One subscriber-day: Poisson event counts times sizes."""
+        draw = rng.random
         total = 0.0
-        for event, rate in self.daily_rates.items():
-            total += _poisson(rate, rng) * EVENT_SIZE_KB[event]
+        for _event, threshold, size in self._draws:
+            total += _poisson(threshold, draw) * size
         return total
 
     def sample_event_counts(self, rng: random.Random) -> Dict[SignallingEvent, int]:
+        draw = rng.random
         return {
-            event: _poisson(rate, rng) for event, rate in self.daily_rates.items()
+            event: _poisson(threshold, draw) for event, threshold, _size in self._draws
         }
 
 
-def _poisson(rate: float, rng: random.Random) -> int:
-    """Knuth's Poisson sampler (rates here are small)."""
-    if rate <= 0:
+def _poisson(threshold: Optional[float], draw: Callable[[], float]) -> int:
+    """Knuth's Poisson sampler (rates here are small).
+
+    ``threshold`` is ``exp(-rate)``, or ``None`` for a zero rate, which
+    draws nothing; ``draw`` is a bound ``random.Random.random``.
+    """
+    if threshold is None:
         return 0
-    threshold = math.exp(-rate)
     count = 0
-    product = rng.random()
+    product = draw()
     while product > threshold:
         count += 1
-        product *= rng.random()
+        product *= draw()
     return count
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,39 @@ class SteeringPolicy:
             raise ValueError("steering needs at least one preferred partner")
         if not 0.0 <= self.compliance <= 1.0:
             raise ValueError("compliance must be a probability")
+
+
+@dataclass(frozen=True)
+class _Resolution:
+    """What every attach of one ``(b-MNO, country, pinned)`` shares.
+
+    ``pinned`` set: the attach lands there and draws nothing. Otherwise
+    ``compliance`` (``None`` without a policy) costs one draw, landing on
+    ``steer_to`` when compliant and that network operates here; every
+    other attach makes one coverage draw against ``bounds``, the
+    cumulative coverage shares in option order.
+    """
+
+    pinned: Optional[str]
+    compliance: Optional[float]
+    steer_to: Optional[str]
+    bounds: Tuple[Tuple[float, str], ...]
+
+    def pick(self, draw: Callable[[], float]) -> str:
+        """The network one attach lands on; ``draw`` is ``rng.random``."""
+        if self.pinned is not None:
+            return self.pinned
+        if (
+            self.compliance is not None
+            and draw() < self.compliance
+            and self.steer_to is not None
+        ):
+            return self.steer_to
+        threshold = draw()
+        for cumulative, name in self.bounds:
+            if threshold < cumulative:
+                return name
+        return self.bounds[-1][1]
 
 
 class NetworkSelector:
@@ -89,6 +122,30 @@ class NetworkSelector:
             raise KeyError(f"unknown country: {country}")
         return list(self._options[country])
 
+    def _resolve(
+        self, b_mno_name: str, country_iso3: str, pinned_operator: Optional[str]
+    ) -> _Resolution:
+        """The part every attach of ``(b-MNO, country, pinned)`` shares."""
+        country = country_iso3.upper()
+        options = self.options_in(country)
+        names = [option.operator_name for option in options]
+        if pinned_operator is not None and pinned_operator not in names:
+            raise ValueError(f"{pinned_operator} does not operate in {country}")
+        policy = self._policies.get((b_mno_name, country))
+        bounds = []
+        cumulative = 0.0
+        for option in options:
+            cumulative += option.coverage_share
+            bounds.append((cumulative, option.operator_name))
+        return _Resolution(
+            pinned=pinned_operator,
+            compliance=None if policy is None else policy.compliance,
+            steer_to=None if policy is None else next(
+                (name for name in policy.preferred if name in names), None
+            ),
+            bounds=tuple(bounds),
+        )
+
     def select(
         self,
         b_mno_name: str,
@@ -102,27 +159,9 @@ class NetworkSelector:
         when set and present in the country, it always wins (the eSIM
         profile is built for that partner).
         """
-        country = country_iso3.upper()
-        options = self.options_in(country)
-        names = [option.operator_name for option in options]
-        if pinned_operator is not None:
-            if pinned_operator in names:
-                return pinned_operator
-            raise ValueError(f"{pinned_operator} does not operate in {country}")
-
-        policy = self._policies.get((b_mno_name, country))
-        if policy is not None and rng.random() < policy.compliance:
-            for preference in policy.preferred:
-                if preference in names:
-                    return preference
-        # Unsteered: coverage-share-weighted choice.
-        threshold = rng.random()
-        cumulative = 0.0
-        for option in options:
-            cumulative += option.coverage_share
-            if threshold < cumulative:
-                return option.operator_name
-        return options[-1].operator_name
+        return self._resolve(b_mno_name, country_iso3, pinned_operator).pick(
+            rng.random
+        )
 
     def attach_distribution(
         self,
@@ -135,8 +174,10 @@ class NetworkSelector:
         """Empirical share of attaches per network."""
         if samples < 1:
             raise ValueError("need at least one sample")
+        pick = self._resolve(b_mno_name, country_iso3, pinned_operator).pick
+        draw = rng.random
         counts: Dict[str, int] = {}
         for _ in range(samples):
-            name = self.select(b_mno_name, country_iso3, rng, pinned_operator)
+            name = pick(draw)
             counts[name] = counts.get(name, 0) + 1
         return {name: count / samples for name, count in sorted(counts.items())}

@@ -82,31 +82,29 @@ class CoreTelemetryGenerator:
         if days < 1:
             raise ValueError("need at least one day")
         records: List[UsageRecord] = []
+        append = records.append
+        rng = self._rng
+        gauss = rng.gauss
+        exp = math.exp
         for population, ranges in self._populations:
             imsis = self._draw_imsis(population.subscriber_count, ranges)
+            name = population.name
+            profile = population.signalling_profile
+            data_sigma = population.data_sigma
+            signalling_sigma = population.signalling_sigma
             for imsi in imsis:
                 # Per-subscriber offset: heavy users are heavy every day.
-                user_bias = self._rng.gauss(0.0, 0.3)
+                user_bias = gauss(0.0, 0.3)
+                data_mu = population.data_mu + user_bias
+                signalling_mu = population.signalling_mu + 0.5 * user_bias
+                signalling_scale = exp(0.3 * user_bias)
                 for day in range(days):
-                    data = self._lognormal(population.data_mu + user_bias, population.data_sigma)
-                    if population.signalling_profile is not None:
-                        signalling = population.signalling_profile.sample_daily_kb(
-                            self._rng
-                        ) * math.exp(0.3 * user_bias)
+                    data = exp(gauss(data_mu, data_sigma))
+                    if profile is not None:
+                        signalling = profile.sample_daily_kb(rng) * signalling_scale
                     else:
-                        signalling = self._lognormal(
-                            population.signalling_mu + 0.5 * user_bias,
-                            population.signalling_sigma,
-                        )
-                    records.append(
-                        UsageRecord(
-                            imsi=imsi,
-                            population=population.name,
-                            day=day,
-                            data_mb=data,
-                            signalling_kb=signalling,
-                        )
-                    )
+                        signalling = exp(gauss(signalling_mu, signalling_sigma))
+                    append(UsageRecord(imsi, name, day, data, signalling))
         return records
 
     def _draw_imsis(self, count: int, ranges: Sequence[IMSIRange]) -> List[IMSI]:
@@ -119,9 +117,6 @@ class CoreTelemetryGenerator:
             if attempts > count * 100:
                 raise RuntimeError("IMSI ranges too small for requested population")
         return sorted(imsis, key=lambda i: i.value)
-
-    def _lognormal(self, mu: float, sigma: float) -> float:
-        return math.exp(self._rng.gauss(mu, sigma))
 
 
 def detect_airalo_imsis(

@@ -29,28 +29,34 @@ Exposes the reproduction from the shell::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import logging
 import math
 import random
 import statistics
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro.core.study import ThickMnaStudy
 from repro.experiments import common, registry
 from repro.measure.amigo import ConfigurationError
 
 
-def _configure_logging(verbose: bool) -> None:
-    """Route ``repro.*`` log records explicitly.
+@contextlib.contextmanager
+def _configure_logging(verbose: bool) -> Iterator[None]:
+    """Route ``repro.*`` log records explicitly while a command runs.
 
     Campaign weather (retries, quarantines, endpoints going dark) is
     logged at INFO by ``repro.measure``; without ``--verbose`` it stays
     out of the CLI's output instead of leaking through the root
-    logger's last-resort handler.
+    logger's last-resort handler. On exit the ``repro`` logger gets
+    back its handlers, level and propagation, so a caller of
+    :func:`main` (a test, ``repro profile``) keeps its own logging.
     """
     logger = logging.getLogger("repro")
-    for handler in list(logger.handlers):
+    saved = (list(logger.handlers), logger.level, logger.propagate)
+    for handler in saved[0]:
         if getattr(handler, "_repro_cli", False):
             logger.removeHandler(handler)
     handler = logging.StreamHandler(sys.stderr)
@@ -59,6 +65,12 @@ def _configure_logging(verbose: bool) -> None:
     logger.addHandler(handler)
     logger.setLevel(logging.INFO if verbose else logging.WARNING)
     logger.propagate = False
+    try:
+        yield
+    finally:
+        logger.handlers[:] = saved[0]
+        logger.setLevel(saved[1])
+        logger.propagate = saved[2]
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -987,9 +999,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     if error is not None:
         print(error, file=sys.stderr)
         return 2
-    _configure_logging(args.verbose)
-    return _HANDLERS[args.command](args)
+    with _configure_logging(args.verbose):
+        return _HANDLERS[args.command](args)
+
+
+def console_main() -> int:
+    """The process entry point: ``python -m repro`` and the ``repro``
+    console script.
+
+    Runs :func:`main`, then freezes the cyclic collector: everything
+    the command built dies with the process, so interpreter shutdown
+    need not traverse it in one last collection. Shutdown still runs
+    atexit handlers, flushes and closes files, and frees by reference
+    count. ``main()`` itself never freezes, since tests call it in
+    process.
+    """
+    status = main()
+    gc.freeze()
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(console_main())

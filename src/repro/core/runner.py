@@ -49,6 +49,7 @@ timestamps live only in the trace file.
 from __future__ import annotations
 
 import concurrent.futures
+import gc
 import json
 import os
 import pathlib
@@ -483,6 +484,13 @@ class StudyRunner:
         It also loads numpy, which no module imports at module level:
         here its import is charged to the warm-up, once, instead of to
         the first artefact's clock, and forked workers inherit it.
+
+        It ends with ``gc.freeze()``: the inputs stay loaded until the
+        process exits, so the cyclic collector need not traverse them in
+        every later full collection, nor in a forked worker. Frozen
+        objects are still freed when their last reference goes; a cycle
+        among them waits for ``common.clear_caches()``, which drops the
+        inputs and unfreezes.
         """
         from repro.experiments import common, registry
 
@@ -500,6 +508,7 @@ class StudyRunner:
             common.get_web_dataset(self.seed, chaos=self.chaos)
         if "market" in needed:
             common.get_market()
+        gc.freeze()
         return time.perf_counter() - started
 
     # -- checkpointing -------------------------------------------------------

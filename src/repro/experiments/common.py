@@ -18,6 +18,7 @@ in-memory layer (pass ``disk=True`` to also wipe the store).
 
 from __future__ import annotations
 
+import gc
 from typing import Dict, Optional, Tuple
 
 import repro
@@ -167,11 +168,17 @@ def clear_caches(disk: bool = False) -> None:
     The persistent store survives by default — it is content-addressed,
     so a later getter returns equal bytes either way. ``disk=True``
     additionally wipes it (what ``python -m repro cache clear`` does).
+
+    ``StudyRunner.warm_inputs`` freezes the collector over the inputs it
+    loads, on the premise that they live until exit. Dropping them ends
+    that premise, so this unfreezes: the collector can reclaim their
+    reference cycles again.
     """
     _worlds.clear()
     _device_datasets.clear()
     _web_datasets.clear()
     _market.clear()
     _listings.clear()
+    gc.unfreeze()
     if disk:
         _cache.get_default_cache().clear()

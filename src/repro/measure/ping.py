@@ -28,7 +28,5 @@ def ping_provider(
     if count < 1:
         raise ValueError("count must be >= 1")
     edge = provider.nearest_edge(session.pgw_site.location)
-    return [
-        fabric.session_rtt_ms(session, edge.location, conditions, rng)
-        for _ in range(count)
-    ]
+    base_rtt = fabric.base_rtt_ms(session, edge.location)
+    return [fabric.measured_rtt_ms(base_rtt, conditions, rng) for _ in range(count)]

@@ -94,6 +94,7 @@ def probe_voip(
         raise ValueError("need at least two packets to measure jitter")
     edge = provider.nearest_edge(session.pgw_site.location)
     loss_rate = fabric.loss_rate(session)
+    base_rtt = fabric.base_rtt_ms(session, edge.location)
 
     rtts: List[float] = []
     lost = 0
@@ -101,7 +102,7 @@ def probe_voip(
         if rng.random() < loss_rate:
             lost += 1
             continue
-        rtts.append(fabric.session_rtt_ms(session, edge.location, conditions, rng))
+        rtts.append(fabric.measured_rtt_ms(base_rtt, conditions, rng))
     if not rtts:  # a fully black-holed path: report the worst score
         context = MeasurementContext.from_session(session, sim, conditions, day=day)
         return VoIPRecord(context, provider.name, float("inf"), 0.0, 1.0, 0.0, 1.0)

@@ -27,7 +27,9 @@ Operational contract:
   are open at once, one handler thread each. The accept thread closes
   any connection beyond that without starting a handler and counts it
   in ``server.connections_refused``, so clients outside the process
-  cannot set the server's thread count.
+  cannot set the server's thread count. A connection that sends
+  nothing for :data:`IDLE_TIMEOUT_S`, or stops reading a response for
+  that long, is closed, freeing its slot.
 * **No Nagle.** Responses go out as two sends (headers, body); the
   handler sets ``TCP_NODELAY`` so the body does not wait ~40 ms for
   the client's delayed ACK of the headers on a keep-alive connection.
@@ -66,6 +68,10 @@ from repro.server.state import RequestError, ServerState
 
 #: Open connections (and so handler threads) the server allows at once.
 MAX_CONNECTIONS = 64
+
+#: Seconds a connection may send nothing before the server closes it,
+#: so idle clients cannot hold every connection slot.
+IDLE_TIMEOUT_S = 30.0
 
 #: Routes the server understands (used for metric names and the index).
 ROUTES = (
@@ -112,6 +118,11 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve"
     #: TCP_NODELAY, set by ``StreamRequestHandler.setup()``.
     disable_nagle_algorithm = True
+    #: The socket timeout ``StreamRequestHandler.setup()`` applies. A
+    #: read that waits longer ends the connection through
+    #: ``handle_one_request``'s ``TimeoutError`` path; a response write
+    #: that does is a 499 in ``do_GET``.
+    timeout = IDLE_TIMEOUT_S
 
     # Per-request trace context (set by do_GET; defaults cover do_POST).
     _trace: Optional[Tuple[str, str]] = None
@@ -202,8 +213,11 @@ class _Handler(BaseHTTPRequestHandler):
                 status = self._dispatch(route, parsed)
             except RequestError as error:
                 status = self._error(error.status, error.message)
-            except BrokenPipeError:
-                status = 499  # client went away mid-response
+            except (BrokenPipeError, TimeoutError):
+                # The client went away or stopped reading mid-response:
+                # nothing more can be sent on this connection.
+                self.close_connection = True
+                status = 499
             except Exception as error:  # noqa: BLE001 — the daemon must survive
                 status = self._error(
                     500, f"{type(error).__name__}: {error}"

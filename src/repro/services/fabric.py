@@ -97,8 +97,33 @@ class ServiceFabric:
         either, the value is the deterministic baseline the analysis
         layer decomposes into private and public shares (Figure 12).
         """
-        total = session.base_private_rtt_ms
-        total += self.public_rtt_ms(session.pgw_site.location, server)
+        return self.measured_rtt_ms(
+            self.base_rtt_ms(session, server), conditions, rng
+        )
+
+    def base_rtt_ms(self, session: PDNSession, server: GeoPoint) -> float:
+        """Deterministic half of :meth:`session_rtt_ms`: private + public path.
+
+        The same for every probe of one session to one server, so a probe
+        train computes it once and passes it to :meth:`measured_rtt_ms`.
+        """
+        return session.base_private_rtt_ms + self.public_rtt_ms(
+            session.pgw_site.location, server
+        )
+
+    def measured_rtt_ms(
+        self,
+        base_rtt_ms: float,
+        conditions: Optional[RadioConditions] = None,
+        rng: Optional[random.Random] = None,
+    ) -> float:
+        """Per-probe half of :meth:`session_rtt_ms`: radio, overhead, jitter.
+
+        Adds to ``base_rtt_ms`` (from :meth:`base_rtt_ms`) the radio
+        contribution when ``conditions`` is given, and with ``rng`` the
+        public-segment overhead and measurement jitter, in that order.
+        """
+        total = base_rtt_ms
         if conditions is not None:
             total += self.radio.access_rtt_ms(conditions, rng)
         if rng is not None:

@@ -1,5 +1,6 @@
 """Tests for the control-plane signalling model."""
 
+import math
 import random
 import statistics
 
@@ -15,6 +16,21 @@ from repro.cellular.signalling import (
     _poisson,
 )
 from repro.cellular import CoreTelemetryGenerator, IMSIRange, SubscriberPopulation
+from tests.cellular import reference
+
+#: Seeds for the differential tests against ``tests/cellular/reference.py``.
+SEEDS = range(24)
+
+#: A profile with zero rates: those events draw nothing.
+QUIET_PROFILE = SignallingProfile(
+    "quiet",
+    {
+        SignallingEvent.ATTACH: 0.0,
+        SignallingEvent.PAGING: 3.0,
+        SignallingEvent.HANDOVER: 0.0,
+        SignallingEvent.SERVICE_REQUEST: 0.5,
+    },
+)
 
 
 def test_every_event_has_a_size():
@@ -70,8 +86,10 @@ def test_event_counts_sampling():
 
 def test_poisson_sampler_properties():
     rng = random.Random(11)
-    assert _poisson(0.0, rng) == 0
-    samples = [_poisson(4.0, rng) for _ in range(5000)]
+    state = rng.getstate()
+    assert _poisson(None, rng.random) == 0  # a zero rate draws nothing
+    assert rng.getstate() == state
+    samples = [_poisson(math.exp(-4.0), rng.random) for _ in range(5000)]
     assert statistics.fmean(samples) == pytest.approx(4.0, rel=0.05)
     assert statistics.pvariance(samples) == pytest.approx(4.0, rel=0.15)
 
@@ -90,3 +108,51 @@ def test_telemetry_generator_uses_profile():
     mean_kb = statistics.fmean(r.signalling_kb for r in records)
     # Near the profile expectation (user bias widens it slightly).
     assert mean_kb == pytest.approx(NATIVE_PROFILE.expected_daily_kb(), rel=0.25)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sampling_equals_the_per_draw_reference(seed):
+    """Hoisting ``exp(-rate)`` and the sizes moves no draw and no bit."""
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    for profile in (NATIVE_PROFILE, AIRALO_PROFILE, ROAMER_PROFILE, QUIET_PROFILE):
+        for _ in range(40):
+            assert profile.sample_daily_kb(rng) == reference.sample_daily_kb(
+                profile, reference_rng
+            )
+            assert profile.sample_event_counts(rng) == reference.sample_event_counts(
+                profile, reference_rng
+            )
+    assert rng.getstate() == reference_rng.getstate()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_generate_equals_the_per_record_reference(seed):
+    """Same records, field for field, from a profile-driven population and
+    a lognormal one, and the generator's RNG ends in the same state."""
+
+    def generator(cls, rng):
+        built = cls(rng)
+        built.add_population(
+            SubscriberPopulation(
+                "profiled", 9, data_mu=5.7, data_sigma=0.8,
+                signalling_mu=0.0, signalling_sigma=0.0,
+                signalling_profile=AIRALO_PROFILE,
+            ),
+            [IMSIRange(prefix="2600612")],
+        )
+        built.add_population(
+            SubscriberPopulation(
+                "lognormal", 6, data_mu=4.5, data_sigma=1.0,
+                signalling_mu=6.0, signalling_sigma=0.5,
+            ),
+            [IMSIRange(prefix="23410")],
+        )
+        return built
+
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    records = generator(CoreTelemetryGenerator, rng).generate(days=6)
+    expected = generator(reference.ReferenceTelemetryGenerator, reference_rng).generate(
+        days=6
+    )
+    assert records == expected
+    assert rng.getstate() == reference_rng.getstate()

@@ -5,6 +5,30 @@ import random
 import pytest
 
 from repro.cellular import NetworkSelector, SteeringPolicy, VisitedNetworkOption
+from tests.cellular.reference import ReferenceSelector
+
+UK = (
+    VisitedNetworkOption("O2 UK", 0.35),
+    VisitedNetworkOption("EE", 0.40),
+    VisitedNetworkOption("Vodafone UK", 0.25),
+)
+
+#: Regime -> (policy, pinned operator, options registered after the
+#: policy). The last regime leaves a policy none of whose preferences
+#: operates: it still costs its compliance draw.
+REGIMES = {
+    "unsteered": (None, None, None),
+    "steered": (SteeringPolicy("Play", preferred=("EE",), compliance=0.75), None, None),
+    "pinned": (SteeringPolicy("Play", preferred=("EE",), compliance=0.75), "O2 UK", None),
+    "first-preference-absent": (
+        SteeringPolicy("Play", preferred=("Three", "Vodafone UK"), compliance=0.6),
+        None, None,
+    ),
+    "no-preference-present": (
+        SteeringPolicy("Play", preferred=("EE",), compliance=0.9),
+        None, (VisitedNetworkOption("Three", 0.55), VisitedNetworkOption("O2 UK", 0.45)),
+    ),
+}
 
 
 def _selector():
@@ -102,3 +126,34 @@ def test_unknown_country_raises():
         selector.options_in("FRA")
     with pytest.raises(ValueError):
         selector.attach_distribution("Play", "GBR", random.Random(1), samples=0)
+
+
+def _configured(cls, regime):
+    policy, _pinned, later_options = REGIMES[regime]
+    selector = cls()
+    selector.register_country("GBR", UK)
+    if policy is not None:
+        selector.set_policy("GBR", policy)
+    if later_options is not None:
+        selector.register_country("GBR", later_options)
+    return selector
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+@pytest.mark.parametrize("seed", range(20))
+def test_selection_equals_the_per_draw_reference(seed, regime):
+    """Resolving once per call instead of once per draw moves no draw:
+    the same networks and shares, and the RNG ends in the same state."""
+    pinned = REGIMES[regime][1]
+    selector = _configured(NetworkSelector, regime)
+    reference = _configured(ReferenceSelector, regime)
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    for _ in range(200):
+        assert selector.select("Play", "gbr", rng, pinned) == reference.select(
+            "Play", "gbr", reference_rng, pinned
+        )
+    assert selector.attach_distribution(
+        "Play", "GBR", rng, 3_000, pinned
+    ) == reference.attach_distribution("Play", "GBR", reference_rng, 3_000, pinned)
+    assert rng.getstate() == reference_rng.getstate()
+

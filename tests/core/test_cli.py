@@ -252,23 +252,6 @@ def test_tools_catalogue(capsys):
 # -- run-all / cache / verbose ------------------------------------------------
 
 
-@pytest.fixture(autouse=True)
-def _restore_repro_logger():
-    """Undo ``main()``'s logging configuration after every CLI test.
-
-    The CLI intentionally stops ``repro.*`` records propagating to the
-    root logger; leaving that in place would starve ``caplog`` in tests
-    that run later in the session.
-    """
-    import logging
-
-    logger = logging.getLogger("repro")
-    state = (list(logger.handlers), logger.level, logger.propagate)
-    yield
-    logger.handlers[:], logger.level, logger.propagate = state[0], state[1], state[2]
-    logger.setLevel(state[1])
-
-
 @pytest.fixture()
 def cli_cache(tmp_path):
     """Point the process-default cache at a throwaway dir for CLI tests."""
@@ -369,6 +352,19 @@ def test_trace_unparseable_file_errors(tmp_path, capsys):
     bad.write_text("not json\n")
     assert main(["trace", "summary", str(bad)]) == 2
     assert "bad.jsonl:1" in capsys.readouterr().err
+
+
+def test_main_leaves_the_repro_logger_as_it_found_it(cli_cache):
+    """``main()`` routes ``repro.*`` records only while its command runs;
+    afterwards ``caplog`` in later tests sees them again."""
+    import logging
+
+    logger = logging.getLogger("repro")
+    before = (list(logger.handlers), logger.level, logger.propagate)
+    assert main(["cache", "info", "--cache-dir", str(cli_cache)]) == 0
+    assert not any(getattr(h, "_repro_cli", False) for h in logger.handlers)
+    assert logger.propagate is True
+    assert (list(logger.handlers), logger.level, logger.propagate) == before
 
 
 def test_cache_info_and_clear(cli_cache, capsys):
@@ -896,3 +892,87 @@ def test_hypothesis_tests_leave_scipy_stats_unloaded(tmp_path):
     )
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.strip() == "['scipy.special']"
+
+
+# -- the process entry point ---------------------------------------------------
+
+
+def _python_m_repro(tmp_path, *argv):
+    """``python -m repro ARGV`` in ``tmp_path``, with its own cache."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_the_exit_path_loses_nothing(tmp_path):
+    """``python -m repro`` freezes the collector before the interpreter
+    shuts down; every file a command writes is still whole."""
+    from repro.obs.history import ArtefactStats, HistoryStore, RunRecord
+
+    HistoryStore(tmp_path / "history").append(RunRecord(
+        run_id="earlier", created_unix=1.0, seed=2024, scale=0.05, jobs=1,
+        total_wall_s=1.0, artefacts={"T2": ArtefactStats(wall_s=1.0)},
+    ))
+    done = _python_m_repro(
+        tmp_path, "run-all", "--scale", "0.05", "--json", "report.json",
+        "--trace", "traces", "--history", "history",
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert len(report["results"]) == 31
+    assert [run["status"] for run in report["runs"]] == ["ok"] * 31
+    (trace,) = (tmp_path / "traces").glob("*.jsonl")
+    text = trace.read_text()
+    assert text.endswith("\n")
+    assert all(json.loads(line) for line in text.splitlines())
+    records = HistoryStore(tmp_path / "history").load()
+    assert [record.run_id for record in records] == [
+        "earlier", report["history_run_id"],
+    ]
+
+    done = _python_m_repro(
+        tmp_path, "profile", "--out", "prof/t2.collapsed", "--", "run", "T2",
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "prof" / "t2.collapsed").read_text().strip()
+
+    done = _python_m_repro(tmp_path, "run-all", "--scale", "-1")
+    assert done.returncode == 2
+    assert "--scale must be a positive finite number" in done.stderr
+
+
+def test_console_script_and_python_m_share_one_entry_function(capsys):
+    """``[project.scripts]`` names the function ``python -m repro`` calls,
+    and that function freezes the collector after ``main()``, which does
+    not freeze itself."""
+    import gc
+    import re
+
+    root = pathlib.Path(__file__).resolve().parents[2]
+    scripts = re.search(
+        r'^\[project\.scripts\]\nrepro = "(.+):(.+)"$',
+        (root / "pyproject.toml").read_text(), re.MULTILINE,
+    )
+    module, function = scripts.groups()
+    python_m = (root / "src" / "repro" / "__main__.py").read_text()
+    assert f"from {module} import {function}\n" in python_m
+    assert f"sys.exit({function}())\n" in python_m
+
+    frozen = gc.get_freeze_count()
+    assert main(["list"]) == 0
+    assert gc.get_freeze_count() == frozen
+    probe = _python(
+        "import gc, importlib, sys\n"
+        "entry = getattr(importlib.import_module(sys.argv[1]), sys.argv[2])\n"
+        "sys.argv[1:] = ['list']\n"
+        "status = entry()\n"
+        "print(status, gc.get_freeze_count() > 0)",
+        module, function, capture_output=True, text=True,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.splitlines()[-1] == "0 True"

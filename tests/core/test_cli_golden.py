@@ -14,7 +14,6 @@ Regenerate (only for an intended output change) with::
 import contextlib
 import io
 import json
-import logging
 import os
 import pathlib
 import subprocess
@@ -59,15 +58,9 @@ def run_cli(argv):
     """``repro.cli.main(argv)`` in process: its exit code and output."""
     from repro.cli import main
 
-    logger = logging.getLogger("repro")
-    state = (list(logger.handlers), logger.level, logger.propagate)
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(argv))
-    finally:
-        logger.handlers[:], logger.propagate = state[0], state[2]
-        logger.setLevel(state[1])
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 

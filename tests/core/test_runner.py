@@ -119,6 +119,23 @@ def test_second_run_hits_the_disk_cache(isolated_cache):
     assert not report.failed()
 
 
+def test_warm_inputs_are_frozen_until_the_caches_are_cleared(isolated_cache):
+    """``warm_inputs`` freezes the collector over the loaded inputs;
+    ``clear_caches`` unfreezes, so a dropped world is reclaimed."""
+    import gc
+    import weakref
+
+    from repro.experiments import common
+
+    StudyRunner(seed=2024, jobs=1).run_all(scale=SCALE, artefacts=["T2"])
+    world = weakref.ref(common.get_world(2024))
+    assert gc.get_freeze_count() > 0
+    common.clear_caches()
+    assert gc.get_freeze_count() == 0
+    gc.collect()
+    assert world() is None
+
+
 def test_study_run_all_jobs_parameter(isolated_cache):
     study = ThickMnaStudy(seed=2024)
     results = study.run_all(scale=SCALE, jobs=2)

@@ -5,12 +5,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.measure.ping import ping_provider
 from repro.measure.voip import (
     e_model_r_factor,
     mos_from_r,
     probe_voip,
     rfc3550_jitter,
 )
+from tests.measure import reference
 from tests.measure.conftest import make_session
 
 
@@ -101,3 +103,31 @@ def test_loss_rate_grows_with_tunnel(resources, hr, native):
     _, session_n = native
     assert resources.fabric.loss_rate(session_h) > resources.fabric.loss_rate(session_n)
     assert resources.fabric.loss_rate(session_h) <= 0.03
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_trains_equal_the_per_packet_reference(seed, resources, hr, native, conditions):
+    """Computing the base RTT once per train moves no draw and no bit."""
+    google = resources.sp_targets["Google"]
+    fabric = resources.fabric
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    for sim, session in (hr, native):
+        assert probe_voip(
+            session, sim, google, fabric, conditions, rng, packets=80
+        ) == reference.probe_voip(
+            session, sim, google, fabric, conditions, reference_rng, packets=80
+        )
+        assert ping_provider(
+            session, google, fabric, conditions, rng, count=6
+        ) == reference.ping_provider(
+            session, google, fabric, conditions, reference_rng, count=6
+        )
+        server = google.nearest_edge(session.pgw_site.location).location
+        for radio in (None, conditions):
+            for draw in (None, rng):
+                expected = reference.session_rtt_ms(
+                    fabric, session, server, radio,
+                    None if draw is None else reference_rng,
+                )
+                assert fabric.session_rtt_ms(session, server, radio, draw) == expected
+    assert rng.getstate() == reference_rng.getstate()

@@ -404,6 +404,81 @@ def test_connections_past_the_cap_are_refused():
         srv.stop()
 
 
+def test_idle_connections_time_out_and_free_their_slots(monkeypatch):
+    """Connections that send nothing hold their slots only until the
+    handler's ``timeout``: a new connection is refused while they are
+    open, then admitted and served once the server has closed them."""
+    from repro.server import app
+
+    assert app._Handler.timeout == app.IDLE_TIMEOUT_S  # what ships; shortened below
+    monkeypatch.setattr(app, "MAX_CONNECTIONS", 3)
+    monkeypatch.setattr(app._Handler, "timeout", 1.5)
+    srv = create_server(scale=0.02, datasets=("device",), warm_artefacts=()).start()
+    refusals = srv.registry.counter("server.connections_refused")
+    refused_before = refusals.value
+    idle = []
+    try:
+        for _ in range(3):
+            idle.append(socket.create_connection(("127.0.0.1", srv.port), timeout=15))
+        refused = socket.create_connection(("127.0.0.1", srv.port), timeout=5)
+        try:
+            assert refused.recv(1) == b""  # closed without a response
+        finally:
+            refused.close()
+        assert refusals.value == refused_before + 1
+        for connection in idle:
+            # EOF: the server timed it out, and it untracks a connection
+            # before closing it, so its slot is already free.
+            assert connection.recv(1) == b""
+        late = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=5)
+        try:
+            late.request("GET", "/healthz")
+            response = late.getresponse()
+            assert response.status in (200, 503)
+            assert json.loads(response.read())["phase"]
+        finally:
+            late.close()
+        assert refusals.value == refused_before + 1
+    finally:
+        for connection in idle:
+            connection.close()
+        srv.stop()
+
+
+def test_a_client_that_stops_reading_is_cut_off_as_499(monkeypatch):
+    """A response write that waits longer than the handler's ``timeout``
+    ends the connection and counts the request as a 499; the server
+    sends no 500 after it on the stalled socket."""
+    from repro.server import app
+
+    monkeypatch.setattr(app._Handler, "timeout", 1.0)
+    srv = create_server(scale=0.02, datasets=("device",), warm_artefacts=()).start()
+    # Four times Linux's default send-buffer ceiling (tcp_wmem), so the
+    # write stalls however far the server's buffer grows.
+    pad = "x" * 16_000_000
+    monkeypatch.setattr(srv.state, "healthz", lambda: {"status": "ok", "pad": pad})
+    names = ("server.requests.healthz", "server.status.4xx", "server.status.5xx")
+    counters = {name: srv.registry.counter(name) for name in names}
+    before = {name: counter.value for name, counter in counters.items()}
+    stalled = socket.socket()
+    stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    try:
+        stalled.connect(("127.0.0.1", srv.port))
+        stalled.sendall(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n")
+        deadline = time.monotonic() + 15
+        while (
+            counters["server.requests.healthz"].value == before["server.requests.healthz"]
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.05)
+        assert counters["server.requests.healthz"].value == before["server.requests.healthz"] + 1
+        assert counters["server.status.4xx"].value == before["server.status.4xx"] + 1
+        assert counters["server.status.5xx"].value == before["server.status.5xx"]
+    finally:
+        stalled.close()
+        srv.stop()
+
+
 def test_sigterm_shuts_down_with_exit_zero(tmp_path):
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
