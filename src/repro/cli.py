@@ -526,7 +526,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             quiet=not args.verbose,
-            debug_delay=args.debug_delay,
             sample_interval_s=args.sample_interval,
             sample_capacity=args.sample_capacity,
             profile_max_s=args.profile_max,
@@ -631,9 +630,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_market(args: argparse.Namespace) -> int:
-    if args.top < 1:
-        print("--top must be at least 1", file=sys.stderr)
-        return 2
     try:
         listing = common.get_listing(args.day)
     except ValueError as error:
@@ -884,9 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--history", default=None, metavar="DIR",
                               help="history store root served by /history "
                                    "and /regress")
-    serve_parser.add_argument("--debug-delay", action="store_true",
-                              help="honour the delay_s= query parameter "
-                                   "(shutdown-drain testing only)")
     serve_parser.add_argument("--sample-interval", type=float, default=1.0,
                               metavar="S",
                               help="live-sampler tick cadence (default 1s; "
@@ -977,8 +970,13 @@ _HANDLERS = {
 }
 
 
+#: Integer flags and the least value each accepts, wherever they appear.
+_INT_FLAG_MINIMA = {"jobs": 1, "top": 1, "depth": 0, "limit": 1}
+
+
 def _numeric_flag_error(args: argparse.Namespace) -> Optional[str]:
-    """What is wrong with ``--scale`` or ``--jobs``, if anything.
+    """What is wrong with ``--scale``, ``--jobs``, ``--top``, ``--depth``
+    or ``--limit``, if anything.
 
     argparse checks only that they parse. A scale above 1 grows the
     campaign (see ``scaled_count``), so only non-positive and non-finite
@@ -987,9 +985,10 @@ def _numeric_flag_error(args: argparse.Namespace) -> Optional[str]:
     scale = getattr(args, "scale", None)
     if scale is not None and not (math.isfinite(scale) and scale > 0):
         return f"--scale must be a positive finite number, got {scale:g}"
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None and jobs < 1:
-        return f"--jobs must be at least 1, got {jobs}"
+    for name, least in _INT_FLAG_MINIMA.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            return f"--{name} must be at least {least}, got {value}"
     return None
 
 

@@ -3,7 +3,8 @@
 The 31 artefacts are independent once the shared inputs (world, the two
 campaign datasets, the market crawl) exist, so the runner builds those
 once in the parent, persists them through :mod:`repro.core.cache`, and
-fans the per-artefact analysis out over a ``ProcessPoolExecutor``::
+fans the per-artefact analysis out over a ``ProcessPoolExecutor`` (at
+``jobs=1``, an inline pool that runs each attempt in the parent)::
 
     from repro.core import StudyRunner
 
@@ -18,13 +19,15 @@ Determinism is unchanged: workers compute exactly what the serial path
 computes, from byte-identical cached inputs, so ``jobs=N`` renders the
 same artefacts as ``jobs=1``.
 
-The runner *supervises* its workers instead of trusting them:
+The runner *supervises* its workers instead of trusting them, through
+one loop at every ``jobs``:
 
 * ``artefact_timeout_s=`` arms a watchdog — an artefact that exceeds
   its deadline has its worker killed, is charged an attempt and is
   retried (final status ``"timeout"`` when the budget runs out);
-* a dead worker (OOM, signal, ``BrokenProcessPool``) breaks the pool,
-  which is respawned; the lost artefacts retry with the bounded
+* a dead worker (OOM, signal, ``BrokenProcessPool``; at ``jobs=1`` an
+  :class:`~repro.faults.InjectedWorkerCrash`) loses its artefacts, and
+  a broken pool is respawned; the lost artefacts retry with the bounded
   :class:`~repro.faults.BackoffPolicy` budget and are *quarantined*
   (status ``"quarantined"``) when they keep dying, so one poisoned
   experiment never sinks the run;
@@ -49,6 +52,7 @@ timestamps live only in the trace file.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import gc
 import json
 import os
@@ -190,14 +194,22 @@ class RunReport:
 
 # -- worker side -------------------------------------------------------------
 
-_WORKER_STUDY = None
-_WORKER_TRACE = False
-_WORKER_EXEC_CHAOS: Optional[ExecChaos] = None
-_WORKER_IN_POOL = False
+@dataclass(frozen=True)
+class _Worker:
+    """What the worker entry point runs with."""
 
-#: One ledger row as shipped back from a worker: everything ArtefactRun
-#: needs plus the result payload and the worker's exported telemetry.
-_Row = Tuple[str, str, Any, str, float, str, int, int, float, Optional[Dict[str, Any]]]
+    study: Any  # a ThickMnaStudy
+    trace: bool
+    exec_chaos: Optional[ExecChaos]
+    in_pool: bool  # False at jobs=1, where attempts run in the parent
+
+
+#: Set by ``_worker_init`` in a pool worker, by ``_InlinePool`` in the parent.
+_WORKER: Optional[_Worker] = None
+
+#: What one attempt ships back: its ledger row, the result payload and
+#: the exported telemetry (None when tracing is off).
+_Outcome = Tuple[ArtefactRun, Any, Optional[Dict[str, Any]]]
 
 
 def result_key(
@@ -248,11 +260,8 @@ def _worker_init(
         target=_exit_when_orphaned, args=(os.getppid(),), daemon=True
     ).start()
     cache_mod.configure(root=cache_root, enabled=cache_enabled)
-    global _WORKER_STUDY, _WORKER_TRACE, _WORKER_EXEC_CHAOS, _WORKER_IN_POOL
-    _WORKER_STUDY = ThickMnaStudy(seed=seed, chaos=chaos)
-    _WORKER_TRACE = trace
-    _WORKER_EXEC_CHAOS = exec_chaos
-    _WORKER_IN_POOL = True
+    global _WORKER
+    _WORKER = _Worker(ThickMnaStudy(seed=seed, chaos=chaos), trace, exec_chaos, True)
 
 
 def _exit_when_orphaned(parent_pid: int, poll_s: float = 1.0) -> None:
@@ -262,71 +271,88 @@ def _exit_when_orphaned(parent_pid: int, poll_s: float = 1.0) -> None:
     os._exit(1)
 
 
-def _execute_artefact(
+def _run_artefact(
     artefact_id: str, scale: Optional[float], attempt: int = 0
-) -> Tuple[str, str, Any, str, float, str, int, int, float]:
-    """Run one artefact in this process; never raises from the artefact.
+) -> _Outcome:
+    """Run one attempt in this process; never raises from the artefact.
 
     The exec-chaos hook runs *before* the isolation try-block: an
     injected crash must look like a dead worker (``os._exit`` in a pool
     worker, :class:`~repro.faults.InjectedWorkerCrash` inline), not
     like an artefact error the runner would refuse to retry.
+
+    When tracing, the artefact records into its *own*
+    :class:`~repro.obs.TraceRecorder` whether it runs in a pool worker
+    or inline in the parent — the recorder's export travels back with
+    the row and the parent re-parents it under the ``run_all`` root
+    span. One code path, both modes.
     """
+    from repro.experiments import registry
     from repro.faults import execchaos as execchaos_mod
 
-    study = _WORKER_STUDY
-    assert study is not None, "worker used before _worker_init"
-    execchaos_mod.inject(
-        _WORKER_EXEC_CHAOS, artefact_id, attempt,
-        cache_root=cache_mod.get_default_cache().root,
-        in_subprocess=_WORKER_IN_POOL,
+    worker = _WORKER
+    assert worker is not None, "worker used before _worker_init"
+    recorder = (
+        obs.TraceRecorder(trace_id=f"artefact-{artefact_id}")
+        if worker.trace else obs.get_recorder()
     )
-    from repro.experiments import registry
-
-    stats_before = cache_mod.get_default_cache().stats.snapshot()
-    started = time.perf_counter()
-    try:
-        # A global --scale only applies to the scale-aware experiments;
-        # the rest run with exactly the parameters their spec declares.
-        spec = registry.get_spec(artefact_id)
-        result = study.run(
-            artefact_id, scale=scale if spec.supports_scale else None
+    cache = cache_mod.get_default_cache()
+    with obs.use_recorder(recorder), obs.span("artefact", id=artefact_id) as span:
+        if attempt:
+            span.set(attempt=attempt)
+        execchaos_mod.inject(
+            worker.exec_chaos, artefact_id, attempt,
+            cache_root=cache.root, in_subprocess=worker.in_pool,
         )
-        status, error = STATUS_OK, ""
-    except Exception:
-        result, status, error = None, STATUS_ERROR, traceback.format_exc()
-    wall = time.perf_counter() - started
-    delta = cache_mod.get_default_cache().stats.delta(stats_before)
-    return (
-        artefact_id, status, result, error, wall,
-        f"pid-{os.getpid()}", delta.hits, delta.misses, delta.hit_time_s,
+        stats_before = cache.stats.snapshot()
+        started = time.perf_counter()
+        try:
+            # A global --scale only applies to the scale-aware experiments;
+            # the rest run with exactly the parameters their spec declares.
+            spec = registry.get_spec(artefact_id)
+            result = worker.study.run(
+                artefact_id, scale=scale if spec.supports_scale else None
+            )
+            status, error = STATUS_OK, ""
+        except Exception:
+            result, status, error = None, STATUS_ERROR, traceback.format_exc()
+            span.set(failed=True)
+        wall = time.perf_counter() - started
+        delta = cache.stats.delta(stats_before)
+    run = ArtefactRun(
+        artefact_id=artefact_id, status=status, wall_s=wall,
+        worker=f"pid-{os.getpid()}", cache_hits=delta.hits,
+        cache_misses=delta.misses, cache_hit_s=delta.hit_time_s,
+        attempts=attempt + 1, error=error,
     )
+    return run, result, recorder.export() if worker.trace else None
 
 
-def _run_artefact(
-    artefact_id: str, scale: Optional[float], attempt: int = 0
-) -> _Row:
-    """One ledger row; when tracing, recorded under a fresh local recorder.
+class _InlinePool:
+    """The ``jobs=1`` pool: each submitted attempt runs in the parent.
 
-    The artefact records into its *own* :class:`~repro.obs.TraceRecorder`
-    whether it runs in a pool worker or inline in the parent — the
-    recorder's export travels back with the row and the parent re-parents
-    it under the ``run_all`` root span. One code path, both modes.
+    ``submit`` returns a finished future. An injected crash becomes the
+    future's exception, so the supervision loop charges, backs off and
+    quarantines it as it does a dead pool worker.
     """
-    if not _WORKER_TRACE:
-        return _execute_artefact(artefact_id, scale, attempt) + (None,)
-    recorder = obs.TraceRecorder(trace_id=f"artefact-{artefact_id}")
-    with obs.use_recorder(recorder):
-        with obs.span("artefact", id=artefact_id) as span:
-            if attempt:
-                span.set(attempt=attempt)
-            row = _execute_artefact(artefact_id, scale, attempt)
-            if row[1] != STATUS_OK:
-                span.set(failed=True)
-    return row + (recorder.export(),)
+
+    def __init__(self, worker: _Worker) -> None:
+        global _WORKER
+        _WORKER = worker
+
+    def submit(self, fn: Callable[..., _Outcome], *args: Any) -> concurrent.futures.Future:
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except InjectedWorkerCrash as crash:
+            future.set_exception(crash)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
 
 
-def _kill_pool(pool: concurrent.futures.ProcessPoolExecutor) -> None:
+def _kill_pool(pool: Union[_InlinePool, concurrent.futures.ProcessPoolExecutor]) -> None:
     """Forcibly stop a pool: terminate every worker, then shut down.
 
     ``ProcessPoolExecutor`` has no per-task cancellation for running
@@ -353,15 +379,17 @@ def _kill_pool(pool: concurrent.futures.ProcessPoolExecutor) -> None:
 class StudyRunner:
     """Runs a study's artefacts with warm shared inputs, optionally sharded.
 
-    ``jobs=1`` runs everything inline (no subprocess, still isolated per
-    artefact); ``jobs=N`` uses a supervised ``ProcessPoolExecutor``.
+    ``jobs=1`` runs each artefact in the parent (no subprocess, still
+    isolated per artefact); ``jobs=N`` uses a ``ProcessPoolExecutor``.
+    Both go through the same supervision loop.
 
     Supervision knobs:
 
     ``artefact_timeout_s``
-        Watchdog deadline per artefact attempt (``jobs>1`` only: the
-        serial path has no worker to kill). An overdue worker is
-        killed, the attempt charged, the artefact retried.
+        Watchdog deadline per artefact attempt (``jobs>1`` only: at
+        ``jobs=1`` the attempt runs in the parent, which has no worker
+        to kill). An overdue worker is killed, the attempt charged, the
+        artefact retried.
     ``max_attempts``
         Total attempts (>=1) an artefact may consume on worker deaths
         and timeouts before it is quarantined. Artefact *errors*
@@ -525,17 +553,17 @@ class StudyRunner:
         self,
         journal: Optional[journal_mod.RunJournal],
         effective_scale: float,
-        row: _Row,
-        attempts: int,
+        run: ArtefactRun,
+        result: Any,
     ) -> None:
         """Persist one completed artefact: payload to cache, line to journal."""
-        if journal is None or row[1] != STATUS_OK:
+        if journal is None or run.status != STATUS_OK:
             return
-        key = result_key(row[0], self.seed, effective_scale, self.chaos)
-        self.cache.store(key, row[2])
+        key = result_key(run.artefact_id, self.seed, effective_scale, self.chaos)
+        self.cache.store(key, result)
         journal.append(journal_mod.JournalEntry(
-            artefact_id=row[0], fingerprint=key, status=STATUS_OK,
-            wall_s=row[4], worker=row[5], attempts=attempts,
+            artefact_id=run.artefact_id, fingerprint=key, status=STATUS_OK,
+            wall_s=run.wall_s, worker=run.worker, attempts=run.attempts,
         ))
 
     # -- the run -------------------------------------------------------------
@@ -638,7 +666,7 @@ class StudyRunner:
 
                 # Resume: serve checkpointed artefacts straight from the
                 # cache; anything whose payload is gone simply reruns.
-                rows: List[Tuple[_Row, int]] = []
+                rows: List[_Outcome] = []
                 todo: List[str] = []
                 for artefact in artefacts:
                     entry = completed.get(artefact)
@@ -649,53 +677,36 @@ class StudyRunner:
                     if entry is not None and result is not None:
                         obs.counter("runner.resume_skip").inc()
                         obs.event("runner.resume_skip", artefact=artefact)
-                        rows.append(((
-                            artefact, STATUS_OK, result, "", entry.wall_s,
-                            "journal", 0, 0, 0.0, None,
-                        ), 0))
+                        rows.append((ArtefactRun(
+                            artefact, STATUS_OK, entry.wall_s, "journal",
+                            attempts=0,
+                        ), result, None))
                     else:
                         todo.append(artefact)
 
-                on_row: Callable[[_Row, int], None] = (
-                    lambda row, attempts: self._checkpoint(
-                        journal, effective_scale, row, attempts
-                    )
-                )
-                if self.jobs == 1:
-                    rows += self._run_serial(todo, scale, on_row)
-                else:
-                    rows += self._run_parallel(todo, scale, on_row)
+                checkpoint = functools.partial(self._checkpoint, journal, effective_scale)
+                rows += self._supervise(todo, scale, checkpoint)
 
                 # Anything not finalized (stop requested mid-run) gets an
                 # explicit interrupted row so the partial report is honest.
-                finalized = {row[0] for row, _attempts in rows}
+                finalized = {run.artefact_id for run, _result, _telemetry in rows}
                 for artefact in artefacts:
                     if artefact not in finalized:
-                        rows.append(((
-                            artefact, STATUS_INTERRUPTED, None,
-                            "run interrupted before this artefact completed",
-                            0.0, "-", 0, 0, 0.0, None,
-                        ), 0))
+                        rows.append((ArtefactRun(
+                            artefact, STATUS_INTERRUPTED, 0.0, "-", attempts=0,
+                            error="run interrupted before this artefact completed",
+                        ), None, None))
                 report.interrupted = self._stop_requested
                 if report.interrupted:
                     obs.event("runner.interrupted")
 
                 order = {artefact: index for index, artefact in enumerate(artefacts)}
-                for row, attempts in sorted(rows, key=lambda r: order[r[0][0]]):
-                    (
-                        artefact_id, status, result, error, wall, worker,
-                        hits, misses, hit_time_s, telemetry,
-                    ) = row
-                    report.runs.append(
-                        ArtefactRun(
-                            artefact_id=artefact_id, status=status, wall_s=wall,
-                            worker=worker, cache_hits=hits, cache_misses=misses,
-                            cache_hit_s=hit_time_s, attempts=attempts,
-                            error=error,
-                        )
-                    )
-                    if status == STATUS_OK:
-                        report.results[artefact_id] = result
+                for run, result, telemetry in sorted(
+                    rows, key=lambda row: order[row[0].artefact_id]
+                ):
+                    report.runs.append(run)
+                    if run.status == STATUS_OK:
+                        report.results[run.artefact_id] = result
                     if telemetry is not None and recorder.enabled:
                         recorder.adopt(telemetry, parent_id=root.span_id)
         finally:
@@ -704,61 +715,13 @@ class StudyRunner:
         report.total_wall_s = time.perf_counter() - started
         return report
 
-    # -- serial supervision --------------------------------------------------
+    # -- supervision ---------------------------------------------------------
 
-    def _run_serial(
-        self,
-        artefacts: Sequence[str],
-        scale: Optional[float],
-        on_row: Callable[[_Row, int], None],
-    ) -> List[Tuple[_Row, int]]:
-        global _WORKER_STUDY, _WORKER_TRACE, _WORKER_EXEC_CHAOS, _WORKER_IN_POOL
-        _WORKER_STUDY = self._study()
-        _WORKER_TRACE = obs.enabled()
-        _WORKER_EXEC_CHAOS = self.exec_chaos
-        _WORKER_IN_POOL = False
-        rng = random.Random(f"runner-retry:{self.seed}")
-        out: List[Tuple[_Row, int]] = []
-        for artefact in artefacts:
-            if self._stop_requested:
-                break
-            failures = 0
-            while True:
-                try:
-                    row = _run_artefact(artefact, scale, failures)
-                except InjectedWorkerCrash:
-                    failures += 1
-                    obs.counter("runner.crash").inc()
-                    if failures >= self.max_attempts:
-                        row = (
-                            artefact, STATUS_QUARANTINED, None,
-                            traceback.format_exc(), 0.0,
-                            f"pid-{os.getpid()}", 0, 0, 0.0, None,
-                        )
-                        obs.counter("runner.quarantine").inc()
-                        obs.event(
-                            "runner.quarantine", artefact=artefact,
-                            attempts=failures, reason="crash",
-                        )
-                        out.append((row, failures))
-                        on_row(row, failures)
-                        break
-                    delay = self.retry_backoff.delay_s(failures - 1, rng)
-                    obs.counter("runner.retry").inc()
-                    obs.event(
-                        "runner.retry", artefact=artefact, attempt=failures,
-                        delay_s=round(delay, 6), reason="crash",
-                    )
-                    time.sleep(delay)
-                    continue
-                out.append((row, failures + 1))
-                on_row(row, failures + 1)
-                break
-        return out
-
-    # -- parallel supervision ------------------------------------------------
-
-    def _new_pool(self) -> concurrent.futures.ProcessPoolExecutor:
+    def _new_pool(self) -> Union[_InlinePool, concurrent.futures.ProcessPoolExecutor]:
+        if self.jobs == 1:
+            return _InlinePool(
+                _Worker(self._study(), obs.enabled(), self.exec_chaos, False)
+            )
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=self.jobs,
             initializer=_worker_init,
@@ -769,12 +732,12 @@ class StudyRunner:
             ),
         )
 
-    def _run_parallel(
+    def _supervise(
         self,
         artefacts: Sequence[str],
         scale: Optional[float],
-        on_row: Callable[[_Row, int], None],
-    ) -> List[Tuple[_Row, int]]:
+        on_done: Callable[[ArtefactRun, Any], None],
+    ) -> List[_Outcome]:
         """Supervised pool execution: watchdog, retries, pool respawn.
 
         At most ``jobs`` artefacts are in flight at a time (so submit
@@ -782,16 +745,22 @@ class StudyRunner:
         A broken pool is respawned and the remaining shard continues; an
         overdue artefact's pool is killed, the artefact charged and
         retried, innocent in-flight artefacts resubmitted uncharged.
+        At ``jobs=1`` the inline pool finishes each attempt inside
+        ``submit``, so nothing is ever overdue, and a crashed artefact
+        retries after the rest of the shard, as in a pool.
         """
         pending: List[str] = list(artefacts)
         not_before: Dict[str, float] = {}
         failures: Dict[str, int] = {artefact: 0 for artefact in artefacts}
         rng = random.Random(f"runner-retry:{self.seed}")
-        out: List[Tuple[_Row, int]] = []
+        out: List[_Outcome] = []
+        # Where a lost attempt ran: a pool worker that is gone, or, at
+        # jobs=1, the parent itself.
+        lost_worker = f"pid-{os.getpid()}" if self.jobs == 1 else "pid-lost"
 
-        def finalize(row: _Row, attempts: int) -> None:
-            out.append((row, attempts))
-            on_row(row, attempts)
+        def finalize(outcome: _Outcome) -> None:
+            out.append(outcome)
+            on_done(outcome[0], outcome[1])
 
         def register_failure(artefact: str, kind: str, detail: str) -> None:
             failures[artefact] += 1
@@ -804,11 +773,10 @@ class StudyRunner:
                     "runner.quarantine", artefact=artefact,
                     attempts=attempts, reason=kind,
                 )
-                finalize(
-                    (artefact, status, None, detail, 0.0,
-                     "pid-lost", 0, 0, 0.0, None),
-                    attempts,
-                )
+                finalize((ArtefactRun(
+                    artefact, status, 0.0, lost_worker, attempts=attempts,
+                    error=detail,
+                ), None, None))
             else:
                 delay = self.retry_backoff.delay_s(attempts - 1, rng)
                 not_before[artefact] = time.monotonic() + delay
@@ -823,7 +791,7 @@ class StudyRunner:
         while not done_all and not self._stop_requested:
             pool = self._new_pool()
             inflight: Dict[concurrent.futures.Future, Tuple[str, float]] = {}
-            respawn = False
+            respawn = ""  # set to the reason once the pool must be replaced
             try:
                 while not self._stop_requested:
                     now = time.monotonic()
@@ -849,77 +817,71 @@ class StudyRunner:
                         list(inflight), timeout=_POLL_S,
                         return_when=concurrent.futures.FIRST_COMPLETED,
                     )
-                    broken = False
                     for future in done:
                         artefact, _started = inflight.pop(future)
                         try:
-                            row = future.result()
+                            outcome = future.result()
                         except BrokenProcessPool:
-                            broken = True
+                            respawn = "broken-pool"
                             register_failure(
                                 artefact, "crash",
                                 "worker process died (pool broke); "
                                 + traceback.format_exc(),
                             )
                         except Exception:
-                            # A worker died or the row could not travel
-                            # back: isolate and retry like any crash.
+                            # A worker died (inline: an injected crash) or
+                            # the row could not travel back: isolate and
+                            # retry like any crash.
                             register_failure(
                                 artefact, "crash", traceback.format_exc()
                             )
                         else:
-                            finalize(row, failures[artefact] + 1)
-                    if broken:
+                            finalize(outcome)
+                    if respawn:
                         # The pool is dead and every in-flight artefact
                         # went down with it. The culprit is unknowable
                         # from the parent, so each one is charged an
                         # attempt (bounded budgets keep this convergent).
-                        for future, (artefact, _started) in inflight.items():
+                        for artefact, _started in inflight.values():
                             register_failure(
                                 artefact, "crash",
                                 "worker pool broke while this artefact "
                                 "was in flight",
                             )
-                        inflight.clear()
-                        done_all = not pending
-                        if not done_all:
-                            obs.counter("runner.pool_respawn").inc()
-                            obs.event("runner.pool_respawn", reason="broken-pool")
-                        respawn = True
-                        break
-                    if self.artefact_timeout_s is not None and inflight:
+                    elif self.artefact_timeout_s is not None:
                         now = time.monotonic()
                         overdue = [
-                            (future, artefact, started)
-                            for future, (artefact, started) in inflight.items()
+                            future for future, (_artefact, started)
+                            in inflight.items()
                             if now - started > self.artefact_timeout_s
                         ]
+                        for future in overdue:
+                            artefact, started = inflight[future]
+                            obs.event(
+                                "runner.timeout", artefact=artefact,
+                                after_s=round(now - started, 3),
+                            )
+                            register_failure(
+                                artefact, "timeout",
+                                f"artefact exceeded its "
+                                f"{self.artefact_timeout_s:g}s deadline; "
+                                f"worker killed by the watchdog",
+                            )
                         if overdue:
-                            overdue_futures = {item[0] for item in overdue}
-                            for _future, artefact, started in overdue:
-                                obs.event(
-                                    "runner.timeout", artefact=artefact,
-                                    after_s=round(now - started, 3),
-                                )
-                                register_failure(
-                                    artefact, "timeout",
-                                    f"artefact exceeded its "
-                                    f"{self.artefact_timeout_s:g}s deadline; "
-                                    f"worker killed by the watchdog",
-                                )
                             # No per-task kill exists: kill the pool and
                             # resubmit the innocent in-flight artefacts
                             # without charging them an attempt.
                             for future, (artefact, _started) in inflight.items():
-                                if future not in overdue_futures:
+                                if future not in overdue:
                                     pending.insert(0, artefact)
-                            inflight.clear()
-                            done_all = not pending
-                            if not done_all:
-                                obs.counter("runner.pool_respawn").inc()
-                                obs.event("runner.pool_respawn", reason="watchdog")
-                            respawn = True
-                            break
+                            respawn = "watchdog"
+                    if respawn:
+                        inflight.clear()
+                        done_all = not pending
+                        if not done_all:
+                            obs.counter("runner.pool_respawn").inc()
+                            obs.event("runner.pool_respawn", reason=respawn)
+                        break
             finally:
                 if respawn or self._stop_requested:
                     _kill_pool(pool)

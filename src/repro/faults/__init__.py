@@ -1,9 +1,11 @@
 """Fault-injection substrate.
 
 Deterministic chaos for the measurement campaigns: a seeded
-:class:`FaultInjector` driven by a :class:`ChaosConfig` (default off),
-plus the resilience primitives (:class:`BackoffPolicy`,
-:class:`CircuitBreaker`) the orchestration layer wraps around it.
+:class:`FaultPlan` per endpoint or volunteer, driven by a
+:class:`ChaosConfig`, plus the resilience primitives
+(:class:`BackoffPolicy`, :class:`CircuitBreaker`) the campaign drivers
+wrap around it. The drivers always run resilient; without chaos their
+config is ``ChaosConfig()``, whose rates are all zero.
 :class:`ExecChaos` extends the same discipline to the execution layer
 itself — seeded worker crashes, hangs and cache corruption for the
 study runner's supervision loop (see :mod:`repro.faults.execchaos`).
@@ -13,7 +15,6 @@ from repro.faults.chaos import (
     ATTACH_REJECT_CAUSES,
     ChaosConfig,
     FaultEvent,
-    FaultInjector,
     FaultKind,
     FaultPlan,
 )
@@ -27,7 +28,6 @@ __all__ = [
     "CircuitBreaker",
     "ExecChaos",
     "FaultEvent",
-    "FaultInjector",
     "FaultKind",
     "FaultPlan",
     "InjectedWorkerCrash",

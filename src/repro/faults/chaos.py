@@ -3,13 +3,15 @@
 The paper's campaigns ran on volunteers' pockets, not in a lab: rooted
 phones lost attach with 3GPP cause codes, SIM flips wedged PDP contexts,
 PGWs and speedtest servers had transient outages, batteries died,
-volunteers went dark for days, and web uploads arrived unreadable. The
-:class:`FaultInjector` reproduces that weather deterministically: a
-:class:`ChaosConfig` (default **off**) fixes per-kind rates and a seed,
-and every scope (one endpoint, one volunteer) gets its own
-:class:`FaultPlan` with a dedicated ``random.Random`` stream — separate
-from the measurement RNG, so enabling chaos perturbs *what happens*, not
-*what a successful measurement reads*.
+volunteers went dark for days, and web uploads arrived unreadable. This
+module reproduces that weather deterministically: a :class:`ChaosConfig`
+fixes per-kind rates and a seed, and each campaign builds one
+:class:`FaultPlan` per scope (one endpoint, one volunteer), each with a
+dedicated ``random.Random`` stream — separate from the measurement RNG,
+so enabling chaos perturbs *what happens*, not *what a successful
+measurement reads*. A campaign without chaos runs the same resilient
+driver with ``ChaosConfig()``, whose rates are all zero: its plans draw
+nothing and inject nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import obs
 from repro.faults.retry import BackoffPolicy
@@ -59,8 +61,8 @@ class ChaosConfig:
     """Fault rates and resilience knobs for one campaign run.
 
     Immutable and hashable so it can key the experiment-layer dataset
-    cache. ``enabled=False`` (or passing no config at all) short-circuits
-    every injection point: the campaign is byte-identical to a clean run.
+    cache. ``enabled=False``, like all-zero rates, short-circuits every
+    injection point: the campaign is byte-identical to a clean run.
     """
 
     enabled: bool = True
@@ -148,14 +150,12 @@ class FaultPlan:
         self.config = config
         self.scope = scope
         self._rng = random.Random(f"chaos:{config.seed}:{scope}")
-        self.events: List[FaultEvent] = []
 
     def _roll(self, rate: float) -> bool:
         return rate > 0.0 and self._rng.random() < rate
 
     def _note(self, kind: FaultKind, day: int, detail: str = "") -> FaultEvent:
         event = FaultEvent(kind=kind, scope=self.scope, day=day, detail=detail)
-        self.events.append(event)
         obs.event(f"fault.{kind.value}", scope=self.scope, day=day, detail=detail)
         return event
 
@@ -210,26 +210,3 @@ class FaultPlan:
         )
         return delay
 
-
-class FaultInjector:
-    """Hands out per-scope :class:`FaultPlan` streams for one campaign."""
-
-    def __init__(self, config: ChaosConfig) -> None:
-        self.config = config
-        self._plans: Dict[str, FaultPlan] = {}
-
-    @property
-    def enabled(self) -> bool:
-        return self.config.enabled
-
-    def plan_for(self, scope: str) -> FaultPlan:
-        if scope not in self._plans:
-            self._plans[scope] = FaultPlan(self.config, scope)
-        return self._plans[scope]
-
-    def events(self) -> List[FaultEvent]:
-        """Every fault injected so far, across all scopes."""
-        out: List[FaultEvent] = []
-        for scope in sorted(self._plans):
-            out.extend(self._plans[scope].events)
-        return out

@@ -6,9 +6,10 @@ four-month crawler deployment actually dies of: worker processes
 killed by the OOM-killer or a signal, artefacts that hang forever on a
 wedged resource, and cache entries half-written by a crashed peer.
 
-An :class:`ExecChaos` config (default **off**) drives deterministic
-injection hooks inside the runner's worker entry point
-(``repro.core.runner._execute_artefact``): every decision is a pure
+An :class:`ExecChaos` config drives deterministic injection hooks
+inside the runner's worker entry point
+(``repro.core.runner._run_artefact``; the runner's default,
+``None``, injects nothing): every decision is a pure
 function of ``(seed, artefact id, attempt index)``, so a chaotic run is
 exactly replayable and — because injection stops once an artefact has
 burned :attr:`ExecChaos.max_faulty_attempts` attempts — a supervised
@@ -36,23 +37,24 @@ CRASH_EXIT_CODE = 87
 class InjectedWorkerCrash(RuntimeError):
     """A simulated worker death on the in-process (``jobs=1``) path.
 
-    Pool workers die for real (``os._exit``); the serial path cannot,
-    so the injection hook raises this instead and the runner's
-    supervision loop treats it exactly like a lost worker: charge an
-    attempt, back off, retry.
+    Pool workers die for real (``os._exit``); at ``jobs=1`` the attempt
+    runs in the parent, which cannot, so the injection hook raises this
+    instead. The runner's inline pool hands it back as the attempt's
+    failed future, and the supervision loop treats it exactly like a
+    lost worker: charge an attempt, back off, retry.
     """
 
 
 @dataclass(frozen=True)
 class ExecChaos:
-    """Seeded fault rates for the execution layer (default off).
+    """Seeded fault rates for the execution layer.
 
     Immutable and picklable so it ships through the process-pool
-    initializer unchanged. ``enabled=False`` (or no config at all)
-    short-circuits every hook.
+    initializer unchanged. No config (``None``) is off; ``ExecChaos()``
+    has every rate at zero and no hang artefacts, so it never fires
+    either.
     """
 
-    enabled: bool = True
     seed: int = 0
     #: Probability a worker dies mid-artefact (per faulty attempt).
     worker_crash_rate: float = 0.0
@@ -77,14 +79,10 @@ class ExecChaos:
         if self.max_faulty_attempts < 1:
             raise ValueError("max_faulty_attempts must be >= 1")
 
-    @classmethod
-    def disabled(cls) -> "ExecChaos":
-        return cls(enabled=False)
-
     # -- deterministic decisions --------------------------------------------
 
     def _roll(self, what: str, artefact_id: str, attempt: int, rate: float) -> bool:
-        if not self.enabled or rate <= 0.0 or attempt >= self.max_faulty_attempts:
+        if rate <= 0.0 or attempt >= self.max_faulty_attempts:
             return False
         rng = random.Random(f"execchaos:{self.seed}:{what}:{artefact_id}:{attempt}")
         return rng.random() < rate
@@ -95,11 +93,7 @@ class ExecChaos:
 
     def should_hang(self, artefact_id: str, attempt: int) -> bool:
         """Whether this attempt wedges until the watchdog kills it."""
-        return (
-            self.enabled
-            and attempt < self.max_faulty_attempts
-            and artefact_id in self.hang_artefacts
-        )
+        return attempt < self.max_faulty_attempts and artefact_id in self.hang_artefacts
 
     def should_corrupt_cache(self, artefact_id: str, attempt: int) -> bool:
         """Whether one cache entry is corrupted before this attempt."""
@@ -142,12 +136,12 @@ def inject(
 ) -> None:
     """The runner's pre-artefact hook: corrupt, hang, then maybe die.
 
-    Called at the top of ``_execute_artefact`` with the worker's view of
+    Called at the top of ``_run_artefact`` with the worker's view of
     the world. A crash is a real ``os._exit`` in a pool worker (the
     parent sees ``BrokenProcessPool``) and an :class:`InjectedWorkerCrash`
-    on the serial path (the parent's retry loop catches it).
+    at ``jobs=1`` (the inline pool hands it to the supervision loop).
     """
-    if chaos is None or not chaos.enabled:
+    if chaos is None:
         return
     if chaos.should_corrupt_cache(artefact_id, attempt):
         victim = corrupt_one_cache_entry(

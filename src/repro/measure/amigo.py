@@ -9,9 +9,11 @@ and an Airalo eSIM, flipping between them per battery of tests.
 Orchestration is resilient the way a real cron-driven fleet is: attaches
 and test runs retry with exponential backoff, a per-endpoint circuit
 breaker quarantines devices that keep failing, and missed runs roll onto
-later deployment days (make-up scheduling). All of it is inert unless a
-:class:`~repro.faults.ChaosConfig` is supplied — the clean path draws
-exactly the same RNG stream the fault-free implementation did.
+later deployment days (make-up scheduling). There is one driver. Without
+a :class:`~repro.faults.ChaosConfig` it runs with ``ChaosConfig()``,
+whose rates are all zero: no fault is drawn, the breaker never trips,
+no run is deferred, and the measurement RNG sees exactly the draws of a
+fault-free campaign.
 
 Loggers: ``repro.measure.amigo`` (retries at DEBUG, churn/quarantine and
 skipped endpoints at WARNING).
@@ -31,7 +33,7 @@ from repro.cellular.esim import SIMProfile
 from repro.cellular.mno import BandwidthPolicy, OperatorRegistry
 from repro.cellular.radio import RadioConditions
 from repro.cellular.ue import SimFlipError, UserEquipment
-from repro.faults import ChaosConfig, CircuitBreaker, FaultInjector, FaultKind, FaultPlan
+from repro.faults import ChaosConfig, CircuitBreaker, FaultKind, FaultPlan
 from repro.geo.cities import City
 from repro.measure.clients import (
     ProbeTimeout,
@@ -153,11 +155,18 @@ Backlog = Dict[str, List[int]]
 
 @dataclass
 class _EndpointChaos:
-    """Per-endpoint resilience state during a chaotic campaign."""
+    """Per-endpoint resilience state: its fault stream and breaker."""
 
-    config: ChaosConfig
     plan: FaultPlan
     breaker: CircuitBreaker
+
+    @classmethod
+    def build(cls, config: ChaosConfig, endpoint: "MeasurementEndpoint") -> "_EndpointChaos":
+        scope = f"{endpoint.deployment.country_iso3}:{endpoint.device.imei}"
+        return cls(
+            plan=FaultPlan(config, scope),
+            breaker=CircuitBreaker(config.breaker_threshold, config.quarantine_days),
+        )
 
 
 class MeasurementEndpoint:
@@ -213,10 +222,18 @@ class MeasurementEndpoint:
         type — which is how the paper observed Play/Telna eSIMs
         alternating between Packet Host and OVH within a deployment.
 
-        With ``chaos`` set, attaches and runs are retried with backoff;
-        runs that still fail are pushed onto ``backlog`` for make-up
-        scheduling, and final failures feed the circuit breaker.
+        Attaches and runs are retried with backoff; runs that still fail
+        are pushed onto ``backlog`` for make-up scheduling, and final
+        failures feed the circuit breaker. A direct call may leave out
+        the campaign's state: it then runs with no faults, a fresh
+        ledger and an empty backlog.
         """
+        if chaos is None:
+            chaos = _EndpointChaos.build(ChaosConfig(), self)
+        if health is None:
+            health = CampaignHealth()
+        if backlog is None:
+            backlog = {}
         dataset = MeasurementDataset()
         for use_esim in (False, True):
             for test_name, (sim_count, esim_count) in sorted(plan.items()):
@@ -249,21 +266,15 @@ class MeasurementEndpoint:
         self,
         use_esim: bool,
         day: int,
-        chaos: Optional[_EndpointChaos],
-        health: Optional[CampaignHealth],
+        chaos: _EndpointChaos,
+        health: CampaignHealth,
     ) -> bool:
         """Attach, retrying injected rejects/SIM-flip wedges with backoff."""
-        if chaos is None:
-            if health is not None:
-                health.attach_attempts += 1
-            self._attach(use_esim)
-            return True
         country = self.deployment.country_iso3
-        for attempt in range(chaos.config.max_attach_attempts):
-            if health is not None:
-                health.attach_attempts += 1
-                if attempt:
-                    health.attach_retries += 1
+        for attempt in range(chaos.plan.config.max_attach_attempts):
+            health.attach_attempts += 1
+            if attempt:
+                health.attach_retries += 1
             try:
                 fault = chaos.plan.attach_fault(day)
                 if fault is not None:
@@ -280,12 +291,11 @@ class MeasurementEndpoint:
                     "%s day %d: attach attempt %d failed (%s); backing off %.1fs",
                     country, day, attempt + 1, error, delay,
                 )
-        if health is not None:
-            health.attach_failures += 1
+        health.attach_failures += 1
         self._note_failure(day, chaos, health)
         logger.info(
             "%s day %d: attach gave up after %d attempts",
-            country, day, chaos.config.max_attach_attempts,
+            country, day, chaos.plan.config.max_attach_attempts,
         )
         return False
 
@@ -296,21 +306,15 @@ class MeasurementEndpoint:
         sim: SIMProfile,
         day: int,
         dataset: MeasurementDataset,
-        chaos: Optional[_EndpointChaos],
-        health: Optional[CampaignHealth],
+        chaos: _EndpointChaos,
+        health: CampaignHealth,
         makeup: bool,
     ) -> bool:
         """One planned run, retried through injected outages/timeouts."""
         country = self.deployment.country_iso3
-        cell = health.cell(country, test_name) if health is not None else None
-        if cell is not None:
-            cell.attempted += 1
-        if chaos is None:
-            self._run_one(test_name, session, sim, day, dataset)
-            if cell is not None:
-                cell.succeeded += 1
-            return True
-        for attempt in range(chaos.config.max_test_attempts):
+        cell = health.cell(country, test_name)
+        cell.attempted += 1
+        for attempt in range(chaos.plan.config.max_test_attempts):
             try:
                 fault = chaos.plan.test_fault(test_name, day)
                 if fault is not None:
@@ -318,15 +322,13 @@ class MeasurementEndpoint:
                         raise ServiceOutage(f"{test_name}: service outage")
                     raise ProbeTimeout(f"{test_name}: probe timed out")
                 self._run_one(test_name, session, sim, day, dataset)
-                if cell is not None:
-                    cell.succeeded += 1
-                    if makeup:
-                        cell.made_up += 1
+                cell.succeeded += 1
+                if makeup:
+                    cell.made_up += 1
                 chaos.breaker.record_success()
                 return True
             except TransientNetworkError as error:
-                if cell is not None:
-                    cell.retried += 1
+                cell.retried += 1
                 obs.counter("campaign.test.retry").inc()
                 delay = chaos.plan.backoff_delay_s(attempt)
                 logger.debug(
@@ -336,7 +338,7 @@ class MeasurementEndpoint:
         self._note_failure(day, chaos, health)
         logger.info(
             "%s day %d: %s gave up after %d attempts; rescheduling",
-            country, day, test_name, chaos.config.max_test_attempts,
+            country, day, test_name, chaos.plan.config.max_test_attempts,
         )
         return False
 
@@ -344,10 +346,10 @@ class MeasurementEndpoint:
         self,
         day: int,
         chaos: _EndpointChaos,
-        health: Optional[CampaignHealth],
+        health: CampaignHealth,
     ) -> None:
         """Feed a final (post-retry) failure to the circuit breaker."""
-        if chaos.breaker.record_failure(day) and health is not None:
+        if chaos.breaker.record_failure(day):
             obs.counter("campaign.quarantine").inc()
             health.quarantines.append(
                 QuarantineEvent(
@@ -461,11 +463,7 @@ class AmigoControlServer:
         """
         dataset = MeasurementDataset()
         health = dataset.health
-        injector = (
-            FaultInjector(self.chaos)
-            if self.chaos is not None and self.chaos.enabled
-            else None
-        )
+        config = self.chaos if self.chaos is not None else ChaosConfig()
         for endpoint in self._endpoints:
             country = endpoint.deployment.country_iso3
             if country not in plans:
@@ -482,46 +480,22 @@ class AmigoControlServer:
             with obs.span(
                 "campaign.endpoint", country=country, imei=endpoint.device.imei,
             ):
-                if injector is None:
-                    self._run_clean(endpoint, plan, dataset, health)
-                else:
-                    self._run_resilient(endpoint, plan, injector, dataset, health)
+                self._run_endpoint(endpoint, plan, config, dataset, health)
         return dataset
 
-    # -- campaign drivers ---------------------------------------------------
-
-    def _run_clean(
+    def _run_endpoint(
         self,
         endpoint: MeasurementEndpoint,
         plan: TestPlan,
+        config: ChaosConfig,
         dataset: MeasurementDataset,
         health: CampaignHealth,
     ) -> None:
-        """The fault-free path: bit-identical to the pre-chaos testbed."""
-        days = endpoint.deployment.duration_days
-        for day in range(days):
-            self.status_log.append(endpoint.report_status(day))
-            daily = _daily_share(plan, day, days)
-            if daily:
-                dataset.merge(endpoint.run_battery(daily, day, health=health))
-
-    def _run_resilient(
-        self,
-        endpoint: MeasurementEndpoint,
-        plan: TestPlan,
-        injector: FaultInjector,
-        dataset: MeasurementDataset,
-        health: CampaignHealth,
-    ) -> None:
-        """Chaotic path: churn/quarantine skip days, failures roll forward
-        onto later days, and make-up days drain the backlog at the end."""
-        config = injector.config
+        """One endpoint's deployment: churn/quarantine skip days, failures
+        roll forward onto later days, and make-up days drain the backlog
+        at the end."""
         country = endpoint.deployment.country_iso3
-        chaos = _EndpointChaos(
-            config=config,
-            plan=injector.plan_for(f"{country}:{endpoint.device.imei}"),
-            breaker=CircuitBreaker(config.breaker_threshold, config.quarantine_days),
-        )
+        chaos = _EndpointChaos.build(config, endpoint)
         days = endpoint.deployment.duration_days
         backlog: Backlog = {}
         offline_until = -1
@@ -588,11 +562,7 @@ def _backlog_total(backlog: Backlog) -> int:
     return sum(sim_count + esim_count for sim_count, esim_count in backlog.values())
 
 
-def _push_backlog(
-    backlog: Optional[Backlog], test: str, use_esim: bool, count: int
-) -> None:
-    if backlog is None:
-        return
+def _push_backlog(backlog: Backlog, test: str, use_esim: bool, count: int) -> None:
     entry = backlog.setdefault(test, [0, 0])
     entry[1 if use_esim else 0] += count
 

@@ -6,10 +6,13 @@ vision model — to prove the Airalo eSIM is active and Wi-Fi is off), the
 page retrieves their DNS configuration, then runs a fast.com-style
 speedtest in an iframe and parses the uploaded result.
 
-With a :class:`~repro.faults.ChaosConfig` supplied, the runner also
-weathers injected faults: unreadable uploads, attach rejects and probe
-timeouts all burn attempts from the volunteer's (enlarged) retry budget,
-and the dataset's health report accounts for what survived.
+Every volunteer runs one loop with a :class:`~repro.faults.FaultPlan`.
+With an enabled :class:`~repro.faults.ChaosConfig` supplied, it weathers
+injected faults: unreadable uploads, attach rejects and probe timeouts
+all burn attempts from the volunteer's (enlarged) retry budget, and the
+dataset's health report accounts for what survived. Without one, the
+plan's config is ``ChaosConfig()``, whose rates are all zero: it draws
+and injects nothing, and the budget stays the clean one.
 
 Logger: ``repro.measure.webcampaign`` (per-attempt retry chatter at
 DEBUG, one WARNING per volunteer that exhausts their retry budget).
@@ -27,7 +30,7 @@ from repro.cellular.attach import SessionFactory
 from repro.cellular.esim import SIMProfile
 from repro.cellular.mno import OperatorRegistry
 from repro.cellular.ue import UserEquipment
-from repro.faults import ChaosConfig, FaultInjector, FaultPlan
+from repro.faults import ChaosConfig, FaultPlan
 from repro.geo.cities import City
 from repro.measure.dataset import MeasurementDataset
 from repro.measure.records import MeasurementContext, WebMeasurementRecord
@@ -121,33 +124,26 @@ class WebCampaignRunner:
 
     def run(self, volunteers: List[WebVolunteer], rng: random.Random) -> MeasurementDataset:
         dataset = MeasurementDataset()
-        injector = (
-            FaultInjector(self.chaos)
-            if self.chaos is not None and self.chaos.enabled
-            else None
-        )
+        # Volunteers retry failed uploads, but give up eventually; a
+        # chaotic campaign grants a larger budget (more retries needed).
+        chaotic = self.chaos is not None and self.chaos.enabled
+        config = self.chaos if chaotic else ChaosConfig()
+        budget = _CHAOS_ATTEMPT_BUDGET if chaotic else _ATTEMPT_BUDGET
         for volunteer in volunteers:
-            plan = injector.plan_for(volunteer.name) if injector else None
-            dataset.merge(self._run_volunteer(volunteer, rng, plan))
+            with obs.span(
+                "campaign.volunteer",
+                country=volunteer.country_iso3, volunteer=volunteer.name,
+            ):
+                plan = FaultPlan(config, volunteer.name)
+                dataset.merge(self._run_volunteer(volunteer, rng, plan, budget))
         return dataset
 
     def _run_volunteer(
         self,
         volunteer: WebVolunteer,
         rng: random.Random,
-        plan: Optional[FaultPlan] = None,
-    ) -> MeasurementDataset:
-        with obs.span(
-            "campaign.volunteer",
-            country=volunteer.country_iso3, volunteer=volunteer.name,
-        ):
-            return self._run_volunteer_inner(volunteer, rng, plan)
-
-    def _run_volunteer_inner(
-        self,
-        volunteer: WebVolunteer,
-        rng: random.Random,
-        plan: Optional[FaultPlan] = None,
+        plan: FaultPlan,
+        budget: int,
     ) -> MeasurementDataset:
         dataset = MeasurementDataset()
         cell = dataset.health.cell(volunteer.country_iso3, "web")
@@ -157,14 +153,11 @@ class WebCampaignRunner:
 
         completed = 0
         attempts = 0
-        # Volunteers retry failed uploads, but give up eventually; a
-        # chaotic campaign grants a larger budget (more retries needed).
-        budget = _ATTEMPT_BUDGET if plan is None else _CHAOS_ATTEMPT_BUDGET
         max_attempts = volunteer.planned_measurements * budget
         while completed < volunteer.planned_measurements and attempts < max_attempts:
             attempts += 1
             day = (attempts - 1) * volunteer.duration_days // max_attempts
-            if plan is not None and plan.attach_fault(day) is not None:
+            if plan.attach_fault(day) is not None:
                 # The eSIM would not attach; the volunteer tries later.
                 cell.retried += 1
                 plan.backoff_delay_s(0)
@@ -173,7 +166,7 @@ class WebCampaignRunner:
             cell.attempted += 1
 
             upload = self._simulate_upload(volunteer, session.v_mno_name, rng)
-            if plan is not None and plan.upload_malformed(day):
+            if plan.upload_malformed(day):
                 upload = ScreenshotUpload(
                     shows_cellular=upload.shows_cellular,
                     operator_shown=upload.operator_shown,
@@ -189,7 +182,7 @@ class WebCampaignRunner:
                              volunteer.name, day, error)
                 continue
 
-            if plan is not None and plan.test_fault("web", day) is not None:
+            if plan.test_fault("web", day) is not None:
                 # fast.com iframe timed out; burn an attempt and retry.
                 cell.retried += 1
                 plan.backoff_delay_s(0)

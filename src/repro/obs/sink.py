@@ -106,8 +106,60 @@ def write_trace(
     return target
 
 
+_NUMBER = (int, float)
+
+#: The fields the views read from each record type (a metric: from its
+#: instrument snapshot), with the types they must have (``[t]``: a list
+#: of ``t``). ``attrs`` and ``events`` may be absent and read as empty.
+_FIELDS: Dict[str, Dict[str, Any]] = {
+    "meta": {"attrs": dict},
+    "span": {
+        "name": str, "span_id": str, "start_unix": _NUMBER, "duration_s": _NUMBER,
+        "parent_id": (str, type(None)), "attrs": dict, "events": list,
+    },
+    "counter": {"name": str, "value": _NUMBER},
+    "gauge": {"name": str, "value": _NUMBER},
+    "histogram": {
+        "name": str, "buckets": [_NUMBER], "counts": [int], "sum": _NUMBER,
+        "count": int,
+    },
+}
+_DEFAULTS = {"attrs": {}, "events": []}
+
+
+def _malformed(record: Any) -> Optional[str]:
+    """Why the views could not render one parsed trace line, if so."""
+    if not isinstance(record, dict):
+        return "not a JSON object"
+    kind = record.get("type")
+    if kind == "metric":
+        record = record.get("metric")
+        kind = record.get("type") if isinstance(record, dict) else None
+        if kind not in ("counter", "gauge", "histogram"):
+            return "metric is not a counter, gauge or histogram snapshot"
+    elif kind not in ("meta", "span"):
+        return None  # events and unknown types: the views read nothing
+    for name, types in _FIELDS[kind].items():
+        value = record.get(name, _DEFAULTS.get(name))
+        if isinstance(types, list):
+            valid = isinstance(value, list) and all(isinstance(v, types[0]) for v in value)
+        else:
+            valid = isinstance(value, types)
+        if not valid:
+            return f"{kind} has no valid {name}"
+    return None
+
+
 def load_trace(path: PathLike) -> TraceData:
-    """Parse a trace file; unknown line types are ignored (forward compat)."""
+    """Parse a trace file; unknown record types are ignored (forward compat).
+
+    Raises ``ValueError("<path>:<line>: ...")`` on a line the views
+    could not render: one that is not a JSON object, a meta line whose
+    ``attrs`` is not an object, a span without a string ``name`` and
+    ``span_id`` and a numeric ``start_unix`` and ``duration_s`` (or with
+    a badly typed parent, ``attrs`` or ``events``), or a metric that is
+    not a snapshot of a known instrument type.
+    """
     trace = TraceData()
     text = pathlib.Path(path).read_text()
     for line_number, line in enumerate(text.splitlines(), start=1):
@@ -120,6 +172,9 @@ def load_trace(path: PathLike) -> TraceData:
             raise ValueError(
                 f"{path}:{line_number}: not a JSONL trace line ({error})"
             ) from None
+        problem = _malformed(record)
+        if problem is not None:
+            raise ValueError(f"{path}:{line_number}: {problem}")
         kind = record.get("type")
         if kind == "meta":
             trace.trace_id = record.get("trace_id", "")

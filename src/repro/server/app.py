@@ -293,11 +293,6 @@ class _Handler(BaseHTTPRequestHandler):
         count_by = _list_param(params.pop("count_by", ""))
         records = _int_param(params, "records", 0)
         params.pop("records", None)
-        if self.state.debug_delay:
-            # Debug-only: lets the shutdown tests hold a request in
-            # flight. Ignored unless the server opted in.
-            time.sleep(min(max(_float_param(params, "delay_s", 0.0), 0.0), 10.0))
-        params.pop("delay_s", None)
         payload = self.state.query(
             kind, where=params, group_by=group_by, count_by=count_by,
             records=records,
@@ -719,7 +714,6 @@ def create_server(
     host: str = "127.0.0.1",
     port: int = 0,
     quiet: bool = True,
-    debug_delay: bool = False,
     warm_artefacts: Optional[Tuple[str, ...]] = None,
     sample_interval_s: float = 1.0,
     sample_capacity: int = 600,
@@ -730,7 +724,6 @@ def create_server(
 
     state = ServerState(
         seed=seed, scale=scale, datasets=datasets, history_dir=history_dir,
-        debug_delay=debug_delay,
         warm_artefacts=(
             WARM_ARTEFACTS if warm_artefacts is None else warm_artefacts
         ),

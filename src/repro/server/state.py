@@ -78,7 +78,6 @@ class ServerState:
         scale: float = common.DEFAULT_SCALE,
         datasets: Sequence[str] = DATASET_NAMES,
         history_dir: Optional[str] = None,
-        debug_delay: bool = False,
         warm_artefacts: Sequence[str] = WARM_ARTEFACTS,
     ) -> None:
         for name in datasets:
@@ -91,9 +90,6 @@ class ServerState:
         self.datasets_wanted = tuple(datasets)
         self.warm_artefacts = tuple(warm_artefacts)
         self.history_dir = history_dir
-        #: Test/debug hook: when True, ``/query?delay_s=`` sleeps inside
-        #: the handler (used by the shutdown-drain tests and nothing else).
-        self.debug_delay = debug_delay
         self.started_unix = time.time()
         self.ready = threading.Event()
         self.warm_phase = "pending"

@@ -185,9 +185,9 @@ class AiraloWorld:
         grows it deterministically — see :func:`scaled_count` for the
         exact rounding contract.
 
-        ``chaos`` (default off) runs the campaign under injected faults
-        with the resilient orchestration; the result's ``health`` then
-        reports retries, quarantines and make-up scheduling.
+        The campaign always runs the resilient orchestration. ``chaos``
+        (default off) injects faults into it; the result's ``health``
+        then reports retries, quarantines and make-up scheduling.
         """
         if scale <= 0:
             raise ValueError("scale must be positive")

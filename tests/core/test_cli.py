@@ -150,6 +150,13 @@ BAD_NUMERIC_INPUT = [
      "latency_threshold must be > 0"),
     (["report", "--html", "r.html", "--hit-rate-drop", "nan"],
      "hit_rate_drop must be in (0, 1]"),
+    # Counts and depths: refused before a trace is read or a report written.
+    (["trace", "slowest", "t.jsonl", "--top", "0"], "--top must be at least 1"),
+    (["trace", "slowest", "t.jsonl", "--top", "-1"], "--top must be at least 1"),
+    (["trace", "tree", "t.jsonl", "--depth", "-1"], "--depth must be at least 0"),
+    (["profile", "--top", "-1", "--", "list"], "--top must be at least 1"),
+    (["report", "--html", "r.html", "--limit", "0"], "--limit must be at least 1"),
+    (["report", "--html", "r.html", "--limit", "-3"], "--limit must be at least 1"),
 ]
 
 
@@ -352,6 +359,59 @@ def test_trace_unparseable_file_errors(tmp_path, capsys):
     bad.write_text("not json\n")
     assert main(["trace", "summary", str(bad)]) == 2
     assert "bad.jsonl:1" in capsys.readouterr().err
+
+
+_META = {"type": "meta", "trace_id": "t", "created_unix": 0.0, "attrs": {}}
+_SPAN = {"type": "span", "name": "run_all", "span_id": "1", "parent_id": None,
+         "start_unix": 0.0, "duration_s": 2.0, "status": "ok", "attrs": {},
+         "events": []}
+
+#: Trace lines that parse as JSON but that no view can render.
+MALFORMED_TRACE_LINES = {
+    "array": [1, 2],
+    "metric-without-body": {"type": "metric"},
+    "span-name-only": {"type": "span", "name": "x"},
+    "span-text-duration": {**_SPAN, "span_id": "2", "duration_s": "x"},
+    "meta-list-attrs": {**_META, "attrs": [1]},
+    "span-list-attrs": {**_SPAN, "span_id": "2", "attrs": ["id"]},
+    "histogram-text-count": {"type": "metric", "metric": {
+        "type": "histogram", "name": "h", "buckets": [1.0], "counts": [0, 1],
+        "sum": 2.0, "count": "1"}},
+    "unknown-metric-type": {"type": "metric", "metric": {
+        "type": "summary", "name": "s", "value": 1}},
+}
+
+
+@pytest.mark.parametrize("view", ["summary", "tree", "slowest", "metrics", "critical"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRACE_LINES))
+def test_trace_views_refuse_malformed_lines(tmp_path, capsys, view, case):
+    """Each bad line exits 2 naming its file and line, never a traceback."""
+    path = tmp_path / "bad.jsonl"
+    lines = [_META, _SPAN, MALFORMED_TRACE_LINES[case]]
+    path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+    assert main(["trace", view, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "bad.jsonl:3: " in captured.err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRACE_LINES))
+def test_report_omits_a_malformed_trace(tmp_path, capsys, case):
+    """The newest run's bad trace drops the critical-path section only."""
+    from repro.obs.history import HistoryStore, RunRecord
+
+    trace_path = tmp_path / "trace.jsonl"
+    lines = [_META, _SPAN, MALFORMED_TRACE_LINES[case]]
+    trace_path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+    HistoryStore(tmp_path / "hist").append(RunRecord(
+        run_id="r0", created_unix=1.0, seed=2024, scale=0.05, jobs=1,
+        total_wall_s=2.0, trace_path=str(trace_path),
+    ))
+    out = tmp_path / "report.html"
+    assert main(["report", "--html", str(out),
+                 "--history", str(tmp_path / "hist")]) == 0
+    assert "wrote" in capsys.readouterr().out
+    assert "latest critical path" not in out.read_text()
 
 
 def test_main_leaves_the_repro_logger_as_it_found_it(cli_cache):

@@ -69,6 +69,7 @@ def test_load_trace_ignores_unknown_record_types(tmp_path):
     path.write_text(
         json.dumps({"type": "meta", "trace_id": "x"}) + "\n"
         + json.dumps({"type": "hologram", "payload": 1}) + "\n"
+        + json.dumps({"type": ["span"], "name": 1}) + "\n"
     )
     trace = obs.load_trace(path)
     assert trace.trace_id == "x"

@@ -49,7 +49,6 @@ def server(tmp_path_factory):
     ))
     srv = create_server(
         scale=0.05, history_dir=str(history), warm_artefacts=("T2",),
-        debug_delay=True,
     ).start()
     assert srv.state.ready.wait(timeout=180), srv.state.warm_error
     yield srv
@@ -175,9 +174,9 @@ def test_malformed_requests_get_400s(server):
         "/query?kind=speedtest&kind=traceroute": "parameter 'kind' is given 2 times",
         "/artefact/F7?scale=0.5&scale=1": "parameter 'scale' is given 2 times",
         "/history?limit=1&limit=2": "parameter 'limit' is given 2 times",
-        # The debug hook's delay is a number like any other.
-        "/query?kind=traceroute&delay_s=nan": "delay_s must be finite",
-        "/query?kind=traceroute&delay_s=soon": "delay_s must be a number",
+        # delay_s is no query dimension: refused like any unknown name.
+        "/query?kind=traceroute&delay_s=nan": "unknown dimension 'delay_s'",
+        "/query?kind=traceroute&delay_s=soon": "unknown dimension 'delay_s'",
     }
     for path, needle in cases.items():
         status, body = _get_text(f"{server.url}{path}", timeout=5.0)
@@ -187,8 +186,7 @@ def test_malformed_requests_get_400s(server):
 
 
 #: Names the fuzzer draws: the four routes' parameters, query dimensions
-#: and one no route knows. ``delay_s`` is left out: the fixture's debug
-#: hook sleeps on it by design.
+#: and one no route knows.
 FUZZ_NAMES = (
     "kind", "country", "sim_kind", "day", "group_by", "count_by", "records",
     "limit", "run", "against", "window", "series", "nope",
@@ -340,9 +338,16 @@ def test_healthz_during_warmup_and_data_routes_503():
 def test_stop_drains_in_flight_requests():
     srv = create_server(
         scale=0.02, datasets=("device",), warm_artefacts=(),
-        debug_delay=True,
     ).start()
     assert srv.state.ready.wait(timeout=120), srv.state.warm_error
+    # Every query now takes over a second inside its handler.
+    query = srv.state.query
+
+    def slow_query(*args, **kwargs):
+        time.sleep(1.0)
+        return query(*args, **kwargs)
+
+    srv.state.query = slow_query
     # A keep-alive client that got its answer and then went quiet: its
     # handler idles in readline() and must not hold up the drain.
     idle = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=30)
@@ -352,7 +357,7 @@ def test_stop_drains_in_flight_requests():
 
     def slow_request():
         outcome["status"], outcome["payload"] = _get(
-            f"{srv.url}/query?kind=traceroute&count_by=country&delay_s=1.0"
+            f"{srv.url}/query?kind=traceroute&count_by=country"
         )
 
     thread = threading.Thread(target=slow_request)

@@ -304,8 +304,9 @@ def build_mini_testbed():
     }
 
 
-def run_mini_campaign(chaos=None, seed=7):
-    """Run the mini testbed's whole campaign; returns the dataset."""
+def mini_campaign_server(chaos=None, seed=7):
+    """The mini testbed's control server with every endpoint registered,
+    and the plans to run on it: ``(server, plans)``."""
     from repro.measure.amigo import AmigoControlServer
 
     testbed = build_mini_testbed()
@@ -314,4 +315,10 @@ def run_mini_campaign(chaos=None, seed=7):
         server.register_endpoint(
             deployment, random.Random(f"{seed}:{deployment.country_iso3}")
         )
-    return server.run_campaign(testbed["plans"])
+    return server, testbed["plans"]
+
+
+def run_mini_campaign(chaos=None, seed=7):
+    """Run the mini testbed's whole campaign; returns the dataset."""
+    server, plans = mini_campaign_server(chaos, seed)
+    return server.run_campaign(plans)
