@@ -7,8 +7,11 @@ complete measurement and analysis pipeline. Start from
 :func:`repro.worlds.build_airalo_world`.
 """
 
-from repro.core import ThickMnaStudy
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = ["ThickMnaStudy", "__version__"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ThickMnaStudy": "core.study",
+})
+__all__.append("__version__")

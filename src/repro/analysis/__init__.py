@@ -7,71 +7,35 @@ statistical machinery (boxplot summaries, CDFs, Welch t-test, Levene),
 and headline latency/bandwidth metrics.
 """
 
-from repro.analysis.classify import (
-    ClassifiedBreakout,
-    classify_architecture,
-    classify_session_context,
-    build_breakout_table,
-)
-from repro.analysis.stats import (
-    BoxplotSummary,
-    boxplot_summary,
-    empirical_cdf,
-    cdf_at,
-    percent_above,
-    percent_below,
-    welch_ttest,
-    levene_test,
-)
-from repro.analysis.paths import (
-    path_length_series,
-    unique_asn_medians,
-    pgw_rtt_values,
-    private_share_values,
-)
-from repro.analysis.jurisdiction import GeoExperience, assess_geo_experience
-from repro.analysis.audit import (
-    AuditFinding,
-    AuditPlan,
-    ThickMnaAuditor,
-    render_findings,
-)
-from repro.analysis.metrics import (
-    latency_inflation_by_architecture,
-    high_latency_share,
-    speed_categories,
-    SPEED_SLOW_MBPS,
-    SPEED_FAST_MBPS,
-    LATENCY_BAD_MS,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ClassifiedBreakout",
-    "classify_architecture",
-    "classify_session_context",
-    "build_breakout_table",
-    "BoxplotSummary",
-    "boxplot_summary",
-    "empirical_cdf",
-    "cdf_at",
-    "percent_above",
-    "percent_below",
-    "welch_ttest",
-    "levene_test",
-    "path_length_series",
-    "unique_asn_medians",
-    "pgw_rtt_values",
-    "private_share_values",
-    "latency_inflation_by_architecture",
-    "high_latency_share",
-    "speed_categories",
-    "SPEED_SLOW_MBPS",
-    "SPEED_FAST_MBPS",
-    "LATENCY_BAD_MS",
-    "GeoExperience",
-    "assess_geo_experience",
-    "AuditFinding",
-    "AuditPlan",
-    "ThickMnaAuditor",
-    "render_findings",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ClassifiedBreakout": "classify",
+    "classify_architecture": "classify",
+    "classify_session_context": "classify",
+    "build_breakout_table": "classify",
+    "BoxplotSummary": "stats",
+    "boxplot_summary": "stats",
+    "empirical_cdf": "stats",
+    "cdf_at": "stats",
+    "percent_above": "stats",
+    "percent_below": "stats",
+    "welch_ttest": "stats",
+    "levene_test": "stats",
+    "path_length_series": "paths",
+    "unique_asn_medians": "paths",
+    "pgw_rtt_values": "paths",
+    "private_share_values": "paths",
+    "latency_inflation_by_architecture": "metrics",
+    "high_latency_share": "metrics",
+    "speed_categories": "metrics",
+    "SPEED_SLOW_MBPS": "metrics",
+    "SPEED_FAST_MBPS": "metrics",
+    "LATENCY_BAD_MS": "metrics",
+    "GeoExperience": "jurisdiction",
+    "assess_geo_experience": "jurisdiction",
+    "AuditFinding": "audit",
+    "AuditPlan": "audit",
+    "ThickMnaAuditor": "audit",
+    "render_findings": "audit",
+})

@@ -7,109 +7,57 @@ observable surface (public IP, path structure, latency, bandwidth) the
 measurement layer probes exactly like the paper probed the real Airalo.
 """
 
-from repro.cellular.identifiers import (
-    PLMN,
-    IMSI,
-    IMSIRange,
-    generate_imei,
-    generate_iccid,
-    luhn_check_digit,
-    luhn_is_valid,
-    infer_imsi_prefixes,
-)
-from repro.cellular.radio import (
-    RadioAccessTechnology,
-    RadioConditions,
-    RadioModel,
-    modulation_for_cqi,
-)
-from repro.cellular.mno import (
-    MobileOperator,
-    OperatorKind,
-    OperatorRegistry,
-    DNSResolverSpec,
-    BandwidthPolicy,
-)
-from repro.cellular.core import SGW, PGWSite, GTPTunnel, PDNSession
-from repro.cellular.roaming import (
-    RoamingArchitecture,
-    RoamingAgreement,
-    AgreementRegistry,
-    PGWSelection,
-)
-from repro.cellular.esim import SIMProfile, SIMKind, RSPServer, ProvisioningError, issue_physical_sim
-from repro.cellular.attach import SessionFactory
-from repro.cellular.ue import UserEquipment, AttachError, AttachReject, SimFlipError
-from repro.cellular.procedures import AttachTiming, estimate_attach_time_ms
-from repro.cellular.steering import (
-    NetworkSelector,
-    SteeringPolicy,
-    VisitedNetworkOption,
-)
-from repro.cellular.signalling import (
-    SignallingEvent,
-    SignallingProfile,
-    EVENT_SIZE_KB,
-    NATIVE_PROFILE,
-    AIRALO_PROFILE,
-    ROAMER_PROFILE,
-)
-from repro.cellular.telemetry import (
-    CoreTelemetryGenerator,
-    SubscriberPopulation,
-    UsageRecord,
-    detect_airalo_imsis,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "PLMN",
-    "IMSI",
-    "IMSIRange",
-    "generate_imei",
-    "generate_iccid",
-    "luhn_check_digit",
-    "luhn_is_valid",
-    "infer_imsi_prefixes",
-    "RadioAccessTechnology",
-    "RadioConditions",
-    "RadioModel",
-    "modulation_for_cqi",
-    "MobileOperator",
-    "OperatorKind",
-    "OperatorRegistry",
-    "DNSResolverSpec",
-    "BandwidthPolicy",
-    "SGW",
-    "PGWSite",
-    "GTPTunnel",
-    "PDNSession",
-    "RoamingArchitecture",
-    "RoamingAgreement",
-    "AgreementRegistry",
-    "PGWSelection",
-    "SIMProfile",
-    "SIMKind",
-    "RSPServer",
-    "ProvisioningError",
-    "issue_physical_sim",
-    "SessionFactory",
-    "UserEquipment",
-    "AttachError",
-    "AttachReject",
-    "SimFlipError",
-    "AttachTiming",
-    "estimate_attach_time_ms",
-    "NetworkSelector",
-    "SteeringPolicy",
-    "VisitedNetworkOption",
-    "SignallingEvent",
-    "SignallingProfile",
-    "EVENT_SIZE_KB",
-    "NATIVE_PROFILE",
-    "AIRALO_PROFILE",
-    "ROAMER_PROFILE",
-    "CoreTelemetryGenerator",
-    "SubscriberPopulation",
-    "UsageRecord",
-    "detect_airalo_imsis",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "PLMN": "identifiers",
+    "IMSI": "identifiers",
+    "IMSIRange": "identifiers",
+    "generate_imei": "identifiers",
+    "generate_iccid": "identifiers",
+    "luhn_check_digit": "identifiers",
+    "luhn_is_valid": "identifiers",
+    "infer_imsi_prefixes": "identifiers",
+    "RadioAccessTechnology": "radio",
+    "RadioConditions": "radio",
+    "RadioModel": "radio",
+    "modulation_for_cqi": "radio",
+    "MobileOperator": "mno",
+    "OperatorKind": "mno",
+    "OperatorRegistry": "mno",
+    "DNSResolverSpec": "mno",
+    "BandwidthPolicy": "mno",
+    "SGW": "core",
+    "PGWSite": "core",
+    "GTPTunnel": "core",
+    "PDNSession": "core",
+    "RoamingArchitecture": "roaming",
+    "RoamingAgreement": "roaming",
+    "AgreementRegistry": "roaming",
+    "PGWSelection": "roaming",
+    "SIMProfile": "esim",
+    "SIMKind": "esim",
+    "RSPServer": "esim",
+    "ProvisioningError": "esim",
+    "issue_physical_sim": "esim",
+    "SessionFactory": "attach",
+    "UserEquipment": "ue",
+    "AttachError": "ue",
+    "AttachReject": "ue",
+    "SimFlipError": "ue",
+    "AttachTiming": "procedures",
+    "estimate_attach_time_ms": "procedures",
+    "NetworkSelector": "steering",
+    "SteeringPolicy": "steering",
+    "VisitedNetworkOption": "steering",
+    "SignallingEvent": "signalling",
+    "SignallingProfile": "signalling",
+    "EVENT_SIZE_KB": "signalling",
+    "NATIVE_PROFILE": "signalling",
+    "AIRALO_PROFILE": "signalling",
+    "ROAMER_PROFILE": "signalling",
+    "CoreTelemetryGenerator": "telemetry",
+    "SubscriberPopulation": "telemetry",
+    "UsageRecord": "telemetry",
+    "detect_airalo_imsis": "telemetry",
+})

@@ -33,14 +33,13 @@ import contextlib
 import gc
 import logging
 import math
+import os
 import random
 import statistics
 import sys
 from typing import Iterator, List, Optional
 
-from repro.core.study import ThickMnaStudy
 from repro.experiments import common, registry
-from repro.measure.amigo import ConfigurationError
 
 
 @contextlib.contextmanager
@@ -85,6 +84,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.core.study import ThickMnaStudy
+    from repro.measure.amigo import ConfigurationError
+
     study = ThickMnaStudy(seed=args.seed)
     try:
         result = study.run(args.artefact, scale=args.scale)
@@ -101,6 +103,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.core.study import ThickMnaStudy
+
     study = ThickMnaStudy(seed=args.seed)
     if args.kind == "device":
         dataset = study.device_dataset(scale=args.scale)
@@ -124,6 +128,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_probe(args: argparse.Namespace) -> int:
     from repro.cellular import UserEquipment
+    from repro.core.study import ThickMnaStudy
     from repro.measure import probe_dns, run_speedtest
     from repro.measure.voip import probe_voip
 
@@ -207,6 +212,7 @@ def _cmd_tools(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.core.study import ThickMnaStudy
     from repro.faults import ChaosConfig
 
     try:
@@ -232,9 +238,9 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     import pathlib
 
     from repro.core import cache as cache_mod
-    from repro.core.runner import StudyRunner
-
     from repro.core.journal import JournalMismatch
+    from repro.core.runner import StudyRunner
+    from repro.core.study import ThickMnaStudy
     from repro.faults import ExecChaos
 
     if args.cache_dir or args.no_cache:
@@ -760,7 +766,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_all_parser.add_argument("--artefact-timeout", type=float, default=None,
                                 metavar="S",
                                 help="watchdog deadline per artefact attempt; "
-                                     "overdue workers are killed and retried")
+                                     "overdue workers are killed and retried "
+                                     "(needs --jobs 2 or more)")
     run_all_parser.add_argument("--max-attempts", type=int, default=3,
                                 help="attempts per artefact on worker deaths "
                                      "and timeouts before quarantine "
@@ -1012,8 +1019,18 @@ def console_main() -> int:
     atexit handlers, flushes and closes files, and frees by reference
     count. ``main()`` itself never freezes, since tests call it in
     process.
+
+    A stdout whose reader is gone (``repro list | head -1``) ends the
+    command with status 1 and no traceback: stdout is pointed at
+    ``/dev/null``, so shutdown's own flush stays quiet too, as the
+    "Note on SIGPIPE" in Python's ``signal`` docs recommends.
     """
-    status = main()
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
     gc.freeze()
     return status
 

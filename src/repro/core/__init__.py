@@ -10,26 +10,18 @@ processes cheap: one digest-checked pickle per input (see
 :mod:`repro.core.cache`).
 """
 
-from repro.core.cache import (
-    ArtifactCache,
-    CacheStats,
-    CacheVerifyResult,
-    fingerprint,
-)
-from repro.core.journal import JournalEntry, JournalMismatch, RunJournal
-from repro.core.runner import ArtefactRun, RunReport, StudyRunner
-from repro.core.study import ThickMnaStudy
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ArtefactRun",
-    "ArtifactCache",
-    "CacheStats",
-    "CacheVerifyResult",
-    "JournalEntry",
-    "JournalMismatch",
-    "RunJournal",
-    "RunReport",
-    "StudyRunner",
-    "ThickMnaStudy",
-    "fingerprint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ArtefactRun": "runner",
+    "ArtifactCache": "cache",
+    "CacheStats": "cache",
+    "CacheVerifyResult": "cache",
+    "JournalEntry": "journal",
+    "JournalMismatch": "journal",
+    "RunJournal": "journal",
+    "RunReport": "runner",
+    "StudyRunner": "runner",
+    "ThickMnaStudy": "study",
+    "fingerprint": "cache",
+})

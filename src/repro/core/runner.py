@@ -22,9 +22,10 @@ same artefacts as ``jobs=1``.
 The runner *supervises* its workers instead of trusting them, through
 one loop at every ``jobs``:
 
-* ``artefact_timeout_s=`` arms a watchdog — an artefact that exceeds
-  its deadline has its worker killed, is charged an attempt and is
-  retried (final status ``"timeout"`` when the budget runs out);
+* ``artefact_timeout_s=`` arms a watchdog at ``jobs>=2`` — an
+  artefact that exceeds its deadline has its worker killed, is charged
+  an attempt and is retried (final status ``"timeout"`` when the
+  budget runs out);
 * a dead worker (OOM, signal, ``BrokenProcessPool``; at ``jobs=1`` an
   :class:`~repro.faults.InjectedWorkerCrash`) loses its artefacts, and
   a broken pool is respawned; the lost artefacts retry with the bounded
@@ -386,10 +387,10 @@ class StudyRunner:
     Supervision knobs:
 
     ``artefact_timeout_s``
-        Watchdog deadline per artefact attempt (``jobs>1`` only: at
-        ``jobs=1`` the attempt runs in the parent, which has no worker
-        to kill). An overdue worker is killed, the attempt charged, the
-        artefact retried.
+        Watchdog deadline per artefact attempt. An overdue worker is
+        killed, the attempt charged, the artefact retried. Refused at
+        ``jobs=1`` (``ValueError``): there the attempt runs in the
+        parent, which has no worker to kill.
     ``max_attempts``
         Total attempts (>=1) an artefact may consume on worker deaths
         and timeouts before it is quarantined. Artefact *errors*
@@ -443,6 +444,11 @@ class StudyRunner:
         if artefact_timeout_s is not None and not artefact_timeout_s > 0:
             raise ValueError(
                 f"artefact_timeout_s must be positive, got {artefact_timeout_s:g}"
+            )
+        if artefact_timeout_s is not None and jobs == 1:
+            raise ValueError(
+                "artefact_timeout_s needs jobs >= 2: at jobs=1 each attempt "
+                "runs in this process, with no worker to kill"
             )
         self.seed = seed
         self.chaos = chaos

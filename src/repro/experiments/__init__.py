@@ -6,6 +6,8 @@ One module per table/figure of the paper. Every module exposes
 paper reports. ``repro run-all --render-dir DIR`` writes every one.
 """
 
-from repro.experiments import common
+from repro._exports import lazy_exports
 
-__all__ = ["common"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "common": "common",
+})

@@ -19,18 +19,18 @@ in-memory layer (pass ``disk=True`` to also wipe the store).
 from __future__ import annotations
 
 import gc
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import repro
 from repro import obs
 from repro.core import cache as _cache
-from repro.faults import ChaosConfig
-from repro.geo import CountryRegistry, default_country_registry
-from repro.market import CrawlDataset, EsimDB, MarketCrawler, build_provider_universe
-from repro.market.crawler import VANTAGE_CHECK_DAY
-from repro.market.esimdb import OfferTable
-from repro.measure.dataset import MeasurementDataset
-from repro.worlds import AiraloWorld, build_airalo_world
+
+if TYPE_CHECKING:
+    from repro.faults import ChaosConfig
+    from repro.geo import CountryRegistry
+    from repro.market import CrawlDataset, EsimDB
+    from repro.measure.dataset import MeasurementDataset
+    from repro.worlds import AiraloWorld
 
 #: Default fraction of the Table 4 test counts the experiments replay.
 #: 0.15 keeps a bench run in seconds while every per-country series stays
@@ -52,6 +52,8 @@ def _disk_key(kind: str, **parts) -> str:
 
 def get_world(seed: int = DEFAULT_SEED) -> AiraloWorld:
     if seed not in _worlds:
+        from repro.worlds.airalo import build_airalo_world
+
         with obs.span("input.world", seed=seed) as span:
             store = _cache.get_default_cache()
             key = _disk_key("world", seed=seed)
@@ -115,6 +117,8 @@ def get_web_dataset(
 def get_countries() -> CountryRegistry:
     global _countries
     if _countries is None:
+        from repro.geo.countries import default_country_registry
+
         _countries = default_country_registry()
     return _countries
 
@@ -128,6 +132,10 @@ def get_market(step_days: int = 7) -> Tuple[EsimDB, CrawlDataset]:
     is cheaper than any load.
     """
     if step_days not in _market:
+        from repro.market.crawler import VANTAGE_CHECK_DAY, CrawlDataset, MarketCrawler
+        from repro.market.esimdb import EsimDB, OfferTable
+        from repro.market.providers import build_provider_universe
+
         with obs.span("input.market", step_days=step_days) as span:
             store = _cache.get_default_cache()
             disk_key = _disk_key("market-columns", step_days=step_days)
@@ -156,6 +164,8 @@ def get_listing(snapshot_day: int, step_days: int = 7) -> CrawlDataset:
     """
     key = (step_days, snapshot_day)
     if key not in _listings:
+        from repro.market.crawler import CrawlDataset
+
         esimdb, _ = get_market(step_days)
         with obs.span("input.listing", day=snapshot_day):
             _listings[key] = CrawlDataset(esimdb.offer_table([snapshot_day]))

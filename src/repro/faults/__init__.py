@@ -11,24 +11,16 @@ itself — seeded worker crashes, hangs and cache corruption for the
 study runner's supervision loop (see :mod:`repro.faults.execchaos`).
 """
 
-from repro.faults.chaos import (
-    ATTACH_REJECT_CAUSES,
-    ChaosConfig,
-    FaultEvent,
-    FaultKind,
-    FaultPlan,
-)
-from repro.faults.execchaos import ExecChaos, InjectedWorkerCrash
-from repro.faults.retry import BackoffPolicy, CircuitBreaker
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ATTACH_REJECT_CAUSES",
-    "BackoffPolicy",
-    "ChaosConfig",
-    "CircuitBreaker",
-    "ExecChaos",
-    "FaultEvent",
-    "FaultKind",
-    "FaultPlan",
-    "InjectedWorkerCrash",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ATTACH_REJECT_CAUSES": "chaos",
+    "BackoffPolicy": "retry",
+    "ChaosConfig": "chaos",
+    "CircuitBreaker": "retry",
+    "ExecChaos": "execchaos",
+    "FaultEvent": "chaos",
+    "FaultKind": "chaos",
+    "FaultPlan": "chaos",
+    "InjectedWorkerCrash": "execchaos",
+})

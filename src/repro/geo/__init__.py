@@ -4,19 +4,17 @@ Provides WGS84 coordinates, great-circle distance, and the country/city
 databases every other subsystem (cellular, IPX, services, market) builds on.
 """
 
-from repro.geo.coords import GeoPoint, haversine_km, initial_bearing_deg, midpoint
-from repro.geo.countries import Country, CountryRegistry, default_country_registry
-from repro.geo.cities import City, CityRegistry, default_city_registry
+from repro._exports import lazy_exports
 
-__all__ = [
-    "GeoPoint",
-    "haversine_km",
-    "initial_bearing_deg",
-    "midpoint",
-    "Country",
-    "CountryRegistry",
-    "default_country_registry",
-    "City",
-    "CityRegistry",
-    "default_city_registry",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "GeoPoint": "coords",
+    "haversine_km": "coords",
+    "initial_bearing_deg": "coords",
+    "midpoint": "coords",
+    "Country": "countries",
+    "CountryRegistry": "countries",
+    "default_country_registry": "countries",
+    "City": "cities",
+    "CityRegistry": "cities",
+    "default_city_registry": "cities",
+})

@@ -5,20 +5,14 @@ providers peer with each other and sell roaming-hub services (signalling,
 GTP transport, and — for thick MNAs — hub-breakout PGWs) to operators.
 """
 
-from repro.ipx.network import IPXProvider, IPXNetwork, IPXReachabilityError
-from repro.ipx.placement import (
-    DemandPoint,
-    greedy_k_median,
-    mean_weighted_distance_km,
-    assignment,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "IPXProvider",
-    "IPXNetwork",
-    "IPXReachabilityError",
-    "DemandPoint",
-    "greedy_k_median",
-    "mean_weighted_distance_km",
-    "assignment",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "IPXProvider": "network",
+    "IPXNetwork": "network",
+    "IPXReachabilityError": "network",
+    "DemandPoint": "placement",
+    "greedy_k_median": "placement",
+    "mean_weighted_distance_km": "placement",
+    "assignment": "placement",
+})

@@ -6,61 +6,34 @@ February-May 2024, multi-vantage crawls (price-discrimination check) and
 the local physical-SIM survey — everything behind Figures 16-19.
 """
 
-from repro.market.models import ESIMOffer, LocalSIMOffer
-from repro.market.providers import (
-    ContinentPricing,
-    EsimProvider,
-    build_provider_universe,
-    AIRALO,
-    MOBIMATTER,
-    AIRHUB,
-    KEEPGO,
-)
-from repro.market.esimdb import EsimDB
-from repro.market.crawler import MarketCrawler, CrawlDataset
-from repro.market.pricing import decile_bounds
-from repro.market.regional import RegionalCatalog, RegionalPlan, REGIONAL_DEFINITIONS
-from repro.market.itinerary import (
-    ItineraryPlanner,
-    TripLeg,
-    TripPlan,
-    PlanChoice,
-    render_recommendation,
-)
-from repro.market.wholesale import (
-    WholesaleMarket,
-    WholesaleRate,
-    UnitEconomics,
-    margin_summary,
-)
-from repro.market.survey import LocalSIMSurvey, DEFAULT_LOCAL_OFFERS
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ESIMOffer",
-    "LocalSIMOffer",
-    "ContinentPricing",
-    "EsimProvider",
-    "build_provider_universe",
-    "AIRALO",
-    "MOBIMATTER",
-    "AIRHUB",
-    "KEEPGO",
-    "EsimDB",
-    "MarketCrawler",
-    "CrawlDataset",
-    "decile_bounds",
-    "RegionalCatalog",
-    "RegionalPlan",
-    "REGIONAL_DEFINITIONS",
-    "ItineraryPlanner",
-    "TripLeg",
-    "TripPlan",
-    "PlanChoice",
-    "render_recommendation",
-    "WholesaleMarket",
-    "WholesaleRate",
-    "UnitEconomics",
-    "margin_summary",
-    "LocalSIMSurvey",
-    "DEFAULT_LOCAL_OFFERS",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ESIMOffer": "models",
+    "LocalSIMOffer": "models",
+    "ContinentPricing": "providers",
+    "EsimProvider": "providers",
+    "build_provider_universe": "providers",
+    "AIRALO": "providers",
+    "MOBIMATTER": "providers",
+    "AIRHUB": "providers",
+    "KEEPGO": "providers",
+    "EsimDB": "esimdb",
+    "MarketCrawler": "crawler",
+    "CrawlDataset": "crawler",
+    "decile_bounds": "pricing",
+    "RegionalCatalog": "regional",
+    "RegionalPlan": "regional",
+    "REGIONAL_DEFINITIONS": "regional",
+    "ItineraryPlanner": "itinerary",
+    "TripLeg": "itinerary",
+    "TripPlan": "itinerary",
+    "PlanChoice": "itinerary",
+    "render_recommendation": "itinerary",
+    "WholesaleMarket": "wholesale",
+    "WholesaleRate": "wholesale",
+    "UnitEconomics": "wholesale",
+    "margin_summary": "wholesale",
+    "LocalSIMSurvey": "survey",
+    "DEFAULT_LOCAL_OFFERS": "survey",
+})

@@ -6,79 +6,47 @@ probe, the stats-for-nerds video probe, the AmiGo control server with
 its measurement endpoints, and the web-based campaign runner.
 """
 
-from repro.measure.records import (
-    CampaignHealth,
-    MeasurementContext,
-    QuarantineEvent,
-    TestHealth,
-    TracerouteRecord,
-    SpeedtestRecord,
-    CDNRecord,
-    DNSRecord,
-    VideoRecord,
-    WebMeasurementRecord,
-)
-from repro.measure.dataset import MeasurementDataset
-from repro.measure.query import DatasetIndex, KindIndex, RecordQuery
-from repro.measure.traceroute import Hop, TracerouteEngine, TracerouteResult
-from repro.measure.ping import ping_provider
-from repro.measure.voip import VoIPRecord, probe_voip, rfc3550_jitter, e_model_r_factor, mos_from_r
-from repro.measure.clients import (
-    ProbeTimeout,
-    ServiceOutage,
-    TransientNetworkError,
-    run_speedtest,
-    fetch_from_cdn,
-    probe_dns,
-    probe_video,
-)
-from repro.measure.amigo import (
-    AmigoControlServer,
-    ConfigurationError,
-    MeasurementEndpoint,
-    DeviceStatus,
-)
-from repro.measure.webcampaign import WebCampaignRunner, ScreenshotValidator, UploadRejected
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CampaignHealth",
-    "ConfigurationError",
-    "DatasetIndex",
-    "KindIndex",
-    "MeasurementContext",
-    "MeasurementDataset",
-    "RecordQuery",
-    "ProbeTimeout",
-    "QuarantineEvent",
-    "ServiceOutage",
-    "TestHealth",
-    "TransientNetworkError",
-    "TracerouteRecord",
-    "SpeedtestRecord",
-    "CDNRecord",
-    "DNSRecord",
-    "VideoRecord",
-    "WebMeasurementRecord",
-    "Hop",
-    "TracerouteEngine",
-    "TracerouteResult",
-    "ping_provider",
-    "VoIPRecord",
-    "probe_voip",
-    "rfc3550_jitter",
-    "e_model_r_factor",
-    "mos_from_r",
-    "run_speedtest",
-    "fetch_from_cdn",
-    "probe_dns",
-    "probe_video",
-    "AmigoControlServer",
-    "MeasurementEndpoint",
-    "DeviceStatus",
-    "WebCampaignRunner",
-    "ScreenshotValidator",
-    "UploadRejected",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CampaignHealth": "records",
+    "ConfigurationError": "amigo",
+    "DatasetIndex": "query",
+    "KindIndex": "query",
+    "MeasurementContext": "records",
+    "MeasurementDataset": "dataset",
+    "RecordQuery": "query",
+    "ProbeTimeout": "clients",
+    "QuarantineEvent": "records",
+    "ServiceOutage": "clients",
+    "TestHealth": "records",
+    "TransientNetworkError": "clients",
+    "TracerouteRecord": "records",
+    "SpeedtestRecord": "records",
+    "CDNRecord": "records",
+    "DNSRecord": "records",
+    "VideoRecord": "records",
+    "WebMeasurementRecord": "records",
+    "Hop": "traceroute",
+    "TracerouteEngine": "traceroute",
+    "TracerouteResult": "traceroute",
+    "ping_provider": "ping",
+    "VoIPRecord": "voip",
+    "probe_voip": "voip",
+    "rfc3550_jitter": "voip",
+    "e_model_r_factor": "voip",
+    "mos_from_r": "voip",
+    "run_speedtest": "clients",
+    "fetch_from_cdn": "clients",
+    "probe_dns": "clients",
+    "probe_video": "clients",
+    "AmigoControlServer": "amigo",
+    "MeasurementEndpoint": "amigo",
+    "DeviceStatus": "amigo",
+    "WebCampaignRunner": "webcampaign",
+    "ScreenshotValidator": "webcampaign",
+    "UploadRejected": "webcampaign",
+})
 
 
 #: Table 1 of the paper: the instruments of the device-based campaign,

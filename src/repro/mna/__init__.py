@@ -5,11 +5,11 @@ aggregator operator: a sales front-end plus, for thick MNAs, the gateway
 slice of the core network realised through IPX hub breakout.
 """
 
-from repro.mna.aggregator import (
-    MNAKind,
-    CountryOffering,
-    MobileNetworkAggregator,
-    OfferingError,
-)
+from repro._exports import lazy_exports
 
-__all__ = ["MNAKind", "CountryOffering", "MobileNetworkAggregator", "OfferingError"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "MNAKind": "aggregator",
+    "CountryOffering": "aggregator",
+    "MobileNetworkAggregator": "aggregator",
+    "OfferingError": "aggregator",
+})

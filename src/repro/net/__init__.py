@@ -7,26 +7,21 @@ from the outside (public IPs, ASNs, WHOIS, RTTs); here they are modelled
 explicitly so that the same observations can be regenerated.
 """
 
-from repro.net.ipv4 import PrefixPool, AddressAllocator, is_private_ip, parse_ip
-from repro.net.asn import AutonomousSystem, ASKind, ASRegistry
-from repro.net.geoip import GeoIPDatabase, GeoIPRecord
-from repro.net.topology import ASTopology, NoRouteError
-from repro.net.latency import LatencyModel, LatencyParams
-from repro.net.cgnat import CarrierGradeNAT
+from repro._exports import lazy_exports
 
-__all__ = [
-    "PrefixPool",
-    "AddressAllocator",
-    "is_private_ip",
-    "parse_ip",
-    "AutonomousSystem",
-    "ASKind",
-    "ASRegistry",
-    "GeoIPDatabase",
-    "GeoIPRecord",
-    "ASTopology",
-    "NoRouteError",
-    "LatencyModel",
-    "LatencyParams",
-    "CarrierGradeNAT",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "PrefixPool": "ipv4",
+    "AddressAllocator": "ipv4",
+    "is_private_ip": "ipv4",
+    "parse_ip": "ipv4",
+    "AutonomousSystem": "asn",
+    "ASKind": "asn",
+    "ASRegistry": "asn",
+    "GeoIPDatabase": "geoip",
+    "GeoIPRecord": "geoip",
+    "ASTopology": "topology",
+    "NoRouteError": "topology",
+    "LatencyModel": "latency",
+    "LatencyParams": "latency",
+    "CarrierGradeNAT": "cgnat",
+})

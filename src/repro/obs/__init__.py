@@ -29,107 +29,57 @@ schema, and ``python -m repro trace {summary,tree,slowest}`` for the
 terminal views.
 """
 
-from repro.obs.critical import (
-    CriticalStep,
-    Phase,
-    critical_path,
-    phase_attribution,
-    render_critical,
-)
-from repro.obs.history import (
-    ArtefactStats,
-    HistoryStore,
-    RunRecord,
-    default_history_root,
-    record_from_report,
-)
-from repro.obs.exposition import render as render_metrics
-from repro.obs.live import LiveSampler
-from repro.obs.metrics import (
-    LATENCY_BUCKETS_S,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.profile import SamplingProfiler, profile_call
-from repro.obs.recorder import (
-    NULL_RECORDER,
-    MetricsRecorder,
-    NullRecorder,
-    Recorder,
-    TraceRecorder,
-    counter,
-    enabled,
-    event,
-    gauge,
-    get_recorder,
-    histogram,
-    set_recorder,
-    span,
-    use_recorder,
-)
-from repro.obs.regress import (
-    RegressionConfig,
-    RegressionReport,
-    Verdict,
-    compare,
-    detect,
-)
-from repro.obs.render import coverage, metrics_view, slowest, summary, tree
-from repro.obs.report import render_html, write_html
-from repro.obs.sink import TraceData, load_trace, write_trace
-from repro.obs.spans import Span, SpanEvent
+from repro._exports import lazy_exports
 
-__all__ = [
-    "LATENCY_BUCKETS_S",
-    "ArtefactStats",
-    "Counter",
-    "CriticalStep",
-    "Gauge",
-    "Histogram",
-    "HistoryStore",
-    "LiveSampler",
-    "MetricsRecorder",
-    "MetricsRegistry",
-    "NULL_RECORDER",
-    "NullRecorder",
-    "Phase",
-    "SamplingProfiler",
-    "Recorder",
-    "RegressionConfig",
-    "RegressionReport",
-    "RunRecord",
-    "TraceRecorder",
-    "Span",
-    "SpanEvent",
-    "TraceData",
-    "Verdict",
-    "compare",
-    "counter",
-    "coverage",
-    "critical_path",
-    "default_history_root",
-    "detect",
-    "enabled",
-    "event",
-    "gauge",
-    "get_recorder",
-    "histogram",
-    "load_trace",
-    "metrics_view",
-    "phase_attribution",
-    "profile_call",
-    "record_from_report",
-    "render_critical",
-    "render_html",
-    "render_metrics",
-    "set_recorder",
-    "slowest",
-    "span",
-    "summary",
-    "tree",
-    "use_recorder",
-    "write_html",
-    "write_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "LATENCY_BUCKETS_S": "metrics",
+    "ArtefactStats": "history",
+    "Counter": "metrics",
+    "CriticalStep": "critical",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "HistoryStore": "history",
+    "LiveSampler": "live",
+    "MetricsRecorder": "recorder",
+    "MetricsRegistry": "metrics",
+    "NULL_RECORDER": "recorder",
+    "NullRecorder": "recorder",
+    "Phase": "critical",
+    "SamplingProfiler": "profile",
+    "Recorder": "recorder",
+    "RegressionConfig": "regress",
+    "RegressionReport": "regress",
+    "RunRecord": "history",
+    "TraceRecorder": "recorder",
+    "Span": "spans",
+    "SpanEvent": "spans",
+    "TraceData": "sink",
+    "Verdict": "regress",
+    "compare": "regress",
+    "counter": "recorder",
+    "coverage": "render",
+    "critical_path": "critical",
+    "default_history_root": "history",
+    "detect": "regress",
+    "enabled": "recorder",
+    "event": "recorder",
+    "gauge": "recorder",
+    "get_recorder": "recorder",
+    "histogram": "recorder",
+    "load_trace": "sink",
+    "metrics_view": "render",
+    "phase_attribution": "critical",
+    "profile_call": "profile",
+    "record_from_report": "history",
+    "render_critical": "critical",
+    "render_html": "report",
+    "render_metrics": "exposition:render",
+    "set_recorder": "recorder",
+    "slowest": "render",
+    "span": "recorder",
+    "summary": "render",
+    "tree": "render",
+    "use_recorder": "recorder",
+    "write_html": "report",
+    "write_trace": "sink",
+})

@@ -15,21 +15,17 @@ SLO verdicts. See ``docs/SERVICE.md`` for the endpoint reference and
 ops runbook.
 """
 
-from repro.server.app import MeasurementServer, create_server
-from repro.server.dashboard import render_dashboard
-from repro.server.loadgen import LoadGenerator, LoadgenReport, run_loadgen
-from repro.server.slo import ROUTE_SLOS_P99_S, check, record_from_loadgen
-from repro.server.state import ServerState
+from repro._exports import lazy_exports
 
-__all__ = [
-    "MeasurementServer",
-    "create_server",
-    "LoadGenerator",
-    "LoadgenReport",
-    "run_loadgen",
-    "ROUTE_SLOS_P99_S",
-    "check",
-    "record_from_loadgen",
-    "render_dashboard",
-    "ServerState",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "MeasurementServer": "app",
+    "create_server": "app",
+    "LoadGenerator": "loadgen",
+    "LoadgenReport": "loadgen",
+    "run_loadgen": "loadgen",
+    "ROUTE_SLOS_P99_S": "slo",
+    "check": "slo",
+    "record_from_loadgen": "slo",
+    "render_dashboard": "dashboard",
+    "ServerState": "state",
+})

@@ -7,29 +7,24 @@ asset, Ookla-like and fast.com-like speedtest fleets, DNS services
 backend behind the YouTube probe.
 """
 
-from repro.services.fabric import ServiceFabric
-from repro.services.providers import ServerSite, ServiceProvider
-from repro.services.dns import DNSService, DNSAnswer, DoHOverheadModel
-from repro.services.cdn import Asset, CDNProvider, CDNFetchResult, JQUERY_ASSET
-from repro.services.speedtest import SpeedtestFleet, SpeedtestServer, SpeedtestResult
-from repro.services.video import AdaptiveBitratePlayer, VideoLadderRung, PlaybackReport, YOUTUBE_LADDER
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ServiceFabric",
-    "ServerSite",
-    "ServiceProvider",
-    "DNSService",
-    "DNSAnswer",
-    "DoHOverheadModel",
-    "Asset",
-    "CDNProvider",
-    "CDNFetchResult",
-    "JQUERY_ASSET",
-    "SpeedtestFleet",
-    "SpeedtestServer",
-    "SpeedtestResult",
-    "AdaptiveBitratePlayer",
-    "VideoLadderRung",
-    "PlaybackReport",
-    "YOUTUBE_LADDER",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ServiceFabric": "fabric",
+    "ServerSite": "providers",
+    "ServiceProvider": "providers",
+    "DNSService": "dns",
+    "DNSAnswer": "dns",
+    "DoHOverheadModel": "dns",
+    "Asset": "cdn",
+    "CDNProvider": "cdn",
+    "CDNFetchResult": "cdn",
+    "JQUERY_ASSET": "cdn",
+    "SpeedtestFleet": "speedtest",
+    "SpeedtestServer": "speedtest",
+    "SpeedtestResult": "speedtest",
+    "AdaptiveBitratePlayer": "video",
+    "VideoLadderRung": "video",
+    "PlaybackReport": "video",
+    "YOUTUBE_LADDER": "video",
+})

@@ -6,15 +6,13 @@ campaign inventories of Tables 3-4, quoted calibration numbers);
 builds the small validation world of Section 4.3.1.
 """
 
-from repro.worlds.airalo import AiraloWorld, build_airalo_world, scaled_count
-from repro.worlds.emnify import EmnifyWorld, build_emnify_world
-from repro.worlds import paperdata
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AiraloWorld",
-    "build_airalo_world",
-    "EmnifyWorld",
-    "build_emnify_world",
-    "paperdata",
-    "scaled_count",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AiraloWorld": "airalo",
+    "build_airalo_world": "airalo",
+    "EmnifyWorld": "emnify",
+    "build_emnify_world": "emnify",
+    "paperdata": "paperdata",
+    "scaled_count": "airalo",
+})

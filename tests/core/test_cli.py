@@ -157,6 +157,9 @@ BAD_NUMERIC_INPUT = [
     (["profile", "--top", "-1", "--", "list"], "--top must be at least 1"),
     (["report", "--html", "r.html", "--limit", "0"], "--limit must be at least 1"),
     (["report", "--html", "r.html", "--limit", "-3"], "--limit must be at least 1"),
+    # At --jobs 1 an attempt runs in the parent: no worker to kill.
+    (["run-all", "--artefact-timeout", "1", "--scale", "0.05", "--artefacts", "T3"],
+     "artefact_timeout_s needs jobs >= 2"),
 ]
 
 
@@ -855,42 +858,8 @@ def test_cache_verify_prunes_a_killed_writers_temp(cli_cache, capsys):
     assert list(root.iterdir()) == []
 
 
-#: Runs ``main(sys.argv[2:])`` in a fresh interpreter, then writes its
-#: exit code and which numeric libraries it loaded to ``sys.argv[1]``.
-_IMPORT_PROBE = (
-    "import json, sys\n"
-    "from repro.cli import main\n"
-    "try:\n"
-    "    code = main(sys.argv[2:])\n"
-    "except SystemExit as stop:\n"
-    "    code = stop.code\n"
-    "loaded = sorted(m for m in ('numpy', 'scipy', 'networkx') if m in sys.modules)\n"
-    "with open(sys.argv[1], 'w') as handle:\n"
-    "    json.dump([code, loaded], handle)\n"
-)
-
-#: Commands that compute nothing numeric: argv, exit code, and text their
-#: stdout contains (``""``: no stdout at all). ``{trace}`` is a small trace.
-NON_NUMERIC_COMMANDS = [
-    (["list"], 0, "F11"),
-    (["--help"], 0, "usage: repro"),
-    (["history", "list"], 2, ""),
-    (["regress"], 2, ""),
-    (["cache", "info"], 0, "entries    : 0"),
-    (["trace", "summary", "{trace}"], 0, "3 spans, 0 span events"),
-]
-
-
-@pytest.mark.parametrize(
-    "argv, code, stdout", NON_NUMERIC_COMMANDS,
-    ids=[" ".join(argv) for argv, _, _ in NON_NUMERIC_COMMANDS],
-)
-def test_non_numeric_commands_load_no_numeric_library(
-    monkeypatch, tmp_path, argv, code, stdout
-):
-    """numpy is imported inside the functions that compute with it and
-    scipy inside the two hypothesis tests; networkx is not a runtime
-    dependency. A command that computes nothing loads none of them."""
+def _small_trace(tmp_path):
+    """A three-span trace file, as ``run-all --trace`` writes them."""
     from repro import obs
 
     recorder = obs.TraceRecorder(trace_id="probe")
@@ -899,7 +868,61 @@ def test_non_numeric_commands_load_no_numeric_library(
             pass
         with recorder.span("artefact", artefact="T2"):
             pass
-    trace = obs.write_trace(recorder, tmp_path / "trace.jsonl")
+    return obs.write_trace(recorder, tmp_path / "trace.jsonl")
+
+
+#: Runs ``main(sys.argv[2:])`` in a fresh interpreter, then writes its
+#: exit code, which numeric libraries and which ``repro`` modules it
+#: loaded to ``sys.argv[1]``.
+_IMPORT_PROBE = (
+    "import json, sys\n"
+    "from repro.cli import main\n"
+    "try:\n"
+    "    code = main(sys.argv[2:])\n"
+    "except SystemExit as stop:\n"
+    "    code = stop.code\n"
+    "loaded = sorted(m for m in ('numpy', 'scipy', 'networkx') if m in sys.modules)\n"
+    "modules = sorted(m for m in sys.modules if m.startswith('repro.'))\n"
+    "with open(sys.argv[1], 'w') as handle:\n"
+    "    json.dump([code, loaded, modules], handle)\n"
+)
+
+#: The simulator's packages: the world, its substrates, the campaigns
+#: and the analysis over their records.
+SIMULATOR_PACKAGES = (
+    "worlds", "market", "measure", "cellular", "net", "services", "ipx",
+    "mna", "analysis",
+)
+
+#: Commands that compute nothing numeric: argv, exit code, text their
+#: stdout contains (``""``: no stdout at all), and whether they must also
+#: load no simulator module and no experiment beyond ``common`` and
+#: ``registry``. ``{trace}`` is a small trace.
+NON_NUMERIC_COMMANDS = [
+    (["list"], 0, "F11", False),
+    (["--help"], 0, "usage: repro", True),
+    (["history", "list"], 2, "", True),
+    (["regress"], 2, "", True),
+    (["cache", "info"], 0, "entries    : 0", True),
+    (["trace", "summary", "{trace}"], 0, "3 spans, 0 span events", True),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout, lean", NON_NUMERIC_COMMANDS,
+    ids=[" ".join(argv) for argv, _, _, _ in NON_NUMERIC_COMMANDS],
+)
+def test_non_numeric_commands_load_no_numeric_library(
+    monkeypatch, tmp_path, argv, code, stdout, lean
+):
+    """numpy is imported inside the functions that compute with it and
+    scipy inside the two hypothesis tests; networkx is not a runtime
+    dependency. A command that computes nothing loads none of them.
+
+    Package inits export lazily and ``cli.py`` imports each command's
+    modules inside its handler, so a command that only reads a store
+    or a trace loads no simulator module either."""
+    trace = _small_trace(tmp_path)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_HISTORY_DIR", str(tmp_path / "history"))
     report = tmp_path / "probe.json"
@@ -908,7 +931,17 @@ def test_non_numeric_commands_load_no_numeric_library(
         capture_output=True, text=True,
     )
     assert probe.returncode == 0, probe.stderr
-    assert json.loads(report.read_text()) == [code, []], probe.stderr
+    exit_code, numeric, modules = json.loads(report.read_text())
+    assert (exit_code, numeric) == (code, []), probe.stderr
+    if lean:
+        simulator = [
+            m for m in modules if m.split(".")[1] in SIMULATOR_PACKAGES
+        ]
+        experiments = [
+            m for m in modules if m.startswith("repro.experiments.")
+            and m not in ("repro.experiments.common", "repro.experiments.registry")
+        ]
+        assert simulator == [] and experiments == [], modules
     if stdout:
         assert stdout in probe.stdout
     else:
@@ -957,7 +990,7 @@ def test_hypothesis_tests_leave_scipy_stats_unloaded(tmp_path):
 # -- the process entry point ---------------------------------------------------
 
 
-def _python_m_repro(tmp_path, *argv):
+def _python_m_repro(tmp_path, *argv, stdout=subprocess.PIPE):
     """``python -m repro ARGV`` in ``tmp_path``, with its own cache."""
     env = dict(os.environ)
     src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
@@ -965,13 +998,15 @@ def _python_m_repro(tmp_path, *argv):
     env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
     return subprocess.run(
         [sys.executable, "-m", "repro", *argv], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=300,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=300,
     )
 
 
 def test_the_exit_path_loses_nothing(tmp_path):
     """``python -m repro`` freezes the collector before the interpreter
-    shuts down; every file a command writes is still whole."""
+    shuts down; every file a command writes is still whole, and a
+    ``--jobs 2`` pool and a ``--resume`` export what the serial run
+    did."""
     from repro.obs.history import ArtefactStats, HistoryStore, RunRecord
 
     HistoryStore(tmp_path / "history").append(RunRecord(
@@ -1004,6 +1039,48 @@ def test_the_exit_path_loses_nothing(tmp_path):
     done = _python_m_repro(tmp_path, "run-all", "--scale", "-1")
     assert done.returncode == 2
     assert "--scale must be a positive finite number" in done.stderr
+
+    # Forked workers start from a parent that has imported only what the
+    # command needs; they compute what the serial run computed.
+    subset = ["T2", "T3", "F7", "F11"]
+    serial = json.dumps({a: report["results"][a] for a in subset}, sort_keys=True)
+    done = _python_m_repro(
+        tmp_path, "run-all", "--jobs", "2", "--scale", "0.05",
+        "--artefacts", *subset, "--json", "parallel.json",
+    )
+    assert done.returncode == 0, done.stderr
+    parallel = json.loads((tmp_path / "parallel.json").read_text())
+    assert json.dumps(parallel["results"], sort_keys=True) == serial
+
+    # A journaled run, then a resume of it that recomputes nothing.
+    for resume, attempts in (([], 1), (["--resume"], 0)):
+        done = _python_m_repro(
+            tmp_path, "run-all", "--scale", "0.05", "--artefacts", *subset,
+            "--journal", "run.jsonl", "--json", "journaled.json", *resume,
+        )
+        assert done.returncode == 0, done.stderr
+        journaled = json.loads((tmp_path / "journaled.json").read_text())
+        assert [run["attempts"] for run in journaled["runs"]] == [attempts] * 4
+        assert json.dumps(journaled["results"], sort_keys=True) == serial
+
+
+@pytest.mark.parametrize("argv", [["list"], ["trace", "summary", "{trace}"]],
+                         ids=["list", "trace summary"])
+def test_a_closed_stdout_ends_quietly(tmp_path, argv):
+    """When stdout's reader is gone (``repro list | head -1``), the
+    command exits 1 with nothing on stderr: no ``BrokenPipeError``
+    traceback, from the command or from shutdown's flush."""
+    trace = _small_trace(tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _python_m_repro(
+            tmp_path, *(arg.format(trace=trace) for arg in argv),
+            stdout=write_end,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
 
 
 def test_console_script_and_python_m_share_one_entry_function(capsys):
