@@ -498,10 +498,13 @@ def _cmd_regress(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.obs.report import write_html
 
+    if os.path.isdir(args.html):
+        print(f"--html {args.html} is a directory", file=sys.stderr)
+        return 2
     store = _history_store(args)
-    target = write_html(store, args.html, limit=args.limit)
-    runs = len(store.load())
-    print(f"wrote {target} ({runs} recorded run(s))")
+    records = store.load()
+    target = write_html(store, args.html, limit=args.limit, records=records)
+    print(f"wrote {target} ({len(records)} recorded run(s))")
     return 0
 
 

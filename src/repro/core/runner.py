@@ -59,7 +59,9 @@ import json
 import os
 import pathlib
 import random
+import resource
 import signal
+import sys
 import threading
 import time
 import traceback
@@ -104,6 +106,9 @@ class ArtefactRun:
     #: Attempts consumed (0 when the artefact was resumed from the journal).
     attempts: int = 1
     error: str = ""
+    #: The worker's RSS high-water mark in MB when the artefact's clock
+    #: stopped (0 if it did not run): where it rises, the artefact raised it.
+    peak_rss_mb: float = 0.0
 
 
 @dataclass
@@ -319,12 +324,15 @@ def _run_artefact(
             result, status, error = None, STATUS_ERROR, traceback.format_exc()
             span.set(failed=True)
         wall = time.perf_counter() - started
+        # ru_maxrss counts KiB on Linux and bytes on macOS.
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        peak_rss_mb = peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
         delta = cache.stats.delta(stats_before)
     run = ArtefactRun(
         artefact_id=artefact_id, status=status, wall_s=wall,
         worker=f"pid-{os.getpid()}", cache_hits=delta.hits,
         cache_misses=delta.misses, cache_hit_s=delta.hit_time_s,
-        attempts=attempt + 1, error=error,
+        attempts=attempt + 1, error=error, peak_rss_mb=peak_rss_mb,
     )
     return run, result, recorder.export() if worker.trace else None
 

@@ -138,7 +138,8 @@ def get_market(step_days: int = 7) -> Tuple[EsimDB, CrawlDataset]:
 
         with obs.span("input.market", step_days=step_days) as span:
             store = _cache.get_default_cache()
-            disk_key = _disk_key("market-columns", step_days=step_days)
+            # Not "market-columns": that kind held the six-column layout.
+            disk_key = _disk_key("market-crawl", step_days=step_days)
             esimdb = EsimDB(build_provider_universe(), get_countries())
             table = store.load(disk_key)
             if isinstance(table, OfferTable):

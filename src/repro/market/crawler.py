@@ -56,22 +56,23 @@ class CrawlDataset:
 
     # -- objects on demand ----------------------------------------------------
 
-    def _offers(self, rows) -> List[ESIMOffer]:
-        """``rows`` (a slice or an index array) as offers, in row order."""
+    def _offers(self, listing: Listing, rows) -> List[ESIMOffer]:
+        """``listing``'s offers at template ``rows`` (a slice or an index
+        array), in row order."""
         import numpy as np
 
+        day, vantage, index = listing
         table = self.table
         columns = (
             np.asarray(column)[rows].tolist()
             for column in (
-                table.provider, table.country, table.data_gb,
-                table.price_usd, table.day, table.vantage,
+                table.provider, table.country, table.data_gb, table.prices[index],
             )
         )
-        providers, countries, vantages = table.providers, table.countries, table.vantages
+        providers, countries = table.providers, table.countries
         return [
-            ESIMOffer(providers[p], countries[c], gb, price, day, vantages[v])
-            for p, c, gb, price, day, v in zip(*columns)
+            ESIMOffer(providers[p], countries[c], gb, price, day, vantage)
+            for p, c, gb, price in zip(*columns)
         ]
 
     def _listing_on(self, day: int) -> Listing:
@@ -86,12 +87,12 @@ class CrawlDataset:
         With ``country`` (an ISO3 code, any case), only that country's
         offers; none for a country no provider covers.
         """
-        _, _, first, end = self._listing_on(day)
+        listing = self._listing_on(day)
         if country is None:
-            return self._offers(slice(first, end))
+            return self._offers(listing, slice(None))
         table = self.table
         return self._offers(
-            self._rows_of(first, end, table.country, table.countries, country.upper())
+            listing, self._rows_of(table.country, table.countries, country.upper())
         )
 
     def days(self) -> List[int]:
@@ -100,8 +101,8 @@ class CrawlDataset:
     def all_offers(self) -> List[ESIMOffer]:
         return [
             offer
-            for _, _, first, end in self._daily
-            for offer in self._offers(slice(first, end))
+            for listing in self._daily
+            for offer in self._offers(listing, slice(None))
         ]
 
     # -- column aggregates ----------------------------------------------------
@@ -109,35 +110,33 @@ class CrawlDataset:
     # Each equals the object-path computation of ``tests/market/reference.py``
     # over the same listing's offers: equal floats, in the same order.
 
-    def _usd_per_gb(self, rows) -> np.ndarray:
-        """$/GB of ``rows`` (a slice or an index array): ``price_usd /
-        data_gb`` in float64, the division :attr:`ESIMOffer.usd_per_gb`
-        makes."""
+    def _usd_per_gb(self, index: int, rows) -> np.ndarray:
+        """$/GB at template ``rows`` (a slice or an index array) under
+        price column ``index``: ``price_usd / data_gb`` in float64, the
+        division :attr:`ESIMOffer.usd_per_gb` makes."""
         import numpy as np
 
         table = self.table
-        return np.asarray(table.price_usd)[rows] / np.asarray(table.data_gb)[rows]
+        return np.asarray(table.prices[index])[rows] / np.asarray(table.data_gb)[rows]
 
     @staticmethod
-    def _rows_of(
-        first: int, end: int, column: array, labels: Tuple[str, ...], value: str
-    ) -> np.ndarray:
-        """Indexes of the rows in ``[first, end)`` whose ``column`` holds
-        ``value``'s code in ``labels``; none if ``value`` is no label."""
+    def _rows_of(column: array, labels: Tuple[str, ...], value: str) -> np.ndarray:
+        """Indexes of the template rows whose ``column`` holds ``value``'s
+        code in ``labels``; none if ``value`` is no label."""
         import numpy as np
 
         code = labels.index(value) if value in labels else -1
-        return np.flatnonzero(np.asarray(column)[first:end] == code) + first
+        return np.flatnonzero(np.asarray(column) == code)
 
-    def _country_medians(self, first: int, end: int, provider: str) -> Dict[str, float]:
+    def _country_medians(self, index: int, provider: str) -> Dict[str, float]:
         import numpy as np
 
         table = self.table
-        rows = self._rows_of(first, end, table.provider, table.providers, provider)
+        rows = self._rows_of(table.provider, table.providers, provider)
         names = table.countries
         return country_medians(zip(
             [names[c] for c in np.asarray(table.country)[rows].tolist()],
-            self._usd_per_gb(rows).tolist(),
+            self._usd_per_gb(index, rows).tolist(),
         ))
 
     def price_timeline(
@@ -148,8 +147,8 @@ class CrawlDataset:
         continent."""
         return country_median_timeline(
             {
-                day: self._country_medians(first, end, provider)
-                for day, _, first, end in self._daily
+                day: self._country_medians(index, provider)
+                for day, _, index in self._daily
             },
             countries,
         )
@@ -161,25 +160,25 @@ class CrawlDataset:
 
         Figure 18's map and X5's retail prices.
         """
-        _, _, first, end = self._listing_on(day)
-        return self._country_medians(first, end, provider)
+        _, _, index = self._listing_on(day)
+        return self._country_medians(index, provider)
 
     def provider_country_medians(self, day: int) -> Dict[str, List[float]]:
         """Per-provider sorted country medians on ``day`` (Figure 17)."""
-        _, _, first, end = self._listing_on(day)
+        _, _, index = self._listing_on(day)
         table = self.table
         medians = provider_medians(zip(
-            table.provider[first:end].tolist(),
-            table.country[first:end].tolist(),
-            self._usd_per_gb(slice(first, end)).tolist(),
+            table.provider.tolist(),
+            table.country.tolist(),
+            self._usd_per_gb(index, slice(None)).tolist(),
         ))
         return {table.providers[code]: values for code, values in medians.items()}
 
     def offer_counts(self, day: int) -> Dict[str, int]:
         """Offers per provider on ``day``, in first-listed order."""
-        _, _, first, end = self._listing_on(day)
+        self._listing_on(day)
         names = self.table.providers
-        counts = Counter(self.table.provider[first:end].tolist())
+        counts = Counter(self.table.provider.tolist())
         return {names[code]: count for code, count in counts.items()}
 
     def size_price_curves(
@@ -196,9 +195,9 @@ class CrawlDataset:
         """
         import numpy as np
 
-        _, _, first, end = self._listing_on(day)
+        _, _, index = self._listing_on(day)
         table = self.table
-        rows = self._rows_of(first, end, table.provider, table.providers, provider.name)
+        rows = self._rows_of(table.provider, table.providers, provider.name)
         sizes = provider.plan_sizes_gb
         ladders, partial = divmod(rows.size, len(sizes))
         gb = np.asarray(table.data_gb)[rows]
@@ -209,32 +208,23 @@ class CrawlDataset:
         columns = zip(
             np.asarray(table.country)[rows].tolist(),
             gb.tolist(),
-            np.asarray(table.price_usd)[rows].tolist(),
+            np.asarray(table.prices[index])[rows].tolist(),
         )
-        for index, (country, size_gb, price) in enumerate(columns):
+        for position, (country, size_gb, price) in enumerate(columns):
             if size_gb <= max_gb:
                 curves.setdefault(names[country], set()).add(
-                    (sizes[index % len(sizes)], price)
+                    (sizes[position % len(sizes)], price)
                 )
         return {iso3: sorted(points) for iso3, points in curves.items()}
 
     def price_discrimination_detected(self) -> bool:
         """True if any (provider, country, size) price differs between
-        the vantage listings, or is missing from the first one."""
+        the vantage listings: their price columns differ, since no
+        template row repeats a key (see :class:`EsimDB`)."""
         if len(self._vantage) < 2:
             raise ValueError("need at least two vantage snapshots to compare")
-        table = self.table
-        columns = (table.provider, table.country, table.data_gb, table.price_usd)
-        listings = []
-        for _, _, first, end in self._vantage:
-            p, c, gb, price = (column[first:end].tolist() for column in columns)
-            listings.append(zip(zip(p, c, gb), price))
-        reference = dict(listings[0])
-        for listing in listings[1:]:
-            for key, price in listing:
-                if key not in reference or reference[key] != price:
-                    return True
-        return False
+        first, *others = (self.table.prices[index] for _, _, index in self._vantage)
+        return any(prices != first for prices in others)
 
 
 class MarketCrawler:

@@ -25,34 +25,34 @@ from repro.market.providers import (
 #: Where a listing is crawled from unless a vantage is named.
 DEFAULT_VANTAGE = "NJ"
 
-#: The last day an offer table can hold: its ``day`` column is ``H``.
+#: The last day a listing can hold: CLI ``market`` and ``trip`` refuse
+#: a later ``--day`` up front.
 MAX_DAY = 0xFFFF
 
-#: One listing's rows: ``(day, vantage, first_row, end_row)``.
-Listing = Tuple[int, str, int, int]
+#: One listing: ``(day, vantage, index into OfferTable.prices)``.
+Listing = Tuple[int, str, int]
 
 
 @dataclass(frozen=True)
 class OfferTable:
-    """A whole crawl as typed columns, one row per offer.
+    """A whole crawl as typed columns.
 
-    ``provider``, ``country`` and ``vantage`` are ``H`` codes into the
-    ``providers``, ``countries`` and ``vantages`` label tuples; ``day``
-    is ``H``, ``data_gb`` and ``price_usd`` are ``d``. ``listings``
-    holds the row range of each listing in crawl order, and the first
-    ``daily`` of them are the daily ones. It pickles as is: an ``array``
-    records its machine format and converts on load.
+    Every listing holds the same offers, stored once as the template:
+    ``provider`` and ``country`` are ``H`` codes into the ``providers``
+    and ``countries`` label tuples, ``data_gb`` is ``d``. ``prices``
+    holds one ``d`` column per distinct set of continent rates, aligned
+    with the template. ``listings`` names each listing's price column in
+    crawl order, and the first ``daily`` of them are the daily ones. It
+    pickles as is: an ``array`` records its machine format and converts
+    on load.
     """
 
     provider: array
     country: array
-    vantage: array
-    day: array
     data_gb: array
-    price_usd: array
+    prices: Tuple[array, ...]
     providers: Tuple[str, ...]
     countries: Tuple[str, ...]
-    vantages: Tuple[str, ...]
     listings: Tuple[Listing, ...]
     daily: int
 
@@ -68,6 +68,9 @@ class EsimDB:
     ) -> None:
         if not providers:
             raise ValueError("aggregator needs at least one provider")
+        # One key per row: vantage listings are compared by price column.
+        if len({provider.name for provider in providers}) < len(providers):
+            raise ValueError("two providers share a name")
         self.providers = list(providers)
         self.countries = countries
         self.continent_pricing = continent_pricing
@@ -100,28 +103,23 @@ class EsimDB:
 
         Prices come from :meth:`EsimProvider.plan_prices`, once per
         distinct set of continent rates: a listing whose rates all equal
-        an earlier listing's copies its prices. Every day must be in
-        ``[0, MAX_DAY]``, the range of the ``day`` column.
+        an earlier listing's shares its price column. Every day must be
+        in ``[0, MAX_DAY]``.
         """
         listings = [(day, DEFAULT_VANTAGE) for day in days]
         listings += [(day, vantage) for day, vantage in vantages]
         if any(not 0 <= day <= MAX_DAY for day, _ in listings):
             raise ValueError(f"day must be in [0, {MAX_DAY}]")
-        col_provider, col_country = array("H"), array("H")
-        col_vantage, col_day = array("H"), array("H")
-        col_gb, col_price = array("d"), array("d")
         # Label -> code, in first-listed order.
         provider_codes: Dict[str, int] = {}
         country_codes: Dict[str, int] = {}
-        vantage_codes: Dict[str, int] = {}
 
         # Provider, country and size repeat in every listing: lay them
         # out once. Per (provider, country), keep what does not depend on
         # the day -- the rate schedule and the country factor (a sha256
         # call) -- so a listing only computes prices.
         ladders = []
-        template_provider, template_country = array("H"), array("H")
-        template_gb = array("d")
+        col_provider, col_country, col_gb = array("H"), array("H"), array("d")
         for provider in self.providers:
             code = provider_codes.setdefault(provider.name, len(provider_codes))
             n = len(provider.plan_sizes_gb)
@@ -131,46 +129,38 @@ class EsimDB:
                     continent_pricing_for(country, self.continent_pricing),
                     provider.country_factor(country),
                 ))
-                template_provider.extend([code] * n)
+                col_provider.extend([code] * n)
                 country_code = country_codes.setdefault(country.iso3, len(country_codes))
-                template_country.extend([country_code] * n)
-                template_gb.extend(provider.plan_sizes_gb)
+                col_country.extend([country_code] * n)
+                col_gb.extend(provider.plan_sizes_gb)
         # ESIMOffer's validation, as one check over the rows.
-        if template_gb and min(template_gb) <= 0:
+        if col_gb and min(col_gb) <= 0:
             raise ValueError("plan size must be positive")
-        rows = len(template_gb)
         # A listing's prices depend on the day only through the rate of
         # each schedule, and most days share their rates with an earlier
         # listing (the ramps are flat outside days 13-60): price each
-        # distinct rate vector once, and copy its rows after that.
+        # distinct rate vector once, and point later listings at it.
         schedules = list(dict.fromkeys(pricing for _, pricing, _ in ladders))
-        priced: Dict[Tuple[float, ...], int] = {}  # rate vector -> first row
-        bounds = []
+        priced: Dict[Tuple[float, ...], int] = {}  # rate vector -> price column
+        prices: List[array] = []
+        listed = []
         for day, vantage in listings:
-            first = len(col_price)
-            col_provider.extend(template_provider)
-            col_country.extend(template_country)
-            vantage_code = vantage_codes.setdefault(vantage, len(vantage_codes))
-            col_vantage.extend(array("H", [vantage_code]) * rows)
-            col_day.extend(array("H", [day]) * rows)
-            col_gb.extend(template_gb)
             rates = tuple(pricing.rate_on(day) for pricing in schedules)
-            source = priced.get(rates)
-            if source is not None:
-                col_price.extend(col_price[source:source + rows])
-            else:
-                priced[rates] = first
+            index = priced.get(rates)
+            if index is None:
+                index = priced[rates] = len(prices)
+                column = array("d")
                 for provider, pricing, factor in ladders:
-                    col_price.extend(provider.plan_prices(
+                    column.extend(provider.plan_prices(
                         provider.unit_rate(pricing.rate_on(day), factor)
                     ))
-            bounds.append((day, vantage, first, len(col_price)))
-        if col_price and min(col_price) <= 0:
-            raise ValueError("price must be positive")
+                if column and min(column) <= 0:
+                    raise ValueError("price must be positive")
+                prices.append(column)
+            listed.append((day, vantage, index))
         return OfferTable(
-            col_provider, col_country, col_vantage, col_day, col_gb, col_price,
-            tuple(provider_codes), tuple(country_codes), tuple(vantage_codes),
-            tuple(bounds), len(days),
+            col_provider, col_country, col_gb, tuple(prices),
+            tuple(provider_codes), tuple(country_codes), tuple(listed), len(days),
         )
 
     def total_offers_per_day(self) -> int:

@@ -99,6 +99,8 @@ class EsimProvider:
             raise ValueError("invalid provider parameters")
         if not self.plan_sizes_gb:
             raise ValueError("provider needs at least one plan size")
+        if len(set(self.plan_sizes_gb)) < len(self.plan_sizes_gb):
+            raise ValueError("plan ladder repeats a size")
         if self.size_exponent < 1.0:
             raise ValueError("size exponent below 1 would mean bulk prices fall")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import html
 import pathlib
 import time
-from typing import Dict, List, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.obs.critical import render_critical
 from repro.obs.history import HistoryStore, RunRecord
@@ -85,9 +85,14 @@ def _trend_table(
     return out
 
 
-def render_html(store: HistoryStore, limit: int = 12) -> str:
-    """The dashboard for every comparability group in ``store``."""
-    records = store.load()
+def render_html(
+    store: HistoryStore, limit: int = 12, records: Optional[Sequence[RunRecord]] = None
+) -> str:
+    """The dashboard for every comparability group in ``store``.
+
+    Pass the store's ``records`` if they are loaded already."""
+    if records is None:
+        records = store.load()
     parts = [
         "<!doctype html><html><head><meta charset='utf-8'>",
         "<title>repro run history</title>",
@@ -157,11 +162,12 @@ def render_html(store: HistoryStore, limit: int = 12) -> str:
 
 
 def write_html(
-    store: HistoryStore, path: Union[str, "pathlib.Path"], limit: int = 12
+    store: HistoryStore, path: Union[str, "pathlib.Path"], limit: int = 12,
+    records: Optional[Sequence[RunRecord]] = None,
 ) -> pathlib.Path:
     """Render the dashboard and write it to ``path``; returns the path."""
     target = pathlib.Path(path)
     if target.parent != pathlib.Path(""):
         target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(render_html(store, limit=limit))
+    target.write_text(render_html(store, limit=limit, records=records))
     return target

@@ -150,8 +150,8 @@ def test_offer_table_roundtrips_as_one_pickle(store):
     assert [p.name for p in store.root.iterdir()] == [f"{key}.pkl"]
     loaded = store.load(key)
     assert loaded == table and loaded is not table
-    assert loaded.price_usd.typecode == "d" and loaded.provider.typecode == "H"
-    assert loaded.price_usd.tobytes() == table.price_usd.tobytes()
+    assert loaded.prices[0].typecode == "d" and loaded.provider.typecode == "H"
+    assert [p.tobytes() for p in loaded.prices] == [p.tobytes() for p in table.prices]
     assert store.stats.hits == 1 and store.stats.stores == 1
 
 
@@ -278,7 +278,7 @@ def _flip_table():
         "chaos-device": (common._disk_key(
             "device-dataset", seed=SEED, scale=SCALE, chaos=default_chaos(SEED)), "RX1"),
         "web": (common._disk_key("web-dataset", seed=SEED, chaos=None), "T3"),
-        "market": (common._disk_key("market-columns", step_days=7), "F16"),
+        "market": (common._disk_key("market-crawl", step_days=7), "F16"),
         "journal-result": (result_key("F16", SEED, SCALE), "F16"),
     }
 
@@ -366,6 +366,51 @@ def test_flipped_byte_is_an_evicted_miss_that_rebuilds_to_golden(
     assert ArtifactCache(root).verify().clean and path.is_file()
     golden = json.loads(GOLDEN.read_text())["results"][artefact]
     assert json.dumps(jsonable(report.results[artefact]), indent=2, sort_keys=True) == (
+        json.dumps(golden, indent=2, sort_keys=True)
+    )
+
+
+def _six_column_table():
+    """An ``OfferTable`` as the six-column layout pickled it: that
+    layout's fields on the same class, so it unpickles as an instance."""
+    from array import array
+
+    from repro.market.esimdb import OfferTable
+
+    table = object.__new__(OfferTable)
+    table.__dict__.update(
+        provider=array("H", [0]), country=array("H", [0]),
+        vantage=array("H", [0]), day=array("H", [0]),
+        data_gb=array("d", [1.0]), price_usd=array("d", [4.5]),
+        providers=("Airalo",), countries=("ESP",), vantages=("NJ",),
+        listings=((0, "NJ", 0, 1),), daily=1,
+    )
+    return table
+
+
+def test_six_column_crawl_at_the_old_key_is_never_read(tmp_path):
+    """A cache the six-column layout filled keeps its crawl at the
+    ``market-columns`` key, under the same version. It loads as an
+    ``OfferTable`` without ``prices``, so the crawl is cached under
+    another kind: F16 builds it and exports golden bytes."""
+    from repro.core.runner import StudyRunner
+    from repro.experiments import common
+    from repro.experiments.export import jsonable
+    from repro.market.esimdb import OfferTable
+
+    old_key = common._disk_key("market-columns", step_days=7)
+    new_key, _ = _flip_table()["market"]
+    with _default_cache(tmp_path / "cache") as store:
+        old = store.store(old_key, _six_column_table())
+        loaded = store.load(old_key)
+        assert isinstance(loaded, OfferTable) and not hasattr(loaded, "prices")
+        report = StudyRunner(seed=SEED, jobs=1, cache=store).run_all(
+            scale=SCALE, artefacts=["F16"]
+        )
+    assert not report.failed(), report.summary_table()
+    assert old.is_file() and (tmp_path / "cache" / f"{new_key}.pkl").is_file()
+    golden = json.loads(GOLDEN.read_text())["results"]["F16"]
+    assert json.dumps(jsonable(report.results["F16"]), indent=2, sort_keys=True) == (
         json.dumps(golden, indent=2, sort_keys=True)
     )
 

@@ -159,6 +159,8 @@ BAD_NUMERIC_INPUT = [
     (["profile", "--top", "-1", "--", "list"], "--top must be at least 1"),
     (["report", "--html", "r.html", "--limit", "0"], "--limit must be at least 1"),
     (["report", "--html", "r.html", "--limit", "-3"], "--limit must be at least 1"),
+    # The report's target is a directory: refused before the history is read.
+    (["report", "--html", "."], "--html . is a directory"),
     # At --jobs 1 an attempt runs in the parent: no worker to kill.
     (["run-all", "--artefact-timeout", "1", "--scale", "0.05", "--artefacts", "T3"],
      "artefact_timeout_s needs jobs >= 2"),
@@ -417,6 +419,34 @@ def test_report_omits_a_malformed_trace(tmp_path, capsys, case):
                  "--history", str(tmp_path / "hist")]) == 0
     assert "wrote" in capsys.readouterr().out
     assert "latest critical path" not in out.read_text()
+
+
+def test_report_reads_the_history_once(tmp_path, capsys, monkeypatch):
+    from repro.obs.history import HistoryStore, RunRecord
+
+    history = tmp_path / "hist"
+    HistoryStore(history).append(RunRecord(
+        run_id="r0", created_unix=1.0, seed=2024, scale=0.05, jobs=1,
+        total_wall_s=2.0,
+    ))
+    loads = []
+    load = HistoryStore.load
+
+    def counting(self):
+        loads.append(self.path)
+        return load(self)
+
+    monkeypatch.setattr(HistoryStore, "load", counting)
+    out = tmp_path / "report.html"
+    assert main(["report", "--html", str(out), "--history", str(history)]) == 0
+    assert "(1 recorded run(s))" in capsys.readouterr().out
+    assert len(loads) == 1 and "1 recorded run(s)" in out.read_text()
+    # A directory as the target: one stderr line naming it, and the
+    # store is not read.
+    assert main(["report", "--html", str(tmp_path), "--history", str(history)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"--html {tmp_path} is a directory\n"
+    assert len(loads) == 1
 
 
 def test_main_leaves_the_repro_logger_as_it_found_it(cli_cache):

@@ -96,6 +96,24 @@ def test_run_all_facade_raises_on_failure(isolated_cache, monkeypatch):
         ThickMnaStudy(seed=2024).run_all(scale=SCALE)
 
 
+def test_serial_ledger_records_the_peak_rss_after_each_artefact(isolated_cache, tmp_path):
+    """One process's high-water mark never falls, so in run order the
+    rows' values never decrease; a resumed row ran nowhere and reads 0."""
+    journal = tmp_path / "journal.jsonl"
+    report = StudyRunner(seed=2024, jobs=1, journal_path=journal).run_all(
+        scale=SCALE, artefacts=SUBSET
+    )
+    peaks = [run.peak_rss_mb for run in report.runs]
+    assert all(run.status == "ok" for run in report.runs)
+    assert all(peak > 0 for peak in peaks) and peaks == sorted(peaks)
+    assert [row["peak_rss_mb"] for row in report.to_jsonable()["runs"]] == peaks
+    resumed = StudyRunner(seed=2024, jobs=1, journal_path=journal).run_all(
+        scale=SCALE, artefacts=SUBSET, resume=True
+    )
+    assert [run.worker for run in resumed.runs] == ["journal"] * len(SUBSET)
+    assert [run.peak_rss_mb for run in resumed.runs] == [0.0] * len(SUBSET)
+
+
 def test_report_json_export(isolated_cache, tmp_path):
     report = StudyRunner(seed=2024, jobs=1).run_all(scale=SCALE, artefacts=["T2"])
     target = tmp_path / "report.json"

@@ -77,7 +77,8 @@ def listing_prices(esimdb: EsimDB, day: int) -> List[float]:
     """One listing's ``price_usd`` column, priced ladder by ladder.
 
     ``offer_table`` used to price every listing this way; it now prices
-    each distinct set of continent rates once and copies those rows.
+    each distinct set of continent rates once, and a listing names its
+    price column.
     """
     return [
         price
@@ -111,16 +112,16 @@ def crawl_vantages(
 
 
 def vantage_snapshots(crawl: CrawlDataset) -> List[MarketSnapshot]:
-    """The crawl's ``(day, vantage)`` probe listings, in crawl order."""
+    """The crawl's ``(day, vantage)`` probe listings, in crawl order: the
+    table's template rows, each priced from the listing's price column."""
     table = crawl.table
-    providers, countries, vantages = table.providers, table.countries, table.vantages
-    names = ("provider", "country", "data_gb", "price_usd", "day", "vantage")
+    providers, countries = table.providers, table.countries
+    template = [table.provider.tolist(), table.country.tolist(), table.data_gb.tolist()]
     out = []
-    for day, vantage, first, end in table.listings[table.daily:]:
-        columns = (getattr(table, name)[first:end].tolist() for name in names)
+    for day, vantage, index in table.listings[table.daily:]:
         out.append(MarketSnapshot(day, vantage, [
-            ESIMOffer(providers[p], countries[c], gb, price, d, vantages[v])
-            for p, c, gb, price, d, v in zip(*columns)
+            ESIMOffer(providers[p], countries[c], gb, price, day, vantage)
+            for p, c, gb, price in zip(*template, table.prices[index].tolist())
         ]))
     return out
 

@@ -34,8 +34,8 @@ from tests.market import reference
 STEP = 7
 DAYS = list(range(0, 120, STEP))
 
-#: An offer table's typed columns.
-COLUMNS = ("provider", "country", "vantage", "day", "data_gb", "price_usd")
+#: An offer table's template columns, one row per offer of a listing.
+TEMPLATE = ("provider", "country", "data_gb")
 
 
 @pytest.fixture(scope="module")
@@ -67,18 +67,27 @@ def _rows(offers):
     ]
 
 
-def test_crawl_shape(crawl):
+def test_crawl_shape(crawl, tmp_path):
+    table = crawl.table
     assert crawl.days() == DAYS and len(DAYS) == 18
     assert [(s.day, s.vantage) for s in reference.vantage_snapshots(crawl)] == [
         (VANTAGE_CHECK_DAY, v) for v in VANTAGE_POINTS
     ]
-    assert len(crawl.all_offers()) == 408_006
-    assert {name: getattr(crawl.table, name).typecode for name in COLUMNS} == {
-        "provider": "H", "country": "H", "vantage": "H", "day": "H",
-        "data_gb": "d", "price_usd": "d",
+    assert len(crawl.all_offers()) == 408_006 == 18 * 22_667
+    assert len(table.listings) == 21 and table.daily == 18
+    assert {name: getattr(table, name).typecode for name in TEMPLATE} == {
+        "provider": "H", "country": "H", "data_gb": "d",
     }
-    for name in COLUMNS:
-        assert len(getattr(crawl.table, name)) == 408_006 + 3 * 22_667
+    for name in TEMPLATE:
+        assert len(getattr(table, name)) == 22_667
+    # One price column per distinct set of continent rates: days 0-7,
+    # each ramp day 14-56, and days 63-119 with the day-84 probes.
+    assert len(table.prices) == 9
+    assert all(p.typecode == "d" and len(p) == 22_667 for p in table.prices)
+    assert sorted({index for _, _, index in table.listings}) == list(range(9))
+    # The cached entry: the template once, nine price columns.
+    path = cache_mod.ArtifactCache(tmp_path).store("market", table)
+    assert path.stat().st_size <= 2_500_000
 
 
 @pytest.mark.parametrize("day", DAYS)
@@ -111,10 +120,19 @@ def test_price_discrimination_equals_object_path(crawl, esimdb):
 
 
 def test_price_discrimination_detected_from_columns(crawl):
-    prices = array("d", crawl.table.price_usd)
-    prices[len(prices) - 1] += 0.01  # the NJ listing's last plan
-    table = dataclasses.replace(crawl.table, price_usd=prices)
-    assert CrawlDataset(table).price_discrimination_detected() is True
+    table = crawl.table
+    *listings, (day, vantage, index) = table.listings
+    assert vantage == "NJ"
+    prices = array("d", table.prices[index])
+    prices[-1] += 0.01  # the NJ listing's last plan
+    tweaked = CrawlDataset(dataclasses.replace(
+        table,
+        prices=table.prices + (prices,),
+        listings=(*listings, (day, vantage, len(table.prices))),
+    ))
+    assert tweaked.price_discrimination_detected() is True
+    snapshots = reference.vantage_snapshots(tweaked)
+    assert reference.price_discrimination_detected(snapshots) is True
 
 
 def test_price_discrimination_detected_from_objects(crawl):
@@ -130,8 +148,9 @@ def test_price_discrimination_detected_from_objects(crawl):
 def test_offer_table_is_byte_deterministic(esimdb):
     table, again = esimdb.offer_table([0, 1]), esimdb.offer_table([0, 1])
     assert table == again
-    for name in COLUMNS:
+    for name in TEMPLATE:
         assert getattr(table, name).tobytes() == getattr(again, name).tobytes()
+    assert [p.tobytes() for p in table.prices] == [p.tobytes() for p in again.prices]
 
 
 #: Flat days before the Asia/Africa ramp (days 13-60), ramp days, flat
@@ -141,9 +160,8 @@ REUSE_DAYS = [0, 7, 13, 14, 21, 28, 35, 42, 49, 56, 60, 63, 119, 21, 0, 56]
 
 def test_offer_table_reuse_equals_per_listing_pricing(esimdb):
     table = esimdb.offer_table(REUSE_DAYS, [(84, "Madrid"), (35, "Abu Dhabi")])
-    prices = table.price_usd
-    for day, _, first, end in table.listings:
-        assert prices[first:end].tolist() == reference.listing_prices(esimdb, day), day
+    for day, _, index in table.listings:
+        assert table.prices[index].tolist() == reference.listing_prices(esimdb, day), day
 
 
 def test_offer_table_reuse_with_staggered_ramps(countries):
@@ -156,9 +174,8 @@ def test_offer_table_reuse_with_staggered_ramps(countries):
     esimdb = EsimDB(build_provider_universe(8), countries, pricing)
     days = [0, 10, 15, 20, 25, 30, 40, 5, 15, 25]
     table = esimdb.offer_table(days)
-    prices = table.price_usd
-    for day, _, first, end in table.listings:
-        assert prices[first:end].tolist() == reference.listing_prices(esimdb, day), day
+    for day, _, index in table.listings:
+        assert table.prices[index].tolist() == reference.listing_prices(esimdb, day), day
 
 
 def test_crawl_prices_each_rate_vector_once(esimdb, monkeypatch):
@@ -218,7 +235,7 @@ def test_cached_crawl_rebuilds_byte_identical_after_corruption(tmp_path, damage)
         common.clear_caches()
         built = common.get_market()[1].table
         (path,) = store.root.iterdir()
-        assert path.name.startswith("market-columns-") and path.suffix == ".pkl"
+        assert path.name.startswith("market-crawl-") and path.suffix == ".pkl"
         blob = path.read_bytes()
         path.write_bytes(DAMAGE[damage](blob))
         common.clear_caches()

@@ -58,6 +58,18 @@ def test_provider_validation():
         EsimProvider("bad", 1.0, (1,), 10, size_exponent=0.9)
 
 
+def test_provider_rejects_a_repeated_plan_size():
+    # 1 == 1.0: both would list as the same (provider, country, size).
+    with pytest.raises(ValueError, match="repeats a size"):
+        EsimProvider("bad", 1.0, (1, 2, 1.0), 10)
+
+
+def test_esimdb_rejects_two_providers_with_one_name(countries):
+    twin = EsimProvider("Airalo", 0.5, (1, 3), 10)
+    with pytest.raises(ValueError, match="share a name"):
+        EsimDB([AIRALO, twin], countries)
+
+
 def test_continent_ramp():
     ramp = ContinentPricing(5.0, ramp_start_day=10, ramp_end_day=20, ramp_delta=2.0)
     assert ramp.rate_on(0) == 5.0
@@ -214,7 +226,10 @@ def test_local_offer_validation():
 
 
 def test_day_listing_has_one_row_per_offer(esimdb, may_listing):
-    assert len(may_listing.table.price_usd) == esimdb.total_offers_per_day()
+    table = may_listing.table
+    ((_, _, index),) = table.listings
+    assert len(table.provider) == esimdb.total_offers_per_day()
+    assert len(table.prices[index]) == esimdb.total_offers_per_day()
 
 
 def test_footprints(esimdb):
