@@ -97,7 +97,7 @@ class SessionFactory:
         self._session_counter += 1
         session_id = f"pdn-{self._session_counter:06d}"
         sgw = SGW(operator_name=self._ran_operator(v_mno).name, city=user_city)
-        pgw_site = self._select_pgw_site(architecture, agreement, b_mno, v_mno, sgw, rng)
+        pgw_site = self._select_pgw_site(architecture, agreement, b_mno, sgw, rng)
 
         stretch = agreement.tunnel_stretch if agreement else _NATIVE_STRETCH
         extra = agreement.extra_rtt_ms if agreement else 0.0
@@ -112,7 +112,9 @@ class SessionFactory:
             extra_rtt_ms=extra,
         )
 
-        hop_depth = self._hop_depth(architecture, agreement, pgw_site, b_mno, rng)
+        # Each site knows its own traceroute depth distribution —
+        # operator cores and hub-breakout cores alike.
+        hop_depth = pgw_site.sample_hop_depth(rng)
         private_path = build_private_path(
             hop_depth, subnet_seed=rng.randrange(1 << 16)
         )
@@ -165,7 +167,6 @@ class SessionFactory:
         architecture: RoamingArchitecture,
         agreement: Optional[RoamingAgreement],
         b_mno: MobileOperator,
-        v_mno: MobileOperator,
         sgw: SGW,
         rng: random.Random,
     ) -> PGWSite:
@@ -192,18 +193,6 @@ class SessionFactory:
             )
         # UNIFORM: sessions spread evenly across the candidate sites.
         return rng.choice(candidates)
-
-    def _hop_depth(
-        self,
-        architecture: RoamingArchitecture,
-        agreement: Optional[RoamingAgreement],
-        pgw_site: PGWSite,
-        b_mno: MobileOperator,
-        rng: random.Random,
-    ) -> int:
-        # Each site knows its own traceroute depth distribution —
-        # operator cores and hub-breakout cores alike.
-        return pgw_site.sample_hop_depth(rng)
 
     def _dns_config(
         self,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.cellular.identifiers import IMSIRange, PLMN
 from repro.geo.cities import City
@@ -82,19 +82,12 @@ class MobileOperator:
     parent_name: Optional[str] = None          # for MVNOs
     dns: Optional[DNSResolverSpec] = None
     bandwidth: Optional[BandwidthPolicy] = None
-    # Private-path depth (traceroute hops before the first public IP)
-    # for sessions terminating at this operator's own PGWs.
-    core_hop_depths: Tuple[int, ...] = (5, 6, 7)
     # IMSI ranges this operator rents out to MNAs, keyed by MNA name.
     rented_ranges: Dict[str, List[IMSIRange]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind is OperatorKind.MVNO and not self.parent_name:
             raise ValueError(f"MVNO {self.name} needs a parent operator")
-        if not self.core_hop_depths:
-            raise ValueError("core_hop_depths cannot be empty")
-        if any(d < 1 for d in self.core_hop_depths):
-            raise ValueError("hop depths must be >= 1")
         if self.dns is None:
             self.dns = DNSResolverSpec(operator_name=self.name)
 

@@ -212,25 +212,26 @@ def _cmd_tools(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.core.study import ThickMnaStudy
-    from repro.faults import ChaosConfig
+    import dataclasses
+
+    from repro.experiments import rx1
 
     try:
-        chaos = ChaosConfig(
-            seed=args.chaos_seed if args.chaos_seed is not None else args.seed,
+        chaos = dataclasses.replace(
+            rx1.default_chaos(
+                args.chaos_seed if args.chaos_seed is not None else args.seed
+            ),
             attach_reject_rate=args.attach_reject,
             sim_flip_failure_rate=args.sim_flip,
             service_outage_rate=args.outage,
             probe_timeout_rate=args.timeout,
             churn_rate_per_day=args.churn,
-            malformed_upload_rate=args.upload_malformed,
             max_makeup_days=args.makeup_days,
         )
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    study = ThickMnaStudy(seed=args.seed, chaos=chaos)
-    print(study.render("RX1", scale=args.scale))
+    print(rx1.format_result(rx1.run(scale=args.scale, seed=args.seed, chaos=chaos)))
     return 0
 
 
@@ -238,7 +239,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     import pathlib
 
     from repro.core import cache as cache_mod
-    from repro.core.journal import JournalMismatch
     from repro.core.runner import StudyRunner
     from repro.core.study import ThickMnaStudy
     from repro.faults import ExecChaos
@@ -272,14 +272,11 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         return 2
     try:
         report = runner.run_all(
-            scale=args.scale, artefacts=args.artefacts or None,
-            resume=args.resume,
+            scale=args.scale, artefacts=args.artefacts, resume=args.resume,
         )
-    except KeyError as error:
+    except (KeyError, ValueError) as error:
+        # An unknown or repeated id, or a journal of another workload.
         print(error.args[0], file=sys.stderr)
-        return 2
-    except JournalMismatch as error:
-        print(str(error), file=sys.stderr)
         return 2
     print(report.summary_table())
     if report.trace_path:
@@ -498,9 +495,6 @@ def _cmd_regress(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.obs.report import write_html
 
-    if os.path.isdir(args.html):
-        print(f"--html {args.html} is a directory", file=sys.stderr)
-        return 2
     store = _history_store(args)
     records = store.load()
     target = write_html(store, args.html, limit=args.limit, records=records)
@@ -559,11 +553,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
         from repro import obs
 
-        trace_dir = pathlib.Path(args.trace)
-        trace_dir.mkdir(parents=True, exist_ok=True)
         trace_path = obs.write_trace(
             report.trace_recorder,
-            trace_dir / f"loadgen-seed{args.seed}-d{args.duration:g}.jsonl",
+            pathlib.Path(args.trace) / f"loadgen-seed{args.seed}-d{args.duration:g}.jsonl",
         )
         print(f"(client+server trace written to {trace_path})")
     # Judged with no baseline, the record can draw only the SLO verdicts
@@ -577,10 +569,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     if args.json:
         import json as json_mod
 
-        with open(args.json, "w") as handle:
-            json_mod.dump(report.to_jsonable(), handle, indent=2,
-                          sort_keys=True)
-            handle.write("\n")
+        from repro.core.cache import atomic_write
+
+        text = json_mod.dumps(report.to_jsonable(), indent=2, sort_keys=True) + "\n"
+        atomic_write(args.json, lambda handle: handle.write(text), mode="w")
         print(f"(json report written to {args.json})")
     if args.history:
         from repro.obs.history import HistoryStore
@@ -710,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser = sub.add_parser(
         "chaos", help="replay the device campaign under injected faults (RX1)"
     )
-    chaos_parser.add_argument("--scale", type=float, default=None,
+    chaos_parser.add_argument("--scale", type=float, default=common.DEFAULT_SCALE,
                               help="campaign scale (default 0.15)")
     chaos_parser.add_argument("--chaos-seed", type=int, default=None,
                               help="fault-stream seed (default: --seed)")
@@ -724,8 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="DNS/speedtest probe-timeout rate per run")
     chaos_parser.add_argument("--churn", type=float, default=0.02,
                               help="endpoint churn probability per day")
-    chaos_parser.add_argument("--upload-malformed", type=float, default=0.08,
-                              help="malformed web-upload rate per attempt")
     chaos_parser.add_argument("--makeup-days", type=int, default=7,
                               help="extra days to roll missed runs onto")
 
@@ -736,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="worker processes (default 1 = in-process)")
     run_all_parser.add_argument("--scale", type=float, default=None,
                                 help="campaign scale (default 0.15)")
-    run_all_parser.add_argument("--artefacts", nargs="*", metavar="ID",
+    run_all_parser.add_argument("--artefacts", nargs="+", metavar="ID",
                                 help="subset of artefact ids (default: all)")
     run_all_parser.add_argument("--json", default=None, metavar="FILE",
                                 help="export the run report (ledger + results)")
@@ -964,14 +954,18 @@ _HANDLERS = {
 #: Integer flags and the least value each accepts, wherever they appear.
 _INT_FLAG_MINIMA = {"jobs": 1, "top": 1, "depth": 0, "limit": 1}
 
+#: Flags that name a file the command writes, wherever they appear.
+_OUTPUT_FLAGS = ("json", "save", "html", "out")
 
-def _numeric_flag_error(args: argparse.Namespace) -> Optional[str]:
+
+def _flag_error(args: argparse.Namespace) -> Optional[str]:
     """What is wrong with ``--scale``, ``--gb``, ``--jobs``, ``--top``,
-    ``--depth`` or ``--limit``, if anything.
+    ``--depth``, ``--limit`` or an output file flag, if anything.
 
     argparse checks only that they parse. A scale above 1 grows the
     campaign (see ``scaled_count``), so only non-positive and non-finite
-    values are refused. ``market --gb 0`` asks for every plan.
+    values are refused. ``market --gb 0`` asks for every plan. An output
+    file that is an existing directory is refused before any work.
     """
     scale = getattr(args, "scale", None)
     if scale is not None and not (math.isfinite(scale) and scale > 0):
@@ -983,12 +977,16 @@ def _numeric_flag_error(args: argparse.Namespace) -> Optional[str]:
         value = getattr(args, name, None)
         if value is not None and value < least:
             return f"--{name} must be at least {least}, got {value}"
+    for name in _OUTPUT_FLAGS:
+        path = getattr(args, name, None)
+        if path is not None and os.path.isdir(path):
+            return f"--{name} {path} is a directory"
     return None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    error = _numeric_flag_error(args)
+    error = _flag_error(args)
     if error is not None:
         print(error, file=sys.stderr)
         return 2

@@ -37,7 +37,6 @@ import json
 import os
 import pathlib
 import pickle
-import tempfile
 import time
 import types
 from dataclasses import dataclass
@@ -117,18 +116,23 @@ def atomic_write(
     on an exception the temp file is removed too. The temp name starts
     with ``.{name}.``, so one a killed process leaves behind is hidden,
     and :meth:`ArtifactCache.verify` reports it.
+
+    A missing parent directory is created, and the file gets the mode a
+    plain ``open`` gives it: 0666 less the umask.
     """
     target = pathlib.Path(path)
-    handle = tempfile.NamedTemporaryFile(
-        mode=mode, dir=target.parent, prefix=f".{target.name}.", delete=False
-    )
+    target.parent.mkdir(parents=True, exist_ok=True)
+    temp = target.parent / f".{target.name}.{os.urandom(6).hex()}"
+    # O_EXCL never writes through a name that already exists; the kernel
+    # applies the umask to 0o666, as it does for open().
+    descriptor = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with handle:
+        with open(descriptor, mode) as handle:
             write(handle)
-        os.replace(handle.name, target)
+        os.replace(temp, target)
     except BaseException:
         try:
-            os.unlink(handle.name)
+            os.unlink(temp)
         except OSError:
             pass
         raise
@@ -280,7 +284,6 @@ class ArtifactCache:
         """Atomically persist ``value`` as ``<key>.pkl``; returns its path."""
         if not self.enabled:
             return None
-        self.root.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
         path = self.root / f"{key}.pkl"
         atomic_write(path, lambda handle: _write_entry(value, handle))

@@ -21,7 +21,7 @@ append-only JSONL logs, written and read through two helpers in
   entries with a newer or malformed schema — and keep every entry that
   parses. A later journal entry for the same artefact wins.
 * **Workload-keyed.** The header line carries a content fingerprint of
-  ``(seed, scale, chaos, package version)``; resuming against a journal
+  ``(seed, scale, package version)``; resuming against a journal
   written for a different workload is refused instead of silently
   serving the wrong results.
 """

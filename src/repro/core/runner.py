@@ -72,7 +72,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro import obs
 from repro.core import cache as cache_mod
 from repro.core import journal as journal_mod
-from repro.faults import BackoffPolicy, ChaosConfig, ExecChaos, InjectedWorkerCrash
+from repro.faults import BackoffPolicy, ExecChaos, InjectedWorkerCrash
 
 #: Ledger statuses a supervised run can end an artefact with.
 STATUS_OK = "ok"
@@ -218,12 +218,7 @@ _WORKER: Optional[_Worker] = None
 _Outcome = Tuple[ArtefactRun, Any, Optional[Dict[str, Any]]]
 
 
-def result_key(
-    artefact_id: str,
-    seed: int,
-    scale: Optional[float],
-    chaos: Optional[ChaosConfig] = None,
-) -> str:
+def result_key(artefact_id: str, seed: int, scale: Optional[float]) -> str:
     """Cache key for one artefact's result payload.
 
     The one construction shared by ``run-all --journal`` checkpoints
@@ -237,13 +232,12 @@ def result_key(
     return cache_mod.fingerprint(
         "artefact-result", artefact=artefact_id, seed=seed,
         scale=scale if spec.supports_scale else None,
-        chaos=chaos, version=repro.__version__,
+        version=repro.__version__,
     )
 
 
 def _worker_init(
     seed: int,
-    chaos: Optional[ChaosConfig],
     cache_root: Optional[str],
     cache_enabled: bool,
     trace: bool = False,
@@ -267,7 +261,7 @@ def _worker_init(
     ).start()
     cache_mod.configure(root=cache_root, enabled=cache_enabled)
     global _WORKER
-    _WORKER = _Worker(ThickMnaStudy(seed=seed, chaos=chaos), trace, exec_chaos, True)
+    _WORKER = _Worker(ThickMnaStudy(seed=seed), trace, exec_chaos, True)
 
 
 def _exit_when_orphaned(parent_pid: int, poll_s: float = 1.0) -> None:
@@ -390,7 +384,9 @@ class StudyRunner:
 
     ``jobs=1`` runs each artefact in the parent (no subprocess, still
     isolated per artefact); ``jobs=N`` uses a ``ProcessPoolExecutor``.
-    Both go through the same supervision loop.
+    Both go through the same supervision loop. Inputs and checkpoints
+    live in the process-default cache
+    (:func:`~repro.core.cache.get_default_cache`), which workers open too.
 
     Supervision knobs:
 
@@ -433,9 +429,7 @@ class StudyRunner:
     def __init__(
         self,
         seed: int = 2024,
-        chaos: Optional[ChaosConfig] = None,
         jobs: int = 1,
-        cache: Optional[cache_mod.ArtifactCache] = None,
         trace_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
         history_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
         journal_path: Optional[Union[str, "os.PathLike[str]"]] = None,
@@ -459,9 +453,7 @@ class StudyRunner:
                 "runs in this process, with no worker to kill"
             )
         self.seed = seed
-        self.chaos = chaos
         self.jobs = jobs
-        self.cache = cache if cache is not None else cache_mod.get_default_cache()
         self.trace_dir = pathlib.Path(trace_dir) if trace_dir is not None else None
         self.history_dir = (
             pathlib.Path(history_dir) if history_dir is not None else None
@@ -508,11 +500,6 @@ class StudyRunner:
 
     # -- building blocks -----------------------------------------------------
 
-    def _study(self):
-        from repro.core.study import ThickMnaStudy
-
-        return ThickMnaStudy(seed=self.seed, chaos=self.chaos)
-
     def warm_inputs(self, scale: float, artefacts: Sequence[str]) -> float:
         """Build (or load) the shared inputs once, in the parent.
 
@@ -545,9 +532,9 @@ class StudyRunner:
         if needed & {"world", "device_dataset", "web_dataset"}:
             common.get_world(self.seed)
         if "device_dataset" in needed:
-            common.get_device_dataset(scale, self.seed, chaos=self.chaos)
+            common.get_device_dataset(scale, self.seed)
         if "web_dataset" in needed:
-            common.get_web_dataset(self.seed, chaos=self.chaos)
+            common.get_web_dataset(self.seed)
         if "market" in needed:
             common.get_market()
         gc.freeze()
@@ -560,7 +547,7 @@ class StudyRunner:
 
         return cache_mod.fingerprint(
             "runjournal", seed=self.seed, scale=effective_scale,
-            chaos=self.chaos, version=repro.__version__,
+            version=repro.__version__,
         )
 
     def _checkpoint(
@@ -573,8 +560,8 @@ class StudyRunner:
         """Persist one completed artefact: payload to cache, line to journal."""
         if journal is None or run.status != STATUS_OK:
             return
-        key = result_key(run.artefact_id, self.seed, effective_scale, self.chaos)
-        self.cache.store(key, result)
+        key = result_key(run.artefact_id, self.seed, effective_scale)
+        cache_mod.get_default_cache().store(key, result)
         journal.append(journal_mod.JournalEntry(
             artefact_id=run.artefact_id, fingerprint=key, status=STATUS_OK,
             wall_s=run.wall_s, worker=run.worker, attempts=run.attempts,
@@ -590,8 +577,10 @@ class StudyRunner:
     ) -> RunReport:
         """Run ``artefacts`` (default: all), return the ledger + results.
 
-        ``resume=True`` (requires ``journal_path``) replays the journal
-        and skips artefacts whose results are already checkpointed.
+        Ids are case-insensitive; an unknown id raises ``KeyError`` and
+        a repeated one ``ValueError``, before any work. ``resume=True``
+        (requires ``journal_path``) replays the journal and skips
+        artefacts whose results are already checkpointed.
         """
         recorder: Optional[obs.TraceRecorder] = None
         if self.trace_dir is None:
@@ -603,7 +592,6 @@ class StudyRunner:
             recorder = obs.TraceRecorder(trace_id=f"run_all-seed{self.seed}")
             with obs.use_recorder(recorder):
                 report = self._run_all_inner(scale, artefacts, resume)
-            self.trace_dir.mkdir(parents=True, exist_ok=True)
             path = self.trace_dir / (
                 f"run_all-seed{report.seed}-scale{report.scale:g}"
                 f"-jobs{report.jobs}.jsonl"
@@ -641,17 +629,14 @@ class StudyRunner:
 
         if resume and self.journal_path is None:
             raise ValueError("resume=True requires a journal_path")
-        if self.cache is not cache_mod.get_default_cache():
-            # The runner's cache becomes the process default so the
-            # experiment layer (and the warm-up) read and write it.
-            cache_mod.set_default_cache(self.cache)
-        study = self._study()
         if artefacts is None:
-            artefacts = study.available_experiments()
+            artefacts = registry.artefact_ids()
         else:
             artefacts = [artefact.upper() for artefact in artefacts]
-            for artefact in artefacts:
+            for index, artefact in enumerate(artefacts):
                 registry.get_spec(artefact)  # fail fast on unknown ids
+                if artefact in artefacts[:index]:
+                    raise ValueError(f"artefact {artefact} is listed twice")
         effective_scale = scale if scale is not None else common.DEFAULT_SCALE
         report = RunReport(seed=self.seed, scale=effective_scale, jobs=self.jobs)
 
@@ -682,10 +667,11 @@ class StudyRunner:
                 # cache; anything whose payload is gone simply reruns.
                 rows: List[_Outcome] = []
                 todo: List[str] = []
+                cache = cache_mod.get_default_cache()
                 for artefact in artefacts:
                     entry = completed.get(artefact)
                     result = (
-                        self.cache.load(entry.fingerprint)
+                        cache.load(entry.fingerprint)
                         if entry is not None else None
                     )
                     if entry is not None and result is not None:
@@ -732,16 +718,17 @@ class StudyRunner:
     # -- supervision ---------------------------------------------------------
 
     def _new_pool(self) -> Union[_InlinePool, concurrent.futures.ProcessPoolExecutor]:
+        from repro.core.study import ThickMnaStudy
+
         if self.jobs == 1:
-            return _InlinePool(
-                _Worker(self._study(), obs.enabled(), self.exec_chaos, False)
-            )
+            study = ThickMnaStudy(seed=self.seed)
+            return _InlinePool(_Worker(study, obs.enabled(), self.exec_chaos, False))
+        cache = cache_mod.get_default_cache()
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=self.jobs,
             initializer=_worker_init,
             initargs=(
-                self.seed, self.chaos,
-                str(self.cache.root), self.cache.enabled,
+                self.seed, str(cache.root), cache.enabled,
                 obs.enabled(), self.exec_chaos,
             ),
         )

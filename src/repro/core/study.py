@@ -7,7 +7,8 @@ Typical use::
     study = ThickMnaStudy(seed=2024)
     result = study.run("T2")          # rebuild Table 2 from measurements
     print(study.render("T2"))         # ... formatted like the paper
-    report = study.run_all(scale=0.1) # every table and figure
+
+:class:`~repro.core.runner.StudyRunner` runs every table and figure.
 
 Experiments are identified by the paper's artefact ids ("T2"-"T4",
 "F3"-"F20", "HX1" headline numbers, "HX2" emnify validation) plus
@@ -17,9 +18,9 @@ faults (see ``repro.faults``).
 Dispatch is declarative: every experiment module registers an
 :class:`~repro.experiments.registry.ExperimentSpec` via the
 ``@experiment`` decorator, and the driver forwards exactly the
-parameters each spec declares (``seed`` / ``scale`` / ``chaos``) —
-there is no hand-maintained id->module table or "takes scale" set to
-drift out of sync.
+parameters each spec declares (``seed`` / ``scale``), so each artefact
+is a function of ``(seed, scale)`` — there is no hand-maintained
+id->module table or "takes scale" set to drift out of sync.
 """
 
 from __future__ import annotations
@@ -28,27 +29,15 @@ from typing import Dict, List, Optional
 
 from repro.experiments import common, registry
 from repro.experiments.registry import ExperimentSpec
-from repro.faults import ChaosConfig
 from repro.measure.amigo import ConfigurationError
 from repro.measure.dataset import MeasurementDataset
 from repro.worlds import AiraloWorld
 
 class ThickMnaStudy:
-    """Drives the full reproduction for one seed.
+    """Drives the full reproduction for one seed."""
 
-    Pass ``chaos=ChaosConfig.paper_plausible(seed)`` (or any custom
-    :class:`~repro.faults.ChaosConfig`) to run every campaign under
-    injected faults; the default ``chaos=None`` reproduces the clean
-    campaigns byte-for-byte.
-    """
-
-    def __init__(
-        self,
-        seed: int = common.DEFAULT_SEED,
-        chaos: Optional[ChaosConfig] = None,
-    ) -> None:
+    def __init__(self, seed: int = common.DEFAULT_SEED) -> None:
         self.seed = seed
-        self.chaos = chaos
 
     # -- building blocks ---------------------------------------------------
 
@@ -59,11 +48,11 @@ class ThickMnaStudy:
 
     def device_dataset(self, scale: float = common.DEFAULT_SCALE) -> MeasurementDataset:
         """The Table 4 device campaign at ``scale``."""
-        return common.get_device_dataset(scale, self.seed, chaos=self.chaos)
+        return common.get_device_dataset(scale, self.seed)
 
     def web_dataset(self) -> MeasurementDataset:
         """The Table 3 web campaign."""
-        return common.get_web_dataset(self.seed, chaos=self.chaos)
+        return common.get_web_dataset(self.seed)
 
     # -- experiments -----------------------------------------------------------
 
@@ -95,9 +84,7 @@ class ThickMnaStudy:
         effective_scale = scale if scale is not None else (
             common.DEFAULT_SCALE if spec.supports_scale else None
         )
-        return spec.invoke(
-            seed=self.seed, scale=effective_scale, chaos=self.chaos
-        )
+        return spec.invoke(seed=self.seed, scale=effective_scale)
 
     def format_result(self, artefact_id: str, result: Dict) -> str:
         """Format an already-computed ``run()`` result the paper's way.
@@ -110,24 +97,3 @@ class ThickMnaStudy:
     def render(self, artefact_id: str, scale: Optional[float] = None) -> str:
         """Run one experiment and format it the way the paper reports it."""
         return self.format_result(artefact_id, self.run(artefact_id, scale=scale))
-
-    def run_all(
-        self, scale: Optional[float] = None, jobs: int = 1
-    ) -> Dict[str, Dict]:
-        """Every table and figure; returns {artefact id: result}.
-
-        ``jobs>1`` shards the artefacts over worker processes via
-        :class:`repro.core.runner.StudyRunner`; the output is
-        byte-identical to the serial path for the same seed. Raises
-        ``RuntimeError`` if any artefact fails (use ``StudyRunner``
-        directly for the per-artefact ledger with isolated failures).
-        """
-        from repro.core.runner import StudyRunner
-
-        report = StudyRunner(
-            seed=self.seed, chaos=self.chaos, jobs=jobs
-        ).run_all(scale=scale)
-        if report.failed():
-            failures = ", ".join(run.artefact_id for run in report.failed())
-            raise RuntimeError(f"run_all failed for: {failures}")
-        return report.results

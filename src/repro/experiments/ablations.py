@@ -144,11 +144,7 @@ def run_lbo(seed: int = common.DEFAULT_SEED, samples: int = 20) -> Dict:
     return out
 
 
-def run_doh(
-    scale: float = common.DEFAULT_SCALE,
-    seed: int = common.DEFAULT_SEED,
-    samples: int = 200,
-) -> Dict:
+def run_doh(seed: int = common.DEFAULT_SEED, samples: int = 200) -> Dict:
     """DoH on vs off for an IHBO session's resolver."""
     world = common.get_world(seed)
     spec = world.offering("ESP")

@@ -10,8 +10,9 @@ Two cache layers sit under every getter:
    one pickle there, the market crawl included (its typed columns
    unpickle as whole arrays).
 
-Entries are keyed by a content fingerprint of ``(package version, seed,
-scale, ChaosConfig)``; corrupt or stale entries fall back to a rebuild.
+Entries are keyed by a content fingerprint of the package version and
+what the input depends on (seed, scale, the device campaign's
+``ChaosConfig``); corrupt or stale entries fall back to a rebuild.
 ``clear_caches()`` keeps its historical semantics — it drops only the
 in-memory layer (pass ``disk=True`` to also wipe the store).
 """
@@ -38,11 +39,17 @@ if TYPE_CHECKING:
 DEFAULT_SCALE = 0.15
 DEFAULT_SEED = 2024
 
+#: The crawl samples the February-May listings every this many days.
+CRAWL_STEP_DAYS = 7
+#: The crawl day (0 = 2024-02-01) whose listing the Section 6 pricing
+#: figures read.
+SNAPSHOT_DAY = 90
+
 _worlds: Dict[int, AiraloWorld] = {}
 _device_datasets: Dict[Tuple[int, float, Optional[ChaosConfig]], MeasurementDataset] = {}
-_web_datasets: Dict[Tuple[int, Optional[ChaosConfig]], MeasurementDataset] = {}
-_market: Dict[int, Tuple[EsimDB, CrawlDataset]] = {}
-_listings: Dict[Tuple[int, int], CrawlDataset] = {}
+_web_datasets: Dict[int, MeasurementDataset] = {}
+_market: Optional[Tuple[EsimDB, CrawlDataset]] = None
+_listings: Dict[int, CrawlDataset] = {}
 _countries: Optional[CountryRegistry] = None
 
 
@@ -92,26 +99,20 @@ def get_device_dataset(
     return _device_datasets[key]
 
 
-def get_web_dataset(
-    seed: int = DEFAULT_SEED, chaos: Optional[ChaosConfig] = None
-) -> MeasurementDataset:
-    key = (seed, chaos)
-    if key not in _web_datasets:
-        with obs.span(
-            "input.web_dataset", seed=seed,
-            chaos=chaos is not None and chaos.enabled,
-        ) as span:
+def get_web_dataset(seed: int = DEFAULT_SEED) -> MeasurementDataset:
+    if seed not in _web_datasets:
+        with obs.span("input.web_dataset", seed=seed) as span:
             store = _cache.get_default_cache()
-            disk_key = _disk_key("web-dataset", seed=seed, chaos=chaos)
+            disk_key = _disk_key("web-dataset", seed=seed)
             dataset = store.load(disk_key)
             if dataset is None:
                 span.set(source="build")
-                dataset = get_world(seed).run_web_campaign(chaos=chaos)
+                dataset = get_world(seed).run_web_campaign()
                 store.store(disk_key, dataset)
             else:
                 span.set(source="disk")
-        _web_datasets[key] = dataset
-    return _web_datasets[key]
+        _web_datasets[seed] = dataset
+    return _web_datasets[seed]
 
 
 def get_countries() -> CountryRegistry:
@@ -123,23 +124,24 @@ def get_countries() -> CountryRegistry:
     return _countries
 
 
-def get_market(step_days: int = 7) -> Tuple[EsimDB, CrawlDataset]:
-    """The aggregator plus a Feb-May crawl sampled every ``step_days``.
+def get_market() -> Tuple[EsimDB, CrawlDataset]:
+    """The aggregator plus a Feb-May crawl sampled every ``CRAWL_STEP_DAYS``.
 
     The crawl also holds the late-April three-vantage listings. It is
     cached as its :class:`~repro.market.esimdb.OfferTable`, rebuilt when
     the loaded value is not one; the aggregator itself is rebuilt, which
     is cheaper than any load.
     """
-    if step_days not in _market:
+    global _market
+    if _market is None:
         from repro.market.crawler import VANTAGE_CHECK_DAY, CrawlDataset, MarketCrawler
         from repro.market.esimdb import EsimDB, OfferTable
         from repro.market.providers import build_provider_universe
 
-        with obs.span("input.market", step_days=step_days) as span:
+        with obs.span("input.market") as span:
             store = _cache.get_default_cache()
             # Not "market-columns": that kind held the six-column layout.
-            disk_key = _disk_key("market-crawl", step_days=step_days)
+            disk_key = _disk_key("market-crawl", step_days=CRAWL_STEP_DAYS)
             esimdb = EsimDB(build_provider_universe(), get_countries())
             table = store.load(disk_key)
             if isinstance(table, OfferTable):
@@ -148,29 +150,28 @@ def get_market(step_days: int = 7) -> Tuple[EsimDB, CrawlDataset]:
             else:
                 span.set(source="build")
                 crawl = MarketCrawler(esimdb).crawl_daily(
-                    0, 120, step=step_days, vantage_day=VANTAGE_CHECK_DAY
+                    0, 120, step=CRAWL_STEP_DAYS, vantage_day=VANTAGE_CHECK_DAY
                 )
                 store.store(disk_key, crawl.table)
-        _market[step_days] = (esimdb, crawl)
-    return _market[step_days]
+        _market = (esimdb, crawl)
+    return _market
 
 
-def get_listing(snapshot_day: int, step_days: int = 7) -> CrawlDataset:
+def get_listing(snapshot_day: int) -> CrawlDataset:
     """The aggregator's full listing on ``snapshot_day``, as columns.
 
     Built once per process from :func:`get_market`'s aggregator: one
     :meth:`EsimDB.offer_table` call. The Section 6 pricing figures all
-    read the same day, so they share one listing; CLI ``market`` and
-    ``trip`` read the day they are asked for. It is not persisted.
+    read :data:`SNAPSHOT_DAY`, so they share one listing; CLI ``market``
+    and ``trip`` read the day they are asked for. It is not persisted.
     """
-    key = (step_days, snapshot_day)
-    if key not in _listings:
+    if snapshot_day not in _listings:
         from repro.market.crawler import CrawlDataset
 
-        esimdb, _ = get_market(step_days)
+        esimdb, _ = get_market()
         with obs.span("input.listing", day=snapshot_day):
-            _listings[key] = CrawlDataset(esimdb.offer_table([snapshot_day]))
-    return _listings[key]
+            _listings[snapshot_day] = CrawlDataset(esimdb.offer_table([snapshot_day]))
+    return _listings[snapshot_day]
 
 
 def clear_caches(disk: bool = False) -> None:
@@ -185,10 +186,11 @@ def clear_caches(disk: bool = False) -> None:
     that premise, so this unfreezes: the collector can reclaim their
     reference cycles again.
     """
+    global _market
     _worlds.clear()
     _device_datasets.clear()
     _web_datasets.clear()
-    _market.clear()
+    _market = None
     _listings.clear()
     gc.unfreeze()
     if disk:

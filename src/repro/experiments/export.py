@@ -14,6 +14,8 @@ import json
 import pathlib
 from typing import Any, Union
 
+from repro.core.cache import atomic_write
+
 
 def jsonable(obj: Any) -> Any:
     """Recursively convert an experiment result into JSON-safe data.
@@ -49,6 +51,6 @@ def jsonable(obj: Any) -> Any:
 
 
 def save_result(result: Any, path: Union[str, pathlib.Path]) -> None:
-    """Dump one experiment result as pretty-printed JSON."""
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(jsonable(result), indent=2, sort_keys=True) + "\n")
+    """Dump one experiment result as pretty-printed JSON, atomically."""
+    text = json.dumps(jsonable(result), indent=2, sort_keys=True) + "\n"
+    atomic_write(path, lambda handle: handle.write(text), mode="w")

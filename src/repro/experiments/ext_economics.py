@@ -20,9 +20,9 @@ from repro.worlds import paperdata as pd
 
 @experiment("X5", title="Extension X5 — wholesale unit economics",
             inputs=('market',))
-def run(seed: int = common.DEFAULT_SEED, snapshot_day: int = 90) -> Dict:
-    retail = common.get_listing(snapshot_day).median_usd_per_gb_by_country(
-        snapshot_day, provider="Airalo"
+def run() -> Dict:
+    retail = common.get_listing(common.SNAPSHOT_DAY).median_usd_per_gb_by_country(
+        common.SNAPSHOT_DAY, provider="Airalo"
     )
 
     offerings = [

@@ -11,8 +11,8 @@ from repro.experiments.registry import experiment
 
 @experiment("F16", title="Figure 16 — $/GB over time per continent",
             inputs=('market',))
-def run(step_days: int = 7) -> Dict:
-    _, crawl = common.get_market(step_days)
+def run() -> Dict:
+    _, crawl = common.get_market()
     return {
         "timeline": crawl.price_timeline(common.get_countries(), provider="Airalo"),
         # The late-April Madrid / Abu Dhabi / NJ listings the crawl holds.

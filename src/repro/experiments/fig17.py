@@ -16,10 +16,10 @@ PROVIDERS = ("Airhub", "MobiMatter", "Airalo", "Keepgo")
 
 @experiment("F17", title="Figure 17 — provider $/GB CDFs + local SIM",
             inputs=('market',))
-def run(step_days: int = 7, snapshot_day: int = 90) -> Dict:
-    listing = common.get_listing(snapshot_day, step_days)
-    medians = listing.provider_country_medians(snapshot_day)
-    counts = listing.offer_counts(snapshot_day)
+def run() -> Dict:
+    listing = common.get_listing(common.SNAPSHOT_DAY)
+    medians = listing.provider_country_medians(common.SNAPSHOT_DAY)
+    counts = listing.offer_counts(common.SNAPSHOT_DAY)
     total = sum(counts.values())
 
     result: Dict = {"providers": {}}

@@ -16,10 +16,12 @@ from repro.market import decile_bounds
 
 @experiment("F18", title="Figure 18 — median $/GB per country",
             inputs=('market',))
-def run(step_days: int = 7, snapshot_day: int = 90) -> Dict:
+def run() -> Dict:
     countries = common.get_countries()
-    listing = common.get_listing(snapshot_day, step_days)
-    per_country = listing.median_usd_per_gb_by_country(snapshot_day, provider="Airalo")
+    listing = common.get_listing(common.SNAPSHOT_DAY)
+    per_country = listing.median_usd_per_gb_by_country(
+        common.SNAPSHOT_DAY, provider="Airalo"
+    )
     values = list(per_country.values())
     bounds = decile_bounds(values)
 

@@ -16,9 +16,9 @@ from repro.worlds import paperdata as pd
 
 @experiment("F19", title="Figure 19 — plan size vs price per b-MNO",
             inputs=('market',))
-def run(step_days: int = 7, snapshot_day: int = 90, max_gb: float = 5.0) -> Dict:
-    curves = common.get_listing(snapshot_day, step_days).size_price_curves(
-        snapshot_day, AIRALO, max_gb=max_gb
+def run() -> Dict:
+    curves = common.get_listing(common.SNAPSHOT_DAY).size_price_curves(
+        common.SNAPSHOT_DAY, AIRALO
     )
 
     groups: Dict[str, Dict[str, List[Tuple[float, float]]]] = {}

@@ -13,12 +13,12 @@ Every experiment module registers itself with one decorator on its
 
 The decorator captures an :class:`ExperimentSpec` — the artefact id,
 its human title, which shared inputs it consumes (``world``,
-``device_dataset``, ``web_dataset``, ``market``) and which driver
-parameters its ``run`` accepts. ``supports_scale`` / ``uses_chaos`` are
-*derived from the signature*, never hand-maintained, which kills the
-drift bug class the old ``_SCALED`` set had; ``uses_seed`` is derived
-too but can be pinned (the emnify validation deliberately runs on its
-own seed).
+``device_dataset``, ``web_dataset``, ``market``) and which of the two
+driver parameters, ``seed`` and ``scale``, its ``run`` accepts.
+``supports_scale`` and ``uses_seed`` are *derived from the signature*,
+never hand-maintained, which kills the drift bug class the old
+``_SCALED`` set had. A run is a function of ``(seed, scale)`` alone:
+any other ``run`` parameter keeps its default when the driver calls it.
 
 The driver (:class:`repro.core.ThickMnaStudy`) and the parallel runner
 dispatch through :func:`get_spec` instead of ``importlib`` string
@@ -61,10 +61,8 @@ class ExperimentSpec:
     inputs: FrozenSet[str]
     #: ``run`` accepts a campaign ``scale`` (derived from its signature).
     supports_scale: bool
-    #: The driver forwards its seed (derived; pinned False for HX2).
+    #: ``run`` accepts the study ``seed`` (derived from its signature).
     uses_seed: bool
-    #: ``run`` accepts a ``chaos`` fault config (derived).
-    uses_chaos: bool
     #: "table" | "figure" | "headline" | "resilience" | "extension".
     kind: str
     #: Defining module (``repro.experiments.<name>``).
@@ -78,20 +76,13 @@ class ExperimentSpec:
         time so test monkeypatching of ``module.run`` keeps working."""
         return getattr(importlib.import_module(self.module), self.run_name)
 
-    def invoke(
-        self,
-        seed: int,
-        scale: Optional[float] = None,
-        chaos: Optional[Any] = None,
-    ) -> Dict:
-        """Call ``run`` with exactly the parameters the spec declares."""
+    def invoke(self, seed: int, scale: Optional[float] = None) -> Dict:
+        """Call ``run`` with the ``seed`` and ``scale`` it declares."""
         kwargs: Dict[str, Any] = {}
         if self.uses_seed:
             kwargs["seed"] = seed
         if self.supports_scale and scale is not None:
             kwargs["scale"] = scale
-        if self.uses_chaos:
-            kwargs["chaos"] = chaos
         return self.run(**kwargs)
 
     def render(self, result: Dict) -> str:
@@ -113,14 +104,12 @@ def experiment(
     *,
     title: str,
     inputs: Iterable[str] = ("world",),
-    uses_seed: Optional[bool] = None,
 ) -> Callable[[Callable[..., Dict]], Callable[..., Dict]]:
     """Register the decorated ``run`` as artefact ``artefact_id``.
 
     ``inputs`` declares the shared inputs the experiment reads through
     :mod:`repro.experiments.common`; ``supports_scale`` and
-    ``uses_chaos`` are read off the function signature. Pass
-    ``uses_seed=False`` for an experiment that pins its own seed.
+    ``uses_seed`` are read off the function signature.
     """
     artefact_id = artefact_id.upper()
     declared = frozenset(inputs)
@@ -139,8 +128,7 @@ def experiment(
             title=title,
             inputs=declared,
             supports_scale="scale" in parameters,
-            uses_seed=("seed" in parameters) if uses_seed is None else uses_seed,
-            uses_chaos="chaos" in parameters,
+            uses_seed="seed" in parameters,
             kind=kind,
             module=run_fn.__module__,
             run_name=run_fn.__name__,

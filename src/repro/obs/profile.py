@@ -22,8 +22,6 @@ server (on-demand, serialized by the server).
 
 from __future__ import annotations
 
-import os
-import pathlib
 import sys
 import threading
 import time
@@ -174,21 +172,11 @@ class SamplingProfiler:
         ) + ("\n" if rows else "")
 
     def write(self, path: Union[str, Any]) -> str:
-        """Write the collapsed stacks to ``path``; returns the path.
-
-        Creates the parent directory and writes atomically, so a failure
-        leaves no partial file. The file gets the mode a plain ``open``
-        would give it (0666 less the umask), not the temp file's 0600.
-        """
+        """Write the collapsed stacks to ``path`` atomically; returns the path."""
         from repro.core.cache import atomic_write
 
         text = self.collapsed()
-        target = pathlib.Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write(target, lambda handle: handle.write(text), mode="w")
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(target, 0o666 & ~umask)
+        atomic_write(path, lambda handle: handle.write(text), mode="w")
         return str(path)
 
     def summary(self, top: int = 10) -> str:

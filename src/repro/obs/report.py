@@ -165,9 +165,9 @@ def write_html(
     store: HistoryStore, path: Union[str, "pathlib.Path"], limit: int = 12,
     records: Optional[Sequence[RunRecord]] = None,
 ) -> pathlib.Path:
-    """Render the dashboard and write it to ``path``; returns the path."""
-    target = pathlib.Path(path)
-    if target.parent != pathlib.Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(render_html(store, limit=limit, records=records))
-    return target
+    """Render the dashboard and write it to ``path`` atomically; returns the path."""
+    from repro.core.cache import atomic_write
+
+    text = render_html(store, limit=limit, records=records)
+    atomic_write(path, lambda handle: handle.write(text), mode="w")
+    return pathlib.Path(path)

@@ -78,9 +78,9 @@ def write_trace(
     path: PathLike,
     attrs: Optional[Dict[str, Any]] = None,
 ) -> pathlib.Path:
-    """Serialize ``recorder`` to ``path`` as JSONL; returns the path."""
-    target = pathlib.Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
+    """Serialize ``recorder`` to ``path`` as JSONL, atomically; returns the path."""
+    from repro.core.cache import atomic_write
+
     lines = [
         json.dumps(
             {
@@ -102,8 +102,9 @@ def write_trace(
         )
     for metric in recorder.metrics.to_jsonable():
         lines.append(json.dumps({"type": "metric", "metric": metric}, sort_keys=True))
-    target.write_text("\n".join(lines) + "\n")
-    return target
+    text = "\n".join(lines) + "\n"
+    atomic_write(path, lambda handle: handle.write(text), mode="w")
+    return pathlib.Path(path)
 
 
 _NUMBER = (int, float)

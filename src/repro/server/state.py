@@ -312,7 +312,6 @@ class ServerState:
         effective_scale = scale
         if effective_scale is None and spec.supports_scale:
             effective_scale = self.scale
-        # The served study never runs under chaos.
         key = result_key(artefact_id, self.seed, effective_scale)
         source = "memo"
         result = self._artefact_memo.get(key)

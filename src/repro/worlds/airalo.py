@@ -173,10 +173,7 @@ class AiraloWorld:
         )
 
     def run_device_campaign(
-        self,
-        scale: float = 1.0,
-        seed_salt: int = 1,
-        chaos: Optional[ChaosConfig] = None,
+        self, scale: float = 1.0, chaos: Optional[ChaosConfig] = None
     ) -> MeasurementDataset:
         """The full Table 4 campaign, every test count scaled by ``scale``.
 
@@ -195,13 +192,14 @@ class AiraloWorld:
             "campaign.device", scale=scale, seed=self.seed,
             chaos=chaos is not None and chaos.enabled,
         ):
-            rng = self.rng(seed_salt)
+            # The device campaign's streams are salted 1, the web campaign's 2.
+            rng = self.rng(1)
             server = AmigoControlServer(self.resources, self.factory, chaos=chaos)
             plans: Dict[str, Dict[str, Tuple[int, int]]] = {}
             for entry in pd.DEVICE_CAMPAIGN:
                 server.register_endpoint(
                     self.device_deployment(entry, rng),
-                    random.Random(f"{self.seed}:{seed_salt}:{entry.country_iso3}"),
+                    random.Random(f"{self.seed}:1:{entry.country_iso3}"),
                 )
                 plan = entry.as_test_plan()
                 plans[entry.country_iso3] = {
@@ -233,14 +231,12 @@ class AiraloWorld:
                 )
         return volunteers
 
-    def run_web_campaign(
-        self, seed_salt: int = 2, chaos: Optional[ChaosConfig] = None
-    ) -> MeasurementDataset:
+    def run_web_campaign(self, chaos: Optional[ChaosConfig] = None) -> MeasurementDataset:
         with obs.span(
             "campaign.web", seed=self.seed,
             chaos=chaos is not None and chaos.enabled,
         ):
-            rng = self.rng(seed_salt)
+            rng = self.rng(2)
             runner = WebCampaignRunner(
                 fabric=self.fabric,
                 fastcom=self.fastcom,
@@ -370,7 +366,7 @@ def _build_world(seed: int) -> AiraloWorld:
 
     # --- services -----------------------------------------------------------------
     with obs.span("world.services"):
-        sp_targets = _build_sps(cities, addressbook, router_pool, geoip)
+        sp_targets = _build_sps(cities, router_pool, geoip)
         cdns = _build_cdns(cities, router_pool, geoip)
         dns_services = _build_dns(cities, operators, router_pool, geoip)
         ookla, fastcom = _build_speedtests(cities, router_pool, geoip)
@@ -449,7 +445,6 @@ def _build_operator(name, iso3, mcc, mnc, home_city, cities) -> MobileOperator:
         home_city=cities.get(home_city, iso3),
         dns=DNSResolverSpec(operator_name=name),
         bandwidth=_policy(name),
-        core_hop_depths=pd.VMNO_PGW_DEPTHS.get(name, (5, 6, 7)),
     )
 
 
@@ -674,7 +669,7 @@ def _service_prefix(router_pool, geoip, asn, cities, city=("San Jose", "USA")):
     return AddressAllocator(prefix)
 
 
-def _build_sps(cities, addressbook, router_pool, geoip):
+def _build_sps(cities, router_pool, geoip):
     google_alloc = _service_prefix(router_pool, geoip, pd.ASN_GOOGLE, cities)
     facebook_alloc = _service_prefix(router_pool, geoip, pd.ASN_FACEBOOK, cities)
     youtube_alloc = _service_prefix(router_pool, geoip, pd.ASN_YOUTUBE, cities)

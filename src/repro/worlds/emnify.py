@@ -68,7 +68,7 @@ class EmnifyWorld:
         return esim, session
 
 
-def build_emnify_world(seed: int = 42) -> EmnifyWorld:
+def build_emnify_world() -> EmnifyWorld:
     cities = default_city_registry()
     geoip = GeoIPDatabase()
     addressbook = ASAddressBook(geoip)

@@ -103,17 +103,6 @@ def test_bandwidth_policy_validation():
         BandwidthPolicy(1.0, 1.0, 1.0, 1.0, youtube_cap_mbps=0.0)
 
 
-def test_hop_depths_validation():
-    with pytest.raises(ValueError):
-        MobileOperator(
-            name="X", country_iso3="POL", plmn=PLMN("260", "98"), asn=1, core_hop_depths=()
-        )
-    with pytest.raises(ValueError):
-        MobileOperator(
-            name="Y", country_iso3="POL", plmn=PLMN("260", "97"), asn=1, core_hop_depths=(0,)
-        )
-
-
 def test_rsp_issues_from_rented_range():
     play = _play()
     play.rent_range("Airalo", IMSIRange(prefix="26006771234567"))  # 10 IMSIs

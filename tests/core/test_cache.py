@@ -277,7 +277,7 @@ def _flip_table():
             "device-dataset", seed=SEED, scale=SCALE, chaos=None), "F7"),
         "chaos-device": (common._disk_key(
             "device-dataset", seed=SEED, scale=SCALE, chaos=default_chaos(SEED)), "RX1"),
-        "web": (common._disk_key("web-dataset", seed=SEED, chaos=None), "T3"),
+        "web": (common._disk_key("web-dataset", seed=SEED), "T3"),
         "market": (common._disk_key("market-crawl", step_days=7), "F16"),
         "journal-result": (result_key("F16", SEED, SCALE), "F16"),
     }
@@ -326,9 +326,9 @@ def flip_primed(tmp_path_factory):
 
     root = tmp_path_factory.mktemp("flip-primed")
     artefacts = sorted({artefact for _, artefact in _flip_table().values()})
-    with _default_cache(root / "cache") as store:
+    with _default_cache(root / "cache"):
         report = StudyRunner(
-            seed=SEED, jobs=1, cache=store, journal_path=root / "journal.jsonl",
+            seed=SEED, jobs=1, journal_path=root / "journal.jsonl",
         ).run_all(scale=SCALE, artefacts=artefacts)
     assert not report.failed(), report.summary_table()
     return root
@@ -360,7 +360,7 @@ def test_flipped_byte_is_an_evicted_miss_that_rebuilds_to_golden(
         # A checkpointed result is read on resume; an input on any run.
         journal = tmp_path / "run" / "journal.jsonl" if kind == "journal-result" else None
         report = StudyRunner(
-            seed=SEED, jobs=1, cache=store, journal_path=journal,
+            seed=SEED, jobs=1, journal_path=journal,
         ).run_all(scale=SCALE, artefacts=[artefact], resume=journal is not None)
     assert store.stats.evictions == 1
     assert ArtifactCache(root).verify().clean and path.is_file()
@@ -404,7 +404,7 @@ def test_six_column_crawl_at_the_old_key_is_never_read(tmp_path):
         old = store.store(old_key, _six_column_table())
         loaded = store.load(old_key)
         assert isinstance(loaded, OfferTable) and not hasattr(loaded, "prices")
-        report = StudyRunner(seed=SEED, jobs=1, cache=store).run_all(
+        report = StudyRunner(seed=SEED, jobs=1).run_all(
             scale=SCALE, artefacts=["F16"]
         )
     assert not report.failed(), report.summary_table()

@@ -159,8 +159,17 @@ BAD_NUMERIC_INPUT = [
     (["profile", "--top", "-1", "--", "list"], "--top must be at least 1"),
     (["report", "--html", "r.html", "--limit", "0"], "--limit must be at least 1"),
     (["report", "--html", "r.html", "--limit", "-3"], "--limit must be at least 1"),
-    # The report's target is a directory: refused before the history is read.
+    # An output file that is a directory: refused before any work.
     (["report", "--html", "."], "--html . is a directory"),
+    (["run", "T2", "--json", "."], "--json . is a directory"),
+    (["run-all", "--scale", "0.05", "--artefacts", "T2", "--json", "."],
+     "--json . is a directory"),
+    (["campaign", "device", "--scale", "0.05", "--save", "."], "--save . is a directory"),
+    (["loadgen", "--json", "."], "--json . is a directory"),
+    (["profile", "--out", ".", "--", "list"], "--out . is a directory"),
+    # An id asked for twice, whatever its case, is refused, not run twice.
+    (["run-all", "--scale", "0.05", "--artefacts", "T2", "t2", "T3"],
+     "artefact T2 is listed twice"),
     # At --jobs 1 an attempt runs in the parent: no worker to kill.
     (["run-all", "--artefact-timeout", "1", "--scale", "0.05", "--artefacts", "T3"],
      "artefact_timeout_s needs jobs >= 2"),
@@ -240,7 +249,7 @@ def test_campaign_save_roundtrip(tmp_path, capsys):
 def test_run_json_export(tmp_path, capsys):
     import json
 
-    target = tmp_path / "f7.json"
+    target = tmp_path / "missing" / "f7.json"  # the directory is created
     assert main(["run", "F7", "--json", str(target)]) == 0
     data = json.loads(target.read_text())
     assert any("|" in key for key in data)
@@ -301,6 +310,17 @@ def test_run_all_exports_report_and_renders(cli_cache, tmp_path, capsys):
     data = json.loads(report_path.read_text())
     assert data["runs"][0]["artefact_id"] == "T2"
     assert "Packet Host" in (render_dir / "T2.txt").read_text()
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")  # the mode a plain open() gives under this umask
+    assert report_path.stat().st_mode & 0o777 == plain.stat().st_mode & 0o777
+
+
+def test_run_all_refuses_a_bare_artefacts_flag(capsys):
+    """``--artefacts`` with no id is a usage error, not a run of all 31."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run-all", "--artefacts"])
+    assert exit_info.value.code == 2
+    assert "expected at least one argument" in capsys.readouterr().err
 
 
 def test_run_all_unknown_artefact(cli_cache, capsys):
@@ -699,6 +719,25 @@ def test_trace_multiple_files_and_metrics_view(cli_cache, tmp_path, capsys):
 
     assert main(["trace", "summary", str(trace_dir / "nope-*.jsonl")]) == 2
     assert "no trace files match" in capsys.readouterr().err
+
+
+def test_bare_chaos_is_run_rx1(cli_cache, capsys):
+    """``repro chaos`` without fault flags prints what ``repro run RX1``
+    prints, from the same cache entries; a fault flag changes the run."""
+    from repro.core import cache as cache_mod
+    from repro.experiments import common
+
+    common.clear_caches()
+    store = cache_mod.configure(root=cli_cache)
+    assert main(["run", "RX1", "--scale", "0.05"]) == 0
+    rx1 = capsys.readouterr().out
+    entries = store.entries()
+    common.clear_caches()
+    assert main(["chaos", "--scale", "0.05"]) == 0
+    assert capsys.readouterr().out == rx1
+    assert store.entries() == entries
+    assert main(["chaos", "--scale", "0.05", "--churn", "0.3"]) == 0
+    assert capsys.readouterr().out != rx1
 
 
 def test_chaos_weather_silent_by_default(capsys):

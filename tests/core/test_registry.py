@@ -2,9 +2,10 @@
 
 The registry's whole point is that nothing about dispatch is
 hand-maintained: every experiment module registers itself, and the
-driver-facing flags (``supports_scale``, ``uses_chaos``) are derived
+driver-facing flags (``supports_scale``, ``uses_seed``) are derived
 from the ``run`` signature. These tests pin that invariant so a module
-can neither be forgotten nor drift from its own signature.
+can neither be forgotten nor drift from its own signature, and pin the
+run contract: the driver passes ``(seed, scale)`` and nothing else.
 """
 
 import inspect
@@ -37,11 +38,21 @@ def test_spec_matches_run_signature(artefact):
     spec = registry.get_spec(artefact)
     parameters = inspect.signature(spec.run).parameters
     assert spec.supports_scale == ("scale" in parameters)
-    assert spec.uses_chaos == ("chaos" in parameters)
-    # uses_seed may be pinned False (HX2 runs its own seed), but a spec
-    # must never claim a parameter the function doesn't accept.
-    if spec.uses_seed:
-        assert "seed" in parameters
+    assert spec.uses_seed == ("seed" in parameters)
+
+
+def test_every_other_run_parameter_is_one_of_two_with_a_default():
+    """Beyond ``seed`` and ``scale``, only RX1's fault config (``repro
+    chaos`` sets it) and X3's full audit (its test runs it) are
+    parameters, and the driver never passes either."""
+    extra = {
+        (artefact, name): parameter.default
+        for artefact, spec in registry.all_specs().items()
+        for name, parameter in inspect.signature(spec.run).parameters.items()
+        if name not in ("seed", "scale")
+    }
+    assert sorted(extra) == [("RX1", "chaos"), ("X3", "full")]
+    assert inspect.Parameter.empty not in extra.values()
 
 
 @pytest.mark.parametrize("artefact", registry.artefact_ids())
@@ -66,10 +77,10 @@ def test_describe_inputs_is_ordered_and_compact():
     assert hx2.describe_inputs() == "-"
 
 
-def test_hx2_pins_its_own_seed():
+def test_hx2_takes_no_seed():
     spec = registry.get_spec("HX2")
     assert not spec.uses_seed
-    assert "seed" in inspect.signature(spec.run).parameters
+    assert "seed" not in inspect.signature(spec.run).parameters
 
 
 def test_get_spec_is_case_insensitive_and_loud_on_unknown():

@@ -83,19 +83,6 @@ def test_failure_is_isolated_per_artefact(isolated_cache, monkeypatch):
     assert "FAILED T2" in report.summary_table()
 
 
-def test_run_all_facade_raises_on_failure(isolated_cache, monkeypatch):
-    import repro.experiments.headline as headline
-
-    monkeypatch.setattr(
-        headline, "run", lambda **kwargs: (_ for _ in ()).throw(ValueError("x"))
-    )
-    monkeypatch.setattr(
-        ThickMnaStudy, "available_experiments", lambda self: ["HX1", "T2"]
-    )
-    with pytest.raises(RuntimeError, match="HX1"):
-        ThickMnaStudy(seed=2024).run_all(scale=SCALE)
-
-
 def test_serial_ledger_records_the_peak_rss_after_each_artefact(isolated_cache, tmp_path):
     """One process's high-water mark never falls, so in run order the
     rows' values never decrease; a resumed row ran nowhere and reads 0."""
@@ -152,12 +139,6 @@ def test_warm_inputs_are_frozen_until_the_caches_are_cleared(isolated_cache):
     assert gc.get_freeze_count() == 0
     gc.collect()
     assert world() is None
-
-
-def test_study_run_all_jobs_parameter(isolated_cache):
-    study = ThickMnaStudy(seed=2024)
-    results = study.run_all(scale=SCALE, jobs=2)
-    assert set(results) == set(study.available_experiments())
 
 
 def _timed_run(jobs, cache_root, scale):

@@ -37,7 +37,7 @@ def build_mini_world():
     play.rent_range("Airalo", IMSIRange(prefix="2600677", label="airalo"))
     singtel = MobileOperator(
         name="Singtel", country_iso3="SGP", plmn=PLMN("525", "01"), asn=45143,
-        core_hop_depths=(8,), home_city=cities.get("Singapore", "SGP"),
+        home_city=cities.get("Singapore", "SGP"),
     )
     singtel.rent_range("Airalo", IMSIRange(prefix="5250144", label="airalo"))
     movistar = MobileOperator(
@@ -48,7 +48,6 @@ def build_mini_world():
     )
     dtac = MobileOperator(
         name="dtac", country_iso3="THA", plmn=PLMN("520", "05"), asn=9587,
-        core_hop_depths=(4, 5, 6, 7, 8, 9, 10),
         home_city=cities.get("Bangkok", "THA"),
     )
     dtac.rent_range("Airalo", IMSIRange(prefix="5200533", label="airalo"))
