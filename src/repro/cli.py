@@ -509,24 +509,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = create_server(
             seed=args.seed,
             scale=args.scale,
-            datasets=tuple(args.datasets),
             history_dir=args.history,
             host=args.host,
             port=args.port,
             quiet=not args.verbose,
             sample_interval_s=args.sample_interval,
-            sample_capacity=args.sample_capacity,
-            profile_max_s=args.profile_max,
         )
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
     print(f"repro-serve listening on {server.url} "
-          f"(seed {args.seed}, scale {args.scale:g}, "
-          f"datasets {','.join(args.datasets)})")
+          f"(seed {args.seed}, scale {args.scale:g})")
     print("warming datasets and indexes; GET /healthz reports progress")
     print(f"live telemetry: {server.url}/dashboard (sampler "
-          f"{args.sample_interval:g}s x {args.sample_capacity} samples)")
+          f"{args.sample_interval:g}s x {server.sampler.capacity} samples)")
     return server.run_foreground()
 
 
@@ -854,10 +850,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--port", type=int, default=8321,
                               help="bind port (default 8321; 0 = ephemeral)")
     serve_parser.add_argument("--scale", type=float, default=common.DEFAULT_SCALE,
-                              help="campaign scale to warm (default 0.15)")
-    serve_parser.add_argument("--datasets", nargs="+", default=["device", "web"],
-                              choices=("device", "web"),
-                              help="datasets to load at startup")
+                              help="campaign scale to warm and serve "
+                                   "(default 0.15)")
     serve_parser.add_argument("--history", default=None, metavar="DIR",
                               help="history store root served by /history "
                                    "and /regress")
@@ -865,14 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="S",
                               help="live-sampler tick cadence (default 1s; "
                                    "also the /events delta cadence)")
-    serve_parser.add_argument("--sample-capacity", type=int, default=600,
-                              metavar="N",
-                              help="ring-buffer samples retained per series "
-                                   "(default 600 = 10min at 1s)")
-    serve_parser.add_argument("--profile-max", type=float, default=30.0,
-                              metavar="S",
-                              help="ceiling for /profile?seconds= "
-                                   "(default 30)")
 
     loadgen_parser = sub.add_parser(
         "loadgen",
@@ -955,17 +941,23 @@ _HANDLERS = {
 _INT_FLAG_MINIMA = {"jobs": 1, "top": 1, "depth": 0, "limit": 1}
 
 #: Flags that name a file the command writes, wherever they appear.
-_OUTPUT_FLAGS = ("json", "save", "html", "out")
+_OUTPUT_FLAGS = ("json", "save", "html", "out", "journal")
+
+#: Flags that name a directory the command reads or writes, wherever
+#: they appear.
+_DIRECTORY_FLAGS = ("render_dir", "trace", "history", "cache_dir")
 
 
 def _flag_error(args: argparse.Namespace) -> Optional[str]:
     """What is wrong with ``--scale``, ``--gb``, ``--jobs``, ``--top``,
-    ``--depth``, ``--limit`` or an output file flag, if anything.
+    ``--depth``, ``--limit``, an output file flag or a directory flag,
+    if anything.
 
     argparse checks only that they parse. A scale above 1 grows the
     campaign (see ``scaled_count``), so only non-positive and non-finite
     values are refused. ``market --gb 0`` asks for every plan. An output
-    file that is an existing directory is refused before any work.
+    file that is an existing directory, and a directory flag naming an
+    existing file, are refused before any work.
     """
     scale = getattr(args, "scale", None)
     if scale is not None and not (math.isfinite(scale) and scale > 0):
@@ -981,6 +973,10 @@ def _flag_error(args: argparse.Namespace) -> Optional[str]:
         path = getattr(args, name, None)
         if path is not None and os.path.isdir(path):
             return f"--{name} {path} is a directory"
+    for name in _DIRECTORY_FLAGS:
+        path = getattr(args, name, None)
+        if path is not None and os.path.exists(path) and not os.path.isdir(path):
+            return f"--{name.replace('_', '-')} {path} is not a directory"
     return None
 
 

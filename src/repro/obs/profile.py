@@ -45,18 +45,10 @@ def _frame_label(frame: Any) -> str:
 class SamplingProfiler:
     """Samples all threads' stacks on a fixed wall-clock cadence."""
 
-    def __init__(
-        self,
-        interval_s: float = DEFAULT_INTERVAL_S,
-        include_idle: bool = True,
-    ) -> None:
+    def __init__(self, interval_s: float = DEFAULT_INTERVAL_S) -> None:
         if not interval_s > 0:  # also refuses NaN
             raise ValueError(f"interval_s must be positive, got {interval_s:g}")
         self.interval_s = interval_s
-        #: When False, stacks whose leaf is the profiler's own wait or
-        #: a ``threading`` internal wait are dropped — trims the idle
-        #: accept/condition threads from a daemon profile.
-        self.include_idle = include_idle
         self.samples = 0
         self.started_unix = 0.0
         self.wall_s = 0.0
@@ -148,14 +140,7 @@ class SamplingProfiler:
     def stacks(self) -> Dict[Tuple[str, ...], int]:
         """``stack tuple -> sample count`` (root-first, thread name first)."""
         with self._lock:
-            counts = dict(self._counts)
-        if self.include_idle:
-            return counts
-        return {
-            stack: count
-            for stack, count in counts.items()
-            if not _is_idle_stack(stack)
-        }
+            return dict(self._counts)
 
     def collapsed(self) -> str:
         """The collapsed-stack text: ``frame;frame;... count`` lines.
@@ -196,22 +181,6 @@ class SamplingProfiler:
             lines.append(f"  {share:6.1%} {count:>6}  {leaf}  "
                          f"[{stack[0]}; depth {len(stack) - 1}]")
         return "\n".join(lines)
-
-
-#: Leaf substrings that mark a thread as idle/parked.
-_IDLE_LEAVES = (
-    "threading:Event.wait",
-    "threading:Condition.wait",
-    "threading:wait",
-    "selectors:",
-    "socketserver:",
-    "socket:accept",
-)
-
-
-def _is_idle_stack(stack: Tuple[str, ...]) -> bool:
-    leaf = stack[-1]
-    return any(marker in leaf for marker in _IDLE_LEAVES)
 
 
 def profile_call(

@@ -73,6 +73,9 @@ MAX_CONNECTIONS = 64
 #: so idle clients cannot hold every connection slot.
 IDLE_TIMEOUT_S = 30.0
 
+#: The longest ``/profile?seconds=`` capture the server accepts.
+PROFILE_MAX_S = 30.0
+
 #: Every route the server understands (its metric and span label), with
 #: the query parameters it reads. Any other name is a 400, so a misspelt
 #: or unsupported parameter is never silently ignored. ``/query`` reads
@@ -82,7 +85,7 @@ ROUTE_PARAMS: Dict[str, Optional[FrozenSet[str]]] = {
     "index": frozenset(),
     "healthz": frozenset(),
     "query": None,
-    "artefact": frozenset({"scale", "render"}),
+    "artefact": frozenset({"render"}),
     "history": frozenset({"limit"}),
     "regress": frozenset({"run", "against"}),
     "metrics": frozenset(),
@@ -325,19 +328,8 @@ class _Handler(BaseHTTPRequestHandler):
             raise RequestError(
                 400, "artefact path must be /artefact/<id>, e.g. /artefact/T2"
             )
-        scale: Optional[float] = None
-        if "scale" in params:
-            scale = _float_param(params, "scale", 0.0)
-            if scale <= 0:
-                raise RequestError(400, f"scale must be positive, got {scale:g}")
-            if scale > 1:
-                # 1.0 is the paper's full campaign; a larger scale would
-                # hold the artefact lock for a compute that grows with it.
-                raise RequestError(
-                    400, f"scale must be at most 1 (the full campaign), got {scale:g}"
-                )
         render = params.get("render", "") in ("1", "true", "yes")
-        payload = self.state.artefact(parts[1], scale=scale, render=render)
+        payload = self.state.artefact(parts[1], render=render)
         self._send_json(200, payload)
         return 200
 
@@ -421,14 +413,13 @@ class _Handler(BaseHTTPRequestHandler):
 
         One profile at a time (a second concurrent request gets 409 —
         two tickers would halve each other's effective rate), capped
-        at ``profile_max_s``, and aborted early by server shutdown so
+        at :data:`PROFILE_MAX_S`, and aborted early by server shutdown so
         a profile never delays a drain.
         """
         seconds = _float_param(params, "seconds", 5.0)
-        max_s = self.server.profile_max_s
-        if seconds <= 0 or seconds > max_s:
+        if seconds <= 0 or seconds > PROFILE_MAX_S:
             raise RequestError(
-                400, f"seconds must be in (0, {max_s:g}], got {seconds:g}"
+                400, f"seconds must be in (0, {PROFILE_MAX_S:g}], got {seconds:g}"
             )
         interval_ms = _float_param(params, "interval_ms", 10.0)
         if not 1.0 <= interval_ms <= seconds * 1000.0:
@@ -521,15 +512,9 @@ class MeasurementServer(ThreadingHTTPServer):
         port: int = 0,
         quiet: bool = True,
         sample_interval_s: float = 1.0,
-        sample_capacity: int = 600,
-        profile_max_s: float = 30.0,
     ) -> None:
         if not 0 <= port <= 65535:
             raise ValueError(f"port must be in [0, 65535], got {port}")
-        if not 0 < profile_max_s < math.inf:
-            raise ValueError(
-                f"profile_max_s must be a positive finite number, got {profile_max_s:g}"
-            )
         self.state = state
         self.quiet = quiet
         self._warm_thread: Optional[threading.Thread] = None
@@ -552,11 +537,7 @@ class MeasurementServer(ThreadingHTTPServer):
             self._installed_recorder = obs.MetricsRecorder()
             registry = self._installed_recorder.metrics
         self.registry = registry
-        self.sampler = obs.LiveSampler(
-            registry,
-            interval_s=sample_interval_s,
-            capacity=sample_capacity,
-        )
+        self.sampler = obs.LiveSampler(registry, interval_s=sample_interval_s)
         # Bind only now: a bad number above raises ValueError with
         # nothing listening and no recorder installed.
         super().__init__((host, port), _Handler)
@@ -565,7 +546,6 @@ class MeasurementServer(ThreadingHTTPServer):
                 self._installed_recorder
             )
         self.profile_lock = threading.Lock()
-        self.profile_max_s = profile_max_s
         state.attach_telemetry(self._telemetry_info)
 
     def _telemetry_info(self) -> Dict[str, Any]:
@@ -688,7 +668,7 @@ class MeasurementServer(ThreadingHTTPServer):
             obs.set_recorder(self._previous_recorder)
         self._stopped.set()
 
-    def run_foreground(self, warm_first: bool = False) -> int:
+    def run_foreground(self) -> int:
         """CLI mode: install signal handlers and serve until stopped.
 
         Returns the process exit code: 0 after SIGTERM (orderly
@@ -710,10 +690,7 @@ class MeasurementServer(ThreadingHTTPServer):
         }
         try:
             self.sampler.start()
-            if warm_first:
-                self.state.warm()
-            else:
-                self.warm_in_background()
+            self.warm_in_background()
             self.serve_forever()
             # Either a signal handed stop() to a helper thread (wait for
             # the drain to finish) or something broke the accept loop
@@ -728,28 +705,14 @@ class MeasurementServer(ThreadingHTTPServer):
 def create_server(
     seed: int = 2024,
     scale: float = 0.15,
-    datasets: Tuple[str, ...] = ("device", "web"),
     history_dir: Optional[str] = None,
     host: str = "127.0.0.1",
     port: int = 0,
     quiet: bool = True,
-    warm_artefacts: Optional[Tuple[str, ...]] = None,
     sample_interval_s: float = 1.0,
-    sample_capacity: int = 600,
-    profile_max_s: float = 30.0,
 ) -> MeasurementServer:
     """One-call constructor used by the CLI, tests and benches."""
-    from repro.server.state import WARM_ARTEFACTS
-
-    state = ServerState(
-        seed=seed, scale=scale, datasets=datasets, history_dir=history_dir,
-        warm_artefacts=(
-            WARM_ARTEFACTS if warm_artefacts is None else warm_artefacts
-        ),
-    )
     return MeasurementServer(
-        state, host=host, port=port, quiet=quiet,
-        sample_interval_s=sample_interval_s,
-        sample_capacity=sample_capacity,
-        profile_max_s=profile_max_s,
+        ServerState(seed=seed, scale=scale, history_dir=history_dir),
+        host=host, port=port, quiet=quiet, sample_interval_s=sample_interval_s,
     )

@@ -336,12 +336,11 @@ class LoadGenerator:
         #: What the bootstrap learns of the server.
         self.scale = 0.0
         self.countries: Tuple[str, ...] = ()
-        self.kinds: Tuple[str, ...] = QUERY_KINDS
 
     # -- bootstrap ------------------------------------------------------------
 
     def _bootstrap(self) -> None:
-        """Learn the server's shape: scale, loaded datasets, country pool."""
+        """Learn the server's scale and country pool."""
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=TIMEOUT_S
         )
@@ -350,15 +349,8 @@ class LoadGenerator:
             response = connection.getresponse()
             health = json.loads(response.read().decode("utf-8"))
             self.scale = float(health.get("scale", 0.0))
-            loaded = set(health.get("datasets", {}))
-            if loaded:
-                self.kinds = tuple(
-                    kind for kind in QUERY_KINDS
-                    if ("web" if kind == "web" else "device") in loaded
-                ) or QUERY_KINDS
-            probe_kind = self.kinds[0]
             connection.request(
-                "GET", f"/query?kind={probe_kind}&count_by=country"
+                "GET", f"/query?kind={QUERY_KINDS[0]}&count_by=country"
             )
             response = connection.getresponse()
             payload = json.loads(response.read().decode("utf-8"))
@@ -407,7 +399,7 @@ class LoadGenerator:
         return route, FIXED_PATHS[route]
 
     def _query_path(self, rng: random.Random) -> str:
-        kind = rng.choice(self.kinds)
+        kind = rng.choice(QUERY_KINDS)
         dimension = rng.choice(QUERY_DIMENSIONS)
         shape = rng.randrange(3)
         if shape == 0:

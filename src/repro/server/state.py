@@ -11,11 +11,11 @@ memory:
   requests never mutate the index cache (index builds are the only
   writes the query layer performs — pre-building makes concurrent
   handler threads pure readers);
-* the :class:`~repro.core.study.ThickMnaStudy` driver plus an
-  artefact-result memo backed by the persistent artifact cache, keyed by
-  the same ``fingerprint("artefact-result", ...)`` the run journal uses,
-  so a ``run-all --journal`` checkpoint and a served ``/artefact``
-  response share bytes;
+* one result per registered artefact, at the server's own scale,
+  memoized by artefact id and backed by the persistent artifact cache
+  under the same ``result_key`` the run journal uses, so a ``run-all
+  --journal`` checkpoint and a served ``/artefact`` response share
+  bytes;
 * the cross-run :class:`~repro.obs.history.HistoryStore` for
   ``/history`` and ``/regress``.
 
@@ -38,10 +38,6 @@ from repro.core.runner import result_key
 from repro.experiments import common, registry
 from repro.experiments.export import jsonable
 from repro.measure import query as query_mod
-from repro.measure.amigo import ConfigurationError
-
-#: Dataset names the server can load, in warm order.
-DATASET_NAMES: Tuple[str, ...] = ("device", "web")
 
 #: Record kinds served by each dataset (``/query?kind=`` routing).
 KIND_DATASET: Dict[str, str] = {
@@ -76,19 +72,10 @@ class ServerState:
         self,
         seed: int = common.DEFAULT_SEED,
         scale: float = common.DEFAULT_SCALE,
-        datasets: Sequence[str] = DATASET_NAMES,
         history_dir: Optional[str] = None,
-        warm_artefacts: Sequence[str] = WARM_ARTEFACTS,
     ) -> None:
-        for name in datasets:
-            if name not in DATASET_NAMES:
-                raise ValueError(
-                    f"unknown dataset {name!r}; known: {', '.join(DATASET_NAMES)}"
-                )
         self.seed = seed
         self.scale = scale
-        self.datasets_wanted = tuple(datasets)
-        self.warm_artefacts = tuple(warm_artefacts)
         self.history_dir = history_dir
         self.started_unix = time.time()
         self.ready = threading.Event()
@@ -97,6 +84,7 @@ class ServerState:
         self.warm_wall_s = 0.0
         self._datasets: Dict[str, Any] = {}
         self._artefact_lock = threading.Lock()
+        #: Artefact id -> result: at most one entry per registered artefact.
         self._artefact_memo: Dict[str, Any] = {}
         #: Set by the HTTP layer: a zero-argument callable returning
         #: request totals + live-sampler liveness for ``/healthz``.
@@ -116,7 +104,8 @@ class ServerState:
     def warm(self) -> None:
         """Load datasets and pre-build every query index (once, at startup).
 
-        numpy loads here too, so no request pays for its import.
+        Then compute :data:`WARM_ARTEFACTS`. numpy loads here too, so no
+        request pays for its import.
         """
         from repro.core.study import ThickMnaStudy
 
@@ -125,16 +114,14 @@ class ServerState:
         try:
             import numpy  # noqa: F401
 
-            if "device" in self.datasets_wanted:
-                self.warm_phase = "device_dataset"
-                self._datasets["device"] = study.device_dataset(scale=self.scale)
-            if "web" in self.datasets_wanted:
-                self.warm_phase = "web_dataset"
-                self._datasets["web"] = study.web_dataset()
+            self.warm_phase = "device_dataset"
+            self._datasets["device"] = study.device_dataset(scale=self.scale)
+            self.warm_phase = "web_dataset"
+            self._datasets["web"] = study.web_dataset()
             self.warm_phase = "indexes"
             self._prebuild_indexes()
             self.warm_phase = "artefacts"
-            for artefact_id in self.warm_artefacts:
+            for artefact_id in WARM_ARTEFACTS:
                 self.artefact(artefact_id)
         except Exception:
             self.warm_phase = "failed"
@@ -148,10 +135,7 @@ class ServerState:
     def _prebuild_indexes(self) -> None:
         """Build every per-dimension index so handlers are pure readers."""
         for kind, dataset_name in KIND_DATASET.items():
-            dataset = self._datasets.get(dataset_name)
-            if dataset is None:
-                continue
-            index = dataset.index.kind(kind)
+            index = self._datasets[dataset_name].index.kind(kind)
             for dimension in query_mod.dimensions_for(kind):
                 index.groups(dimension)
 
@@ -196,14 +180,7 @@ class ServerState:
                 f"unknown record kind {kind!r}; "
                 f"known: {', '.join(sorted(query_mod.KIND_FIELDS))}",
             )
-        dataset = self._datasets.get(KIND_DATASET[kind])
-        if dataset is None:
-            raise RequestError(
-                400,
-                f"dataset {KIND_DATASET[kind]!r} is not loaded on this server "
-                f"(started with --datasets {' '.join(self.datasets_wanted)})",
-            )
-        return dataset
+        return self._datasets[KIND_DATASET[kind]]
 
     def _coerce(self, kind: str, dataset: Any, dimension: str, raw: str) -> Any:
         """Map a query-string value onto the dimension's real value type.
@@ -291,13 +268,12 @@ class ServerState:
 
     # -- /artefact ------------------------------------------------------------
 
-    def artefact(
-        self,
-        artefact_id: str,
-        scale: Optional[float] = None,
-        render: bool = False,
-    ) -> Dict[str, Any]:
-        """Serve one artefact's result, computing (and caching) on miss."""
+    def artefact(self, artefact_id: str, render: bool = False) -> Dict[str, Any]:
+        """Serve one artefact's result, computing (and caching) on miss.
+
+        A scale-aware artefact runs at the server's scale and a
+        scale-free one at ``None``, so each is loaded or computed once.
+        """
         from repro.core.study import ThickMnaStudy
 
         artefact_id = artefact_id.upper()
@@ -309,37 +285,33 @@ class ServerState:
                 f"unknown artefact {artefact_id!r}; "
                 f"known: {', '.join(registry.artefact_ids())}",
             )
-        effective_scale = scale
-        if effective_scale is None and spec.supports_scale:
-            effective_scale = self.scale
-        key = result_key(artefact_id, self.seed, effective_scale)
+        scale = self.scale if spec.supports_scale else None
         source = "memo"
-        result = self._artefact_memo.get(key)
+        result = self._artefact_memo.get(artefact_id)
         if result is None:
             # One artefact computes at a time: results are memoized and
             # experiments share the process-local input caches, so the
             # lock trades a burst of duplicate work for correctness.
             with self._artefact_lock:
-                result = self._artefact_memo.get(key)
+                result = self._artefact_memo.get(artefact_id)
                 if result is None:
+                    key = result_key(artefact_id, self.seed, scale)
                     result = cache_mod.get_default_cache().load(key)
                     source = "cache"
-                if result is None:
-                    source = "computed"
-                    study = ThickMnaStudy(seed=self.seed)
-                    try:
-                        result = study.run(artefact_id, scale=effective_scale)
-                    except ConfigurationError as error:
-                        raise RequestError(400, str(error.args[0]))
-                    cache_mod.get_default_cache().store(key, result)
-                self._artefact_memo[key] = result
-                obs.gauge("server.artefact_memo").set(
-                    float(len(self._artefact_memo))
-                )
+                    if result is None:
+                        source = "computed"
+                        result = ThickMnaStudy(seed=self.seed).run(
+                            artefact_id, scale=scale
+                        )
+                        cache_mod.get_default_cache().store(key, result)
+                    self._artefact_memo[artefact_id] = result
+                    obs.gauge("server.artefact_memo").set(
+                        float(len(self._artefact_memo))
+                    )
         payload: Dict[str, Any] = {
             "artefact": artefact_id,
             "title": spec.title,
-            "scale": effective_scale,
+            "scale": scale,
             "source": source,
             "result": jsonable(result),
         }

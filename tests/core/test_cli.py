@@ -140,13 +140,10 @@ BAD_NUMERIC_INPUT = [
     (["chaos", "--attach-reject", "nan"], "attach_reject_rate must be in [0, 1]"),
     # The server's and the load generator's own checks: no port is
     # bound and no request sent.
-    (["serve", "--sample-capacity", "0"], "capacity must be >= 2"),
     (["serve", "--sample-interval", "0"], "interval_s must be a positive finite number"),
     (["serve", "--sample-interval", "nan"], "interval_s must be a positive finite number"),
     (["serve", "--port", "70000"], "port must be in [0, 65535]"),
     (["serve", "--port", "-1"], "port must be in [0, 65535]"),
-    (["serve", "--profile-max", "-1"], "profile_max_s must be a positive finite number"),
-    (["serve", "--profile-max", "nan"], "profile_max_s must be a positive finite number"),
     (["loadgen", "--duration", "-1"], "duration_s must be a positive finite number"),
     (["loadgen", "--duration", "inf"], "duration_s must be a positive finite number"),
     (["loadgen", "--duration", "nan"], "duration_s must be a positive finite number"),
@@ -167,6 +164,21 @@ BAD_NUMERIC_INPUT = [
     (["campaign", "device", "--scale", "0.05", "--save", "."], "--save . is a directory"),
     (["loadgen", "--json", "."], "--json . is a directory"),
     (["profile", "--out", ".", "--", "list"], "--out . is a directory"),
+    (["run-all", "--scale", "0.05", "--artefacts", "T2", "--journal", "."],
+     "--journal . is a directory"),
+    # A directory flag that names an existing file: refused before any
+    # work, not after the shard has run.
+    (["run-all", "--scale", "0.05", "--artefacts", "T2", "--render-dir", "file"],
+     "--render-dir file is not a directory"),
+    (["run-all", "--scale", "0.05", "--artefacts", "T2", "--trace", "file"],
+     "--trace file is not a directory"),
+    (["run-all", "--scale", "0.05", "--artefacts", "T2", "--history", "file"],
+     "--history file is not a directory"),
+    (["run-all", "--scale", "0.05", "--artefacts", "T2", "--cache-dir", "file"],
+     "--cache-dir file is not a directory"),
+    (["loadgen", "--trace", "file"], "--trace file is not a directory"),
+    (["report", "--html", "r.html", "--history", "file"],
+     "--history file is not a directory"),
     # An id asked for twice, whatever its case, is refused, not run twice.
     (["run-all", "--scale", "0.05", "--artefacts", "T2", "t2", "T3"],
      "artefact T2 is listed twice"),
@@ -192,6 +204,7 @@ def test_bad_numeric_flags_exit_2(monkeypatch, tmp_path, capsys, argv, needle):
     monkeypatch.setattr(LoadGenerator, "run", started)
     monkeypatch.setenv("REPRO_HISTORY_DIR", str(tmp_path / "history"))
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
@@ -204,8 +217,7 @@ def test_bad_numeric_flags_exit_2(monkeypatch, tmp_path, capsys, argv, needle):
     ["serve", "--scale", "1.5"],
 ])
 def test_scale_above_one_is_accepted(monkeypatch, argv):
-    """``scaled_count`` grows a campaign for a scale above 1; only the
-    server's query string caps scale at 1."""
+    """``scaled_count`` grows a campaign for a scale above 1."""
     from repro import cli
 
     monkeypatch.setitem(cli._HANDLERS, argv[0], lambda args: 0)
@@ -1023,7 +1035,7 @@ def test_non_numeric_commands_load_no_numeric_library(
     "from repro.core.runner import StudyRunner\n"
     "StudyRunner(seed=2024).warm_inputs(0.05, ['T2'])\n",
     "from repro.server.state import ServerState\n"
-    "ServerState(scale=0.05, datasets=('web',), warm_artefacts=()).warm()\n",
+    "ServerState(scale=0.02).warm()\n",
 ], ids=["StudyRunner.warm_inputs", "ServerState.warm"])
 def test_warm_phases_load_numpy(tmp_path, warm):
     """The two warm phases that precede numeric work load numpy, so its

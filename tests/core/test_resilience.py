@@ -358,7 +358,7 @@ def test_served_artefact_reads_the_journal_checkpoint(
         raise AssertionError("the server recomputed a checkpointed result")
 
     monkeypatch.setattr(ThickMnaStudy, "run", no_compute)
-    payload = ServerState(seed=2024, scale=SCALE, datasets=()).artefact("T2")
+    payload = ServerState(seed=2024, scale=SCALE).artefact("T2")
     assert payload["source"] == "cache"
     assert payload["result"] == jsonable(report.results["T2"])
 

@@ -112,8 +112,7 @@ def judged(tmp_path_factory):
     html_path = root / "report.html"
     assert main(["report", "--html", str(html_path),
                  "--history", str(store.root)]) == 0
-    state = ServerState(datasets=(), warm_artefacts=(),
-                        history_dir=str(store.root))
+    state = ServerState(scale=0.02, history_dir=str(store.root))
     server = MeasurementServer(state).start()
     assert state.ready.wait(timeout=60), state.warm_error
     yield store, latest, html_path.read_text(), server

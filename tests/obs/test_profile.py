@@ -3,11 +3,7 @@
 import threading
 import time
 
-from repro.obs.profile import (
-    SamplingProfiler,
-    _is_idle_stack,
-    profile_call,
-)
+from repro.obs.profile import SamplingProfiler, profile_call
 
 
 def _spin_inner(deadline: float) -> int:
@@ -84,27 +80,6 @@ def test_profiler_samples_other_threads():
     assert "prof-worker" in roots
     # The profiler never samples its own ticker thread.
     assert "repro-profiler" not in roots
-
-
-def test_idle_stacks_can_be_filtered():
-    assert _is_idle_stack(("t", "a:b", "threading:Event.wait"))
-    assert _is_idle_stack(("t", "threading:wait"))
-    assert not _is_idle_stack(("t", "repro.cli:main"))
-    profiler = SamplingProfiler(interval_s=0.002, include_idle=False)
-    parked = threading.Event()
-    thread = threading.Thread(
-        target=parked.wait, args=(5.0,), name="parked"
-    )
-    thread.start()
-    time.sleep(0.05)  # let the thread reach its wait before sampling
-    try:
-        with profiler:
-            _spin_outer(time.perf_counter() + 0.1)
-    finally:
-        parked.set()
-        thread.join(5.0)
-    for stack in profiler.stacks():
-        assert stack[0] != "parked", "idle thread leaked into the profile"
 
 
 def test_run_for_aborts_early():

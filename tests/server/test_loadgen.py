@@ -153,9 +153,7 @@ def test_loadgen_input_validation():
 
 
 def test_loadgen_against_live_server(tmp_path):
-    srv = create_server(
-        scale=0.02, datasets=("device",), warm_artefacts=("T2",),
-    ).start()
+    srv = create_server(scale=0.02).start()
     try:
         report = run_loadgen("127.0.0.1", srv.port, duration_s=1.5, seed=3)
         # Every scheduled request was sent, and the count is the seed's.
@@ -183,9 +181,7 @@ def test_loadgen_against_live_server(tmp_path):
 
 
 def test_chaos_latency_is_injected_into_recordings(tmp_path):
-    srv = create_server(
-        scale=0.02, datasets=("device",), warm_artefacts=(),
-    ).start()
+    srv = create_server(scale=0.02).start()
     try:
         report = run_loadgen(
             "127.0.0.1", srv.port, duration_s=1.0, seed=3,

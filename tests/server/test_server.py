@@ -47,9 +47,7 @@ def server(tmp_path_factory):
         jobs=1, total_wall_s=1.5,
         artefacts={"T2": ArtefactStats(wall_s=1.5)},
     ))
-    srv = create_server(
-        scale=0.05, history_dir=str(history), warm_artefacts=("T2",),
-    ).start()
+    srv = create_server(scale=0.05, history_dir=str(history)).start()
     assert srv.state.ready.wait(timeout=180), srv.state.warm_error
     yield srv
     srv.stop()
@@ -150,7 +148,13 @@ def test_malformed_requests_get_400s(server):
         "/query?kind=traceroute&records=x": "must be an integer",
         "/query?kind=traceroute&day=abc": "day must be an integer",
         "/artefact": "must be /artefact/<id>",
-        "/artefact/T2?scale=abc": "scale must be a number",
+        # The server answers at its own scale only: any scale= is refused,
+        # in range or not, for a memoized (T2) or scale-aware (F7) artefact.
+        "/artefact/T2?scale=abc": "unknown parameter 'scale'",
+        "/artefact/T2?scale=0.5": "unknown parameter 'scale'",
+        "/artefact/F7?scale=0.06": "unknown parameter 'scale'",
+        "/artefact/F7?scale=nan": "unknown parameter 'scale'",
+        "/artefact/F7?scale=1e9": "unknown parameter 'scale'",
         # Non-finite and out-of-range numbers never reach a handler.
         "/stats?window=nan": "window must be finite",
         "/stats?window=inf": "window must be finite",
@@ -159,13 +163,6 @@ def test_malformed_requests_get_400s(server):
         "/profile?seconds=1&interval_ms=inf": "interval_ms must be finite",
         "/profile?seconds=1&interval_ms=nan": "interval_ms must be finite",
         "/profile?seconds=0.5&interval_ms=600": "the profile window",
-        "/artefact/F7?scale=nan": "scale must be finite",
-        "/artefact/F7?scale=inf": "scale must be finite",
-        "/artefact/F7?scale=-1": "scale must be positive",
-        "/artefact/F7?scale=0": "scale must be positive",
-        # Above the full campaign: rejected before any compute starts.
-        "/artefact/F7?scale=1.5": "scale must be at most 1",
-        "/artefact/F7?scale=1e9": "scale must be at most 1",
         # A name the route does not read is refused, not ignored: the
         # baseline window is fixed, and a misspelt limit would list 50.
         "/regress?window=0": "unknown parameter 'window'",
@@ -198,11 +195,18 @@ def test_malformed_requests_get_400s(server):
         assert needle in payload["error"], path
 
 
-#: Names the fuzzer draws: the four routes' parameters, query dimensions
-#: and one no route knows.
+#: Names the fuzzer draws: the fuzzed routes' parameters, query
+#: dimensions, the ``scale`` no route reads and one no route knows.
 FUZZ_NAMES = (
     "kind", "country", "sim_kind", "day", "group_by", "count_by", "records",
-    "limit", "run", "against", "window", "series", "nope",
+    "limit", "run", "against", "window", "series", "render", "scale", "nope",
+)
+
+#: Routes the fuzzer draws: a warmed artefact, a scale-aware one and an
+#: unknown id besides the four query-string routes.
+FUZZ_ROUTES = (
+    "/query", "/history", "/regress", "/stats",
+    "/artefact/T2", "/artefact/F7", "/artefact/NOPE",
 )
 FUZZ_VALUES = st.one_of(
     st.sampled_from((
@@ -219,13 +223,15 @@ FUZZ_VALUES = st.one_of(
 
 def test_fuzzed_query_strings_never_fail_the_server(server):
     """Repeated names, percent-encoded bytes, NaN, inf and huge numbers
-    on the four query-string routes: every answer is a 2xx/4xx/503
-    within 2 s, and the server counts no 5xx."""
+    on the query-string and artefact routes: every answer is a 2xx/4xx/503
+    within 2 s, the server counts no 5xx, and the artefact memo holds
+    registered ids only."""
+    from repro.experiments import registry
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(
-        route=st.sampled_from(("/query", "/history", "/regress", "/stats")),
+        route=st.sampled_from(FUZZ_ROUTES),
         params=st.lists(st.tuples(st.sampled_from(FUZZ_NAMES), FUZZ_VALUES), max_size=6),
     )
     def fuzz(route, params):
@@ -243,6 +249,7 @@ def test_fuzzed_query_strings_never_fail_the_server(server):
 
     fuzz()
     assert server.registry.counter("server.status.5xx").value == 0
+    assert set(server.state._artefact_memo) <= set(registry.artefact_ids())
 
 
 def test_keep_alive_requests_do_not_stall(server):
@@ -293,6 +300,34 @@ def test_artefact_served_from_memo_after_warm(server):
     assert "b-MNO" in rendered["rendered"]
 
 
+@pytest.mark.parametrize("artefact_id", ["T2", "T4", "F7", "F10", "T3"])
+def test_served_artefact_is_the_batch_result(server, artefact_id):
+    """Warmed (T2, T4, F7) or computed on request (F10, T3), a served
+    result is ``ThickMnaStudy.run``'s at the server's scale, and its
+    ``scale`` is that scale, or None for the scale-free T2 and T3."""
+    from repro.core.study import ThickMnaStudy
+    from repro.experiments.export import jsonable
+
+    scale = None if artefact_id in ("T2", "T3") else server.state.scale
+    status, payload = _get(f"{server.url}/artefact/{artefact_id}")
+    assert status == 200
+    assert payload["scale"] == scale
+    expected = ThickMnaStudy(seed=server.state.seed).run(artefact_id, scale=scale)
+    assert payload["result"] == json.loads(json.dumps(jsonable(expected)))
+
+
+def test_requested_scales_grow_neither_memo_nor_cache(server):
+    """Ten distinct in-range scales compute nothing and store nothing."""
+    from repro.core import cache as cache_mod
+
+    memo = list(server.state._artefact_memo)
+    entries = cache_mod.get_default_cache().info()["entry_count"]
+    for index in range(10):
+        _get(f"{server.url}/artefact/F7?scale={0.0101 + index / 10000:.4f}")
+    assert list(server.state._artefact_memo) == memo
+    assert cache_mod.get_default_cache().info()["entry_count"] == entries
+
+
 def test_history_endpoint_lists_seeded_run(server):
     status, payload = _get(f"{server.url}/history")
     assert status == 200
@@ -325,7 +360,7 @@ def test_regress_endpoint_maps_errors(server):
 
 
 def test_healthz_during_warmup_and_data_routes_503():
-    state = ServerState(scale=0.02, datasets=("device",), warm_artefacts=())
+    state = ServerState(scale=0.02)
     srv = MeasurementServer(state)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
@@ -349,9 +384,7 @@ def test_healthz_during_warmup_and_data_routes_503():
 
 
 def test_stop_drains_in_flight_requests():
-    srv = create_server(
-        scale=0.02, datasets=("device",), warm_artefacts=(),
-    ).start()
+    srv = create_server(scale=0.02).start()
     assert srv.state.ready.wait(timeout=120), srv.state.warm_error
     # Every query now takes over a second inside its handler.
     query = srv.state.query
@@ -398,7 +431,7 @@ def test_connections_past_the_cap_are_refused():
     ``MAX_CONNECTIONS`` the accept thread closes a new one unserved."""
     from repro.server.app import MAX_CONNECTIONS
 
-    srv = create_server(scale=0.02, datasets=("device",), warm_artefacts=()).start()
+    srv = create_server(scale=0.02).start()
     idle = []
     try:
         for _ in range(MAX_CONNECTIONS):
@@ -431,7 +464,7 @@ def test_idle_connections_time_out_and_free_their_slots(monkeypatch):
     assert app._Handler.timeout == app.IDLE_TIMEOUT_S  # what ships; shortened below
     monkeypatch.setattr(app, "MAX_CONNECTIONS", 3)
     monkeypatch.setattr(app._Handler, "timeout", 1.5)
-    srv = create_server(scale=0.02, datasets=("device",), warm_artefacts=()).start()
+    srv = create_server(scale=0.02).start()
     refusals = srv.registry.counter("server.connections_refused")
     refused_before = refusals.value
     idle = []
@@ -470,7 +503,7 @@ def test_a_client_that_stops_reading_is_cut_off_as_499(monkeypatch):
     from repro.server import app
 
     monkeypatch.setattr(app._Handler, "timeout", 1.0)
-    srv = create_server(scale=0.02, datasets=("device",), warm_artefacts=()).start()
+    srv = create_server(scale=0.02).start()
     # Four times Linux's default send-buffer ceiling (tcp_wmem), so the
     # write stalls however far the server's buffer grows.
     pad = "x" * 16_000_000
@@ -506,7 +539,7 @@ def test_sigterm_shuts_down_with_exit_zero(tmp_path):
     env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
     process = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
-         "--scale", "0.02", "--datasets", "device"],
+         "--scale", "0.02"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, text=True,
     )
     try:

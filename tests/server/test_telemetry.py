@@ -34,11 +34,10 @@ def _get(url, timeout=30.0, headers=None):
 
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
-    """One warm server with a fast sampler (0.2 s ticks, 50 retained)."""
+    """One warm server with a fast sampler (0.2 s ticks)."""
     history = tmp_path_factory.mktemp("telemetry-history")
     srv = create_server(
-        scale=0.05, history_dir=str(history), warm_artefacts=("T2",),
-        sample_interval_s=0.2, sample_capacity=50,
+        scale=0.05, history_dir=str(history), sample_interval_s=0.2,
     ).start()
     assert srv.state.ready.wait(timeout=180), srv.state.warm_error
     yield srv
@@ -47,7 +46,6 @@ def server(tmp_path_factory):
 
 def test_sampler_config_is_plumbed(server):
     assert server.sampler.interval_s == 0.2
-    assert server.sampler.capacity == 50
     assert server.sampler.alive()
 
 
@@ -274,8 +272,7 @@ def test_traced_loadgen_merges_both_sides(server):
 def test_ops_routes_answer_before_the_server_is_warm(tmp_path):
     """You can watch a warmup: telemetry works while data routes 503."""
     srv = create_server(
-        scale=0.05, history_dir=str(tmp_path), warm_artefacts=(),
-        sample_interval_s=0.2,
+        scale=0.05, history_dir=str(tmp_path), sample_interval_s=0.2,
     )
     # Accept loop + sampler only — warm() is never started, so the
     # server stays un-ready for the whole test.
