@@ -245,9 +245,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 
     if args.cache_dir or args.no_cache:
         cache_mod.configure(root=args.cache_dir, enabled=not args.no_cache)
-    if args.resume and not args.journal:
-        print("--resume requires --journal FILE", file=sys.stderr)
-        return 2
     # ``!= 0``, not ``> 0``: a negative or NaN rate must reach ExecChaos's
     # own range check instead of silently turning chaos off.
     wants_chaos = (
@@ -263,9 +260,8 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         ) if wants_chaos else None
         runner = StudyRunner(
             seed=args.seed, jobs=args.jobs, trace_dir=args.trace,
-            history_dir=args.history, journal_path=args.journal,
-            artefact_timeout_s=args.artefact_timeout,
-            max_attempts=args.max_attempts, exec_chaos=exec_chaos,
+            history_dir=args.history, artefact_timeout_s=args.artefact_timeout,
+            exec_chaos=exec_chaos,
         )
     except ValueError as error:
         print(str(error), file=sys.stderr)
@@ -275,7 +271,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             scale=args.scale, artefacts=args.artefacts, resume=args.resume,
         )
     except (KeyError, ValueError) as error:
-        # An unknown or repeated id, or a journal of another workload.
+        # An unknown or repeated id.
         print(error.args[0], file=sys.stderr)
         return 2
     print(report.summary_table())
@@ -736,21 +732,16 @@ def build_parser() -> argparse.ArgumentParser:
     run_all_parser.add_argument("--trace", default=None, metavar="DIR",
                                 help="record telemetry and write a JSONL trace "
                                      "file into DIR (see 'repro trace')")
-    run_all_parser.add_argument("--journal", default=None, metavar="FILE",
-                                help="append-only JSONL checkpoint of completed "
-                                     "artefacts (enables --resume)")
     run_all_parser.add_argument("--resume", action="store_true",
-                                help="skip artefacts already completed in the "
-                                     "--journal file (byte-identical results)")
+                                help="serve each result already in the cache "
+                                     "and store each one computed, so a rerun "
+                                     "skips completed work (byte-identical "
+                                     "results)")
     run_all_parser.add_argument("--artefact-timeout", type=float, default=None,
                                 metavar="S",
                                 help="watchdog deadline per artefact attempt; "
                                      "overdue workers are killed and retried "
                                      "(needs --jobs 2 or more)")
-    run_all_parser.add_argument("--max-attempts", type=int, default=3,
-                                help="attempts per artefact on worker deaths "
-                                     "and timeouts before quarantine "
-                                     "(default 3)")
     run_all_parser.add_argument("--exec-crash-rate", type=float, default=0.0,
                                 metavar="P",
                                 help="chaos: probability a worker dies "
@@ -941,7 +932,7 @@ _HANDLERS = {
 _INT_FLAG_MINIMA = {"jobs": 1, "top": 1, "depth": 0, "limit": 1}
 
 #: Flags that name a file the command writes, wherever they appear.
-_OUTPUT_FLAGS = ("json", "save", "html", "out", "journal")
+_OUTPUT_FLAGS = ("json", "save", "html", "out")
 
 #: Flags that name a directory the command reads or writes, wherever
 #: they appear.
@@ -956,8 +947,9 @@ def _flag_error(args: argparse.Namespace) -> Optional[str]:
     argparse checks only that they parse. A scale above 1 grows the
     campaign (see ``scaled_count``), so only non-positive and non-finite
     values are refused. ``market --gb 0`` asks for every plan. An output
-    file that is an existing directory, and a directory flag naming an
-    existing file, are refused before any work.
+    file that is an existing directory, a directory flag naming an
+    existing file, and either kind of path under an existing file are
+    refused before any work.
     """
     scale = getattr(args, "scale", None)
     if scale is not None and not (math.isfinite(scale) and scale > 0):
@@ -969,14 +961,22 @@ def _flag_error(args: argparse.Namespace) -> Optional[str]:
         value = getattr(args, name, None)
         if value is not None and value < least:
             return f"--{name} must be at least {least}, got {value}"
-    for name in _OUTPUT_FLAGS:
+    for name in _OUTPUT_FLAGS + _DIRECTORY_FLAGS:
         path = getattr(args, name, None)
-        if path is not None and os.path.isdir(path):
-            return f"--{name} {path} is a directory"
-    for name in _DIRECTORY_FLAGS:
-        path = getattr(args, name, None)
-        if path is not None and os.path.exists(path) and not os.path.isdir(path):
-            return f"--{name.replace('_', '-')} {path} is not a directory"
+        if path is None:
+            continue
+        flag = f"--{name.replace('_', '-')}"
+        is_dir = os.path.isdir(path)
+        if name in _OUTPUT_FLAGS and is_dir:
+            return f"{flag} {path} is a directory"
+        if name in _DIRECTORY_FLAGS and not is_dir and os.path.exists(path):
+            return f"{flag} {path} is not a directory"
+        # The nearest existing ancestor must be a directory to create in.
+        parent = os.path.dirname(path)
+        while parent and not os.path.exists(parent):
+            parent = os.path.dirname(parent)
+        if parent and not os.path.isdir(parent):
+            return f"{flag} {path}: {parent} is not a directory"
     return None
 
 

@@ -32,9 +32,10 @@ one loop at every ``jobs``:
   :class:`~repro.faults.BackoffPolicy` budget and are *quarantined*
   (status ``"quarantined"``) when they keep dying, so one poisoned
   experiment never sinks the run;
-* ``journal_path=`` checkpoints every completion to an append-only
-  :class:`~repro.core.journal.RunJournal`; ``run_all(resume=True)``
-  skips completed work and produces byte-identical exports;
+* ``run_all(resume=True)`` serves each result already stored in the
+  artifact cache under :func:`result_key` and stores each one it
+  computes there as it completes, so a rerun after a crash skips the
+  completed work and exports byte-identical results;
 * SIGINT/SIGTERM stop the run cleanly: in-flight work is cancelled,
   never-started artefacts get ``status="interrupted"`` rows, and the
   partial report (and history record) is still flushed;
@@ -71,7 +72,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.core import cache as cache_mod
-from repro.core import journal as journal_mod
 from repro.faults import BackoffPolicy, ExecChaos, InjectedWorkerCrash
 
 #: Ledger statuses a supervised run can end an artefact with.
@@ -85,9 +85,14 @@ STATUS_INTERRUPTED = "interrupted"  # never ran: the run was stopped first
 #: collect results and check deadlines.
 _POLL_S = 0.05
 
-#: Default retry backoff between attempts on the same artefact. Real
-#: (slept) seconds, unlike the campaigns' simulated-time backoff — keep
-#: it short: transient worker deaths don't deserve minute-long waits.
+#: Attempts an artefact may consume on worker deaths and timeouts
+#: before it is quarantined. Artefact *errors* (exceptions inside the
+#: experiment) are deterministic and never retried.
+MAX_ATTEMPTS = 3
+
+#: Retry backoff between attempts on the same artefact. Real (slept)
+#: seconds, unlike the campaigns' simulated-time backoff — keep it
+#: short: transient worker deaths don't deserve minute-long waits.
 DEFAULT_RETRY_BACKOFF = BackoffPolicy(base_s=0.05, factor=2.0, cap_s=2.0, jitter=0.1)
 
 
@@ -99,11 +104,11 @@ class ArtefactRun:
     status: str  # one of the STATUS_* constants
     wall_s: float
     worker: str  # e.g. "pid-12345" ("pid-lost" when the worker died,
-    #               "journal" when --resume skipped recomputation)
+    #               "cache" when --resume served a stored result)
     cache_hits: int = 0
     cache_misses: int = 0
     cache_hit_s: float = 0.0  # wall time spent in hitting cache loads
-    #: Attempts consumed (0 when the artefact was resumed from the journal).
+    #: Attempts consumed (0 when --resume served a stored result).
     attempts: int = 1
     error: str = ""
     #: The worker's RSS high-water mark in MB when the artefact's clock
@@ -136,10 +141,6 @@ class RunReport:
     def failed(self) -> List[ArtefactRun]:
         return [run for run in self.runs if run.status != STATUS_OK]
 
-    def resumed(self) -> List[ArtefactRun]:
-        """Rows served from the run journal instead of recomputed."""
-        return [run for run in self.runs if run.worker == "journal"]
-
     def summary_table(self) -> str:
         """The ledger as fixed-width text (what ``run-all`` prints)."""
         lines = [
@@ -165,8 +166,8 @@ class RunReport:
             lines.append(f"  FAILED {run.artefact_id}: {first_line}")
         if self.interrupted:
             lines.append(
-                "  run interrupted before completion — rerun with a journal "
-                "and --resume to finish the remaining artefacts"
+                "  run interrupted before completion — with --resume, "
+                "a rerun finishes the remaining artefacts"
             )
         return "\n".join(lines)
 
@@ -221,9 +222,9 @@ _Outcome = Tuple[ArtefactRun, Any, Optional[Dict[str, Any]]]
 def result_key(artefact_id: str, seed: int, scale: Optional[float]) -> str:
     """Cache key for one artefact's result payload.
 
-    The one construction shared by ``run-all --journal`` checkpoints
-    and the server's ``/artefact`` memo, so the two share cache
-    entries. ``scale`` is dropped for artefacts that ignore it.
+    The one construction shared by ``run-all --resume`` and the
+    server's ``/artefact`` memo, so the two share cache entries.
+    ``scale`` is dropped for artefacts that ignore it.
     """
     import repro
     from repro.experiments import registry
@@ -384,7 +385,7 @@ class StudyRunner:
 
     ``jobs=1`` runs each artefact in the parent (no subprocess, still
     isolated per artefact); ``jobs=N`` uses a ``ProcessPoolExecutor``.
-    Both go through the same supervision loop. Inputs and checkpoints
+    Both go through the same supervision loop. Inputs and stored results
     live in the process-default cache
     (:func:`~repro.core.cache.get_default_cache`), which workers open too.
 
@@ -395,21 +396,12 @@ class StudyRunner:
         killed, the attempt charged, the artefact retried. Refused at
         ``jobs=1`` (``ValueError``): there the attempt runs in the
         parent, which has no worker to kill.
-    ``max_attempts``
-        Total attempts (>=1) an artefact may consume on worker deaths
-        and timeouts before it is quarantined. Artefact *errors*
-        (exceptions inside the experiment) are deterministic and are
-        never retried.
-    ``retry_backoff``
-        :class:`~repro.faults.BackoffPolicy` slept between attempts.
-    ``journal_path``
-        Append-only :class:`~repro.core.journal.RunJournal` checkpoint:
-        each completed artefact's result is persisted to the artifact
-        cache and recorded in the journal, so ``run_all(resume=True)``
-        (CLI: ``run-all --resume``) skips completed work after a crash.
     ``exec_chaos``
         Seeded :class:`~repro.faults.ExecChaos` fault injection for the
         execution layer itself (tests, CI chaos smoke).
+
+    Worker deaths and timeouts are retried after
+    :data:`DEFAULT_RETRY_BACKOFF`, up to :data:`MAX_ATTEMPTS` attempts.
 
     ``trace_dir`` turns telemetry on: the run records into a fresh
     :class:`~repro.obs.TraceRecorder` and writes one JSONL trace file
@@ -432,17 +424,12 @@ class StudyRunner:
         jobs: int = 1,
         trace_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
         history_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
-        journal_path: Optional[Union[str, "os.PathLike[str]"]] = None,
         artefact_timeout_s: Optional[float] = None,
-        max_attempts: int = 3,
-        retry_backoff: Optional[BackoffPolicy] = None,
         exec_chaos: Optional[ExecChaos] = None,
         handle_signals: bool = True,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         if artefact_timeout_s is not None and not artefact_timeout_s > 0:
             raise ValueError(
                 f"artefact_timeout_s must be positive, got {artefact_timeout_s:g}"
@@ -458,14 +445,7 @@ class StudyRunner:
         self.history_dir = (
             pathlib.Path(history_dir) if history_dir is not None else None
         )
-        self.journal_path = (
-            pathlib.Path(journal_path) if journal_path is not None else None
-        )
         self.artefact_timeout_s = artefact_timeout_s
-        self.max_attempts = max_attempts
-        self.retry_backoff = (
-            retry_backoff if retry_backoff is not None else DEFAULT_RETRY_BACKOFF
-        )
         self.exec_chaos = exec_chaos
         self.handle_signals = handle_signals
         self._stop_requested = False
@@ -542,30 +522,12 @@ class StudyRunner:
 
     # -- checkpointing -------------------------------------------------------
 
-    def _workload_key(self, effective_scale: float) -> str:
-        import repro
-
-        return cache_mod.fingerprint(
-            "runjournal", seed=self.seed, scale=effective_scale,
-            version=repro.__version__,
-        )
-
-    def _checkpoint(
-        self,
-        journal: Optional[journal_mod.RunJournal],
-        effective_scale: float,
-        run: ArtefactRun,
-        result: Any,
-    ) -> None:
-        """Persist one completed artefact: payload to cache, line to journal."""
-        if journal is None or run.status != STATUS_OK:
-            return
-        key = result_key(run.artefact_id, self.seed, effective_scale)
-        cache_mod.get_default_cache().store(key, result)
-        journal.append(journal_mod.JournalEntry(
-            artefact_id=run.artefact_id, fingerprint=key, status=STATUS_OK,
-            wall_s=run.wall_s, worker=run.worker, attempts=run.attempts,
-        ))
+    def _checkpoint(self, scale: float, run: ArtefactRun, result: Any) -> None:
+        """Store one completed result under its key, for a later resume."""
+        if run.status == STATUS_OK:
+            cache_mod.get_default_cache().store(
+                result_key(run.artefact_id, self.seed, scale), result
+            )
 
     # -- the run -------------------------------------------------------------
 
@@ -579,8 +541,9 @@ class StudyRunner:
 
         Ids are case-insensitive; an unknown id raises ``KeyError`` and
         a repeated one ``ValueError``, before any work. ``resume=True``
-        (requires ``journal_path``) replays the journal and skips
-        artefacts whose results are already checkpointed.
+        serves each result already stored under its :func:`result_key`
+        as a row that ran nowhere (``worker="cache"``, ``attempts=0``)
+        and stores each result it computes there as it completes.
         """
         recorder: Optional[obs.TraceRecorder] = None
         if self.trace_dir is None:
@@ -627,8 +590,6 @@ class StudyRunner:
     ) -> RunReport:
         from repro.experiments import common, registry
 
-        if resume and self.journal_path is None:
-            raise ValueError("resume=True requires a journal_path")
         if artefacts is None:
             artefacts = registry.artefact_ids()
         else:
@@ -640,16 +601,6 @@ class StudyRunner:
         effective_scale = scale if scale is not None else common.DEFAULT_SCALE
         report = RunReport(seed=self.seed, scale=effective_scale, jobs=self.jobs)
 
-        journal: Optional[journal_mod.RunJournal] = None
-        completed: Dict[str, journal_mod.JournalEntry] = {}
-        if self.journal_path is not None:
-            journal = journal_mod.RunJournal(self.journal_path)
-            key = self._workload_key(effective_scale)
-            if resume:
-                completed = journal.resume(key)
-            else:
-                journal.begin(key)
-
         recorder = obs.get_recorder()
         self._stop_requested = False
         previous_handlers = self._trap_signals()
@@ -658,33 +609,31 @@ class StudyRunner:
             with obs.span(
                 "run_all", seed=self.seed, scale=effective_scale, jobs=self.jobs,
             ) as root:
-                with obs.span("warm_inputs"):
-                    report.warm_wall_s = self.warm_inputs(
-                        effective_scale, artefacts
-                    )
-
-                # Resume: serve checkpointed artefacts straight from the
-                # cache; anything whose payload is gone simply reruns.
+                # Resume: serve each result already stored under its key;
+                # a missing or corrupt one simply reruns.
                 rows: List[_Outcome] = []
                 todo: List[str] = []
                 cache = cache_mod.get_default_cache()
                 for artefact in artefacts:
-                    entry = completed.get(artefact)
-                    result = (
-                        cache.load(entry.fingerprint)
-                        if entry is not None else None
-                    )
-                    if entry is not None and result is not None:
-                        obs.counter("runner.resume_skip").inc()
-                        obs.event("runner.resume_skip", artefact=artefact)
-                        rows.append((ArtefactRun(
-                            artefact, STATUS_OK, entry.wall_s, "journal",
-                            attempts=0,
-                        ), result, None))
-                    else:
+                    result = cache.load(
+                        result_key(artefact, self.seed, effective_scale)
+                    ) if resume else None
+                    if result is None:
                         todo.append(artefact)
+                        continue
+                    obs.counter("runner.resume_skip").inc()
+                    obs.event("runner.resume_skip", artefact=artefact)
+                    rows.append((ArtefactRun(
+                        artefact, STATUS_OK, 0.0, "cache", attempts=0,
+                    ), result, None))
 
-                checkpoint = functools.partial(self._checkpoint, journal, effective_scale)
+                with obs.span("warm_inputs"):
+                    report.warm_wall_s = self.warm_inputs(effective_scale, todo)
+
+                checkpoint = (
+                    functools.partial(self._checkpoint, effective_scale)
+                    if resume else None
+                )
                 rows += self._supervise(todo, scale, checkpoint)
 
                 # Anything not finalized (stop requested mid-run) gets an
@@ -737,7 +686,7 @@ class StudyRunner:
         self,
         artefacts: Sequence[str],
         scale: Optional[float],
-        on_done: Callable[[ArtefactRun, Any], None],
+        on_done: Optional[Callable[[ArtefactRun, Any], None]],
     ) -> List[_Outcome]:
         """Supervised pool execution: watchdog, retries, pool respawn.
 
@@ -761,13 +710,14 @@ class StudyRunner:
 
         def finalize(outcome: _Outcome) -> None:
             out.append(outcome)
-            on_done(outcome[0], outcome[1])
+            if on_done is not None:
+                on_done(outcome[0], outcome[1])
 
         def register_failure(artefact: str, kind: str, detail: str) -> None:
             failures[artefact] += 1
             attempts = failures[artefact]
             obs.counter(f"runner.{kind}").inc()
-            if attempts >= self.max_attempts:
+            if attempts >= MAX_ATTEMPTS:
                 status = STATUS_TIMEOUT if kind == "timeout" else STATUS_QUARANTINED
                 obs.counter("runner.quarantine").inc()
                 obs.event(
@@ -779,7 +729,7 @@ class StudyRunner:
                     error=detail,
                 ), None, None))
             else:
-                delay = self.retry_backoff.delay_s(attempts - 1, rng)
+                delay = DEFAULT_RETRY_BACKOFF.delay_s(attempts - 1, rng)
                 not_before[artefact] = time.monotonic() + delay
                 pending.append(artefact)
                 obs.counter("runner.retry").inc()

@@ -9,8 +9,8 @@ regression engine (:mod:`repro.obs.regress`) and the HTML report
 (``python -m repro report``) read it back to turn isolated snapshots
 into longitudinal trend data.
 
-The file is an append-only JSONL log written and read through the
-helpers in :mod:`repro.obs.sink`, shared with the run journal:
+The file is the package's one append-only JSONL log, written and read
+through the helpers in :mod:`repro.obs.sink`:
 
 * **Atomic appends** (:func:`~repro.obs.sink.append_jsonl`). A
   record is serialized to one ``\\n``-terminated line and written with
@@ -217,6 +217,10 @@ def record_from_report(
     artifact cache keys use (:func:`repro.core.cache.fingerprint` over
     the exported JSON), so a byte-level change in any exported series
     shows up as a fingerprint change in the history.
+
+    A row that ran nowhere (``ok`` with no attempt: a result that
+    ``--resume`` served from the cache) is left out, so no baseline
+    holds a wall time its run did not measure.
     """
     from repro.core.cache import fingerprint
     from repro.experiments.export import jsonable
@@ -224,6 +228,8 @@ def record_from_report(
     created = now if now is not None else time.time()
     artefacts: Dict[str, ArtefactStats] = {}
     for run in report.runs:
+        if run.status == "ok" and run.attempts == 0:
+            continue
         digest = ""
         if run.artefact_id in report.results:
             digest = fingerprint(

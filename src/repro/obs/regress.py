@@ -205,8 +205,11 @@ def compare(
                     baseline=_fmt_s(med),
                     observed=_fmt_s(observed.wall_s),
                     detail=(
-                        f"{observed.wall_s / med:.2f}x the median of "
-                        f"{len(walls)} baseline run(s)"
+                        # A median of 0 s has no ratio; the verdict
+                        # stands without one.
+                        (f"{observed.wall_s / med:.2f}x the median"
+                         if med > 0 else f"above the {_fmt_s(med)} median")
+                        + f" of {len(walls)} baseline run(s)"
                         + (f" (MAD {_fmt_s(mad)})" if len(walls) >= 3 else "")
                     ),
                 ))

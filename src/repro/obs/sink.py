@@ -14,11 +14,11 @@ Format — one JSON object per line, discriminated by ``type``:
 Timestamps live *only* here — never in artefact bytes — so a traced
 ``run_all`` exports byte-identical results to an untraced one.
 
-The module also holds the two helpers every append-only JSONL log in
-the package shares — the :mod:`repro.obs.history` store and the
-:mod:`repro.core.journal` run journal: :func:`append_jsonl` (one line,
-one atomic ``O_APPEND`` write) and :func:`load_jsonl` (keep every line
-that parses, skip what a crashed or newer writer left behind).
+The module also holds the two helpers behind the package's append-only
+JSONL log, the :mod:`repro.obs.history` store: :func:`append_jsonl`
+(one line, one atomic ``O_APPEND`` write) and :func:`load_jsonl` (keep
+every line that parses, skip what a crashed or newer writer left
+behind).
 """
 
 from __future__ import annotations

@@ -146,6 +146,8 @@ class _Handler(BaseHTTPRequestHandler):
     _req_path = ""
     _started_unix = 0.0
     _t0 = 0.0
+    #: True when this request's 503 is a warming server's "not yet".
+    _warming = False
 
     # -- plumbing -------------------------------------------------------------
 
@@ -220,6 +222,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._route = route
         self._req_path = parsed.path
         self._trace = _parse_traceparent(self.headers.get("traceparent", ""))
+        self._warming = False
         self._started_unix = time.time()
         started = self._t0 = time.perf_counter()
         # started vs finished is the dashboard's in-flight derivation.
@@ -242,7 +245,10 @@ class _Handler(BaseHTTPRequestHandler):
         elapsed = time.perf_counter() - started
         obs.counter("server.requests").inc()
         obs.counter(f"server.requests.{route}").inc()
-        obs.counter(f"server.status.{status // 100}xx").inc()
+        # A readiness poll answered "warming" is no server error.
+        warming = self._warming and status == 503
+        bucket = "warming" if warming else f"{status // 100}xx"
+        obs.counter(f"server.status.{bucket}").inc()
         obs.histogram(f"server.latency_s.{route}").observe(elapsed)
 
     def do_POST(self) -> None:  # noqa: N802
@@ -262,6 +268,7 @@ class _Handler(BaseHTTPRequestHandler):
         if route == "healthz":
             payload = self.state.healthz()
             status = 200 if payload["status"] == "ok" else 503
+            self._warming = payload["status"] == "warming"
             self._send_json(status, payload)
             return status
         if route == "index":
@@ -287,6 +294,7 @@ class _Handler(BaseHTTPRequestHandler):
             return self._do_profile(params)
         if not self.state.ready.is_set():
             payload = self.state.healthz()
+            self._warming = payload["status"] == "warming"
             self._send_json(503, payload)
             return 503
         if route == "query":

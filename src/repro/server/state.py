@@ -13,8 +13,8 @@ memory:
   handler threads pure readers);
 * one result per registered artefact, at the server's own scale,
   memoized by artefact id and backed by the persistent artifact cache
-  under the same ``result_key`` the run journal uses, so a ``run-all
-  --journal`` checkpoint and a served ``/artefact`` response share
+  under the ``result_key`` that ``run-all --resume`` reads and writes,
+  so a resumed batch run and a served ``/artefact`` response share
   bytes;
 * the cross-run :class:`~repro.obs.history.HistoryStore` for
   ``/history`` and ``/regress``.

@@ -321,15 +321,15 @@ def _default_cache(root):
 
 @pytest.fixture(scope="module")
 def flip_primed(tmp_path_factory):
-    """A cache holding every entry kind, and the journal of its run."""
+    """A cache holding every entry kind, stored results included."""
     from repro.core.runner import StudyRunner
 
     root = tmp_path_factory.mktemp("flip-primed")
     artefacts = sorted({artefact for _, artefact in _flip_table().values()})
     with _default_cache(root / "cache"):
-        report = StudyRunner(
-            seed=SEED, jobs=1, journal_path=root / "journal.jsonl",
-        ).run_all(scale=SCALE, artefacts=artefacts)
+        report = StudyRunner(seed=SEED, jobs=1).run_all(
+            scale=SCALE, artefacts=artefacts, resume=True
+        )
     assert not report.failed(), report.summary_table()
     return root
 
@@ -357,11 +357,10 @@ def test_flipped_byte_is_an_evicted_miss_that_rebuilds_to_golden(
     assert ArtifactCache(root).verify().corrupt == [key]
 
     with _default_cache(root) as store:
-        # A checkpointed result is read on resume; an input on any run.
-        journal = tmp_path / "run" / "journal.jsonl" if kind == "journal-result" else None
-        report = StudyRunner(
-            seed=SEED, jobs=1, journal_path=journal,
-        ).run_all(scale=SCALE, artefacts=[artefact], resume=journal is not None)
+        # A stored result is read on resume; an input on any run.
+        report = StudyRunner(seed=SEED, jobs=1).run_all(
+            scale=SCALE, artefacts=[artefact], resume=kind == "journal-result"
+        )
     assert store.stats.evictions == 1
     assert ArtifactCache(root).verify().clean and path.is_file()
     golden = json.loads(GOLDEN.read_text())["results"][artefact]

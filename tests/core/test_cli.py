@@ -125,7 +125,6 @@ BAD_NUMERIC_INPUT = [
 ] + [
     # Values the runner, the chaos configs and the profiler refuse
     # themselves; the CLI reports their message instead of a traceback.
-    (["run-all", "--max-attempts", "0"], "max_attempts must be >= 1"),
     (["run-all", "--artefact-timeout", "0"], "artefact_timeout_s must be positive"),
     (["run-all", "--artefact-timeout", "-1"], "artefact_timeout_s must be positive"),
     (["run-all", "--artefact-timeout", "nan"], "artefact_timeout_s must be positive"),
@@ -164,8 +163,6 @@ BAD_NUMERIC_INPUT = [
     (["campaign", "device", "--scale", "0.05", "--save", "."], "--save . is a directory"),
     (["loadgen", "--json", "."], "--json . is a directory"),
     (["profile", "--out", ".", "--", "list"], "--out . is a directory"),
-    (["run-all", "--scale", "0.05", "--artefacts", "T2", "--journal", "."],
-     "--journal . is a directory"),
     # A directory flag that names an existing file: refused before any
     # work, not after the shard has run.
     (["run-all", "--scale", "0.05", "--artefacts", "T2", "--render-dir", "file"],
@@ -179,6 +176,11 @@ BAD_NUMERIC_INPUT = [
     (["loadgen", "--trace", "file"], "--trace file is not a directory"),
     (["report", "--html", "r.html", "--history", "file"],
      "--history file is not a directory"),
+    # A path under an existing file can never be created: refused
+    # before the artefact is printed or the shard runs.
+    (["run", "T2", "--json", "file/x.json"], "--json file/x.json: file is not a directory"),
+    (["run-all", "--scale", "0.05", "--artefacts", "T2", "--render-dir", "file/sub"],
+     "--render-dir file/sub: file is not a directory"),
     # An id asked for twice, whatever its case, is refused, not run twice.
     (["run-all", "--scale", "0.05", "--artefacts", "T2", "t2", "T3"],
      "artefact T2 is listed twice"),
@@ -771,46 +773,63 @@ def test_verbose_surfaces_campaign_weather(capsys):
     assert "went dark" not in captured.out
 
 
-# -- resilient run-all: journal, resume, chaos, cache verify -----------------
+# -- resilient run-all: resume, chaos, cache verify -------------------------
 
 
-def test_run_all_resume_requires_journal(cli_cache, capsys):
-    assert main([
-        "run-all", "--resume", "--cache-dir", str(cli_cache),
-    ]) == 2
-    assert "--resume requires --journal" in capsys.readouterr().err
+def _ledger_workers(out):
+    """Artefact id -> worker column of a ``run-all`` ledger."""
+    return {
+        line.split()[0]: line.split()[3]
+        for line in out.splitlines() if line.split()[1:2] == ["ok"]
+    }
 
 
-def test_run_all_journal_then_resume(cli_cache, tmp_path, capsys):
-    journal = tmp_path / "run.jsonl"
-    assert main([
+def test_run_all_journal_then_resume(cli_cache, capsys):
+    argv = [
         "run-all", "--scale", "0.05", "--artefacts", "T2", "F7",
-        "--cache-dir", str(cli_cache), "--journal", str(journal),
-    ]) == 0
-    capsys.readouterr()
-    assert main([
-        "run-all", "--scale", "0.05", "--artefacts", "T2", "F7",
-        "--cache-dir", str(cli_cache), "--journal", str(journal), "--resume",
-    ]) == 0
+        "--cache-dir", str(cli_cache), "--resume",
+    ]
+    assert main(argv) == 0
+    assert "cache" not in _ledger_workers(capsys.readouterr().out).values()
+    assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "journal" in out  # both rows served from the checkpoint
+    # Both rows served from the results the first run stored.
+    assert _ledger_workers(out) == {"T2": "cache", "F7": "cache"}
     assert "2/2 artefacts ok" in out
 
 
-def test_run_all_resume_mismatched_workload_is_usage_error(
-    cli_cache, tmp_path, capsys
-):
-    journal = tmp_path / "run.jsonl"
+def test_run_all_resume_at_another_scale_serves_nothing(cli_cache, capsys):
+    """F7 reads the scale, so its result key holds it: a result stored
+    at 0.05 is not the 0.03 run's."""
     assert main([
-        "run-all", "--scale", "0.05", "--artefacts", "T2",
-        "--cache-dir", str(cli_cache), "--journal", str(journal),
+        "run-all", "--scale", "0.05", "--artefacts", "F7",
+        "--cache-dir", str(cli_cache), "--resume",
     ]) == 0
     capsys.readouterr()
     assert main([
-        "run-all", "--scale", "0.03", "--artefacts", "T2",
-        "--cache-dir", str(cli_cache), "--journal", str(journal), "--resume",
-    ]) == 2
-    assert "workload" in capsys.readouterr().err
+        "run-all", "--scale", "0.03", "--artefacts", "F7",
+        "--cache-dir", str(cli_cache), "--resume",
+    ]) == 0
+    assert _ledger_workers(capsys.readouterr().out)["F7"].startswith("pid-")
+
+
+def test_run_all_resume_serves_a_served_artefact(cli_cache, tmp_path, capsys):
+    """``/artefact`` stores its result under the key ``--resume`` reads."""
+    from repro.core import cache as cache_mod
+    from repro.server.state import ServerState
+
+    cache_mod.configure(root=cli_cache)
+    served = ServerState(seed=2024, scale=0.05).artefact("F7")
+    assert served["source"] == "computed"
+    out_json = tmp_path / "resumed.json"
+    assert main([
+        "run-all", "--scale", "0.05", "--artefacts", "F7",
+        "--cache-dir", str(cli_cache), "--resume", "--json", str(out_json),
+    ]) == 0
+    report = json.loads(out_json.read_text())
+    (row,) = report["runs"]
+    assert (row["worker"], row["attempts"]) == ("cache", 0)
+    assert report["results"]["F7"] == json.loads(json.dumps(served["result"]))
 
 
 def test_run_all_with_exec_chaos_flags(cli_cache, capsys):
@@ -818,7 +837,6 @@ def test_run_all_with_exec_chaos_flags(cli_cache, capsys):
         "run-all", "--scale", "0.05", "--artefacts", "T2", "F7",
         "--cache-dir", str(cli_cache), "--jobs", "2",
         "--exec-crash-rate", "0.5", "--exec-chaos-seed", "5",
-        "--max-attempts", "3",
     ]) == 0
     assert "2/2 artefacts ok" in capsys.readouterr().out
 
@@ -1135,16 +1153,17 @@ def test_the_exit_path_loses_nothing(tmp_path):
     parallel = json.loads((tmp_path / "parallel.json").read_text())
     assert json.dumps(parallel["results"], sort_keys=True) == serial
 
-    # A journaled run, then a resume of it that recomputes nothing.
-    for resume, attempts in (([], 1), (["--resume"], 0)):
+    # A run that stores its results, then a resume of it that
+    # recomputes nothing.
+    for attempts in (1, 0):
         done = _python_m_repro(
             tmp_path, "run-all", "--scale", "0.05", "--artefacts", *subset,
-            "--journal", "run.jsonl", "--json", "journaled.json", *resume,
+            "--resume", "--json", "resumed.json",
         )
         assert done.returncode == 0, done.stderr
-        journaled = json.loads((tmp_path / "journaled.json").read_text())
-        assert [run["attempts"] for run in journaled["runs"]] == [attempts] * 4
-        assert json.dumps(journaled["results"], sort_keys=True) == serial
+        resumed = json.loads((tmp_path / "resumed.json").read_text())
+        assert [run["attempts"] for run in resumed["runs"]] == [attempts] * 4
+        assert json.dumps(resumed["results"], sort_keys=True) == serial
 
 
 @pytest.mark.parametrize("argv", [["list"], ["trace", "summary", "{trace}"]],

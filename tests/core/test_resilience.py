@@ -1,4 +1,4 @@
-"""Resilient execution: supervision, chaos, journal and resume.
+"""Resilient execution: supervision, chaos and resume.
 
 The ISSUE-6 acceptance bar, pinned as tests: with seeded exec-chaos
 injecting worker crashes and a hang, a ``jobs=4`` run completes every
@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.core import cache as cache_mod
-from repro.core.journal import JournalEntry, JournalMismatch, RunJournal
+from repro.core import runner as runner_mod
 from repro.core.runner import StudyRunner, result_key
 from repro.faults import BackoffPolicy, ExecChaos, InjectedWorkerCrash
 from repro.faults import execchaos as execchaos_mod
@@ -30,6 +30,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "run_all_seed2024_scale0.05.
 
 #: Backoff tuned for tests: retries are effectively immediate.
 FAST_RETRY = BackoffPolicy(base_s=0.001, factor=1.0, cap_s=0.01, jitter=0.0)
+
+
+@pytest.fixture()
+def fast_retry(monkeypatch):
+    monkeypatch.setattr(runner_mod, "DEFAULT_RETRY_BACKOFF", FAST_RETRY)
 
 
 @pytest.fixture()
@@ -98,93 +103,32 @@ def test_inject_crash_raises_inline_and_corrupts_cache(tmp_path):
     assert store.load("victim-aaaa") is None
 
 
-# -- journal unit behaviour ---------------------------------------------------
-
-
-def test_journal_roundtrip(tmp_path):
-    journal = RunJournal(tmp_path / "run.jsonl")
-    journal.begin("workload-1")
-    journal.append(JournalEntry("T2", "fp-t2", wall_s=0.5, worker="pid-1"))
-    journal.append(JournalEntry("F7", "fp-f7", attempts=2))
-    workload, entries = journal.load()
-    assert workload == "workload-1"
-    assert set(entries) == {"T2", "F7"}
-    assert entries["T2"].fingerprint == "fp-t2"
-    assert entries["F7"].attempts == 2
-    assert journal.resume("workload-1") == entries
-
-
-def test_journal_resume_refuses_other_workload(tmp_path):
-    journal = RunJournal(tmp_path / "run.jsonl")
-    journal.begin("workload-1")
-    with pytest.raises(JournalMismatch):
-        journal.resume("workload-2")
-
-
-def test_journal_resume_starts_fresh_when_missing(tmp_path):
-    journal = RunJournal(tmp_path / "run.jsonl")
-    assert journal.resume("workload-1") == {}
-    workload, _entries = journal.load()
-    assert workload == "workload-1"  # begin() was called for us
-
-
-def test_journal_tolerates_corruption(tmp_path):
-    path = tmp_path / "run.jsonl"
-    journal = RunJournal(path)
-    journal.begin("workload-1")
-    journal.append(JournalEntry("T2", "fp-t2"))
-    with path.open("a") as handle:
-        handle.write("garbage not json\n")
-        handle.write('{"kind": "artefact"}\n')  # unusable: no artefact_id
-        handle.write(json.dumps({
-            "kind": "artefact", "artefact_id": "XX", "fingerprint": "fp-xx",
-            "status": "ok", "schema": 99,  # newer writer: must be skipped
-        }) + "\n")
-    journal.append(JournalEntry("F7", "fp-f7"))
-    with path.open("a") as handle:
-        handle.write('{"kind": "artefact", "artefact_id": "T')  # torn write
-    workload, entries = journal.load()
-    assert workload == "workload-1"
-    assert set(entries) == {"T2", "F7"}
-    # Appending after a torn write seals the partial line first.
-    journal.append(JournalEntry("X1", "fp-x1"))
-    _workload, entries = journal.load()
-    assert set(entries) == {"T2", "F7", "X1"}
-
-
-def test_journal_resume_skips_non_ok_entries(tmp_path):
-    journal = RunJournal(tmp_path / "run.jsonl")
-    journal.begin("workload-1")
-    journal.append(JournalEntry("T2", "fp-t2"))
-    journal.append(JournalEntry("F7", "", status="quarantined"))
-    journal.append(JournalEntry("X1", "fp-x1", status="timeout"))
-    assert set(journal.resume("workload-1")) == {"T2"}
-
-
 # -- supervised execution -----------------------------------------------------
 
 
-def test_serial_injected_crash_is_retried(isolated_cache):
+def test_serial_injected_crash_is_retried(isolated_cache, fast_retry):
     chaos = ExecChaos(seed=0, worker_crash_rate=1.0)  # attempt 0 always dies
     report = StudyRunner(
-        seed=2024, jobs=1, exec_chaos=chaos, retry_backoff=FAST_RETRY,
+        seed=2024, jobs=1, exec_chaos=chaos,
     ).run_all(scale=SCALE, artefacts=["T2", "F7"])
     assert not report.failed(), report.summary_table()
     assert all(run.attempts == 2 for run in report.runs)
 
 
-def test_serial_repeated_crash_quarantines(isolated_cache):
+def test_serial_repeated_crash_quarantines(isolated_cache, fast_retry, monkeypatch):
+    monkeypatch.setattr(runner_mod, "MAX_ATTEMPTS", 2)
     chaos = ExecChaos(seed=0, worker_crash_rate=1.0, max_faulty_attempts=99)
     report = StudyRunner(
-        seed=2024, jobs=1, exec_chaos=chaos, max_attempts=2,
-        retry_backoff=FAST_RETRY,
+        seed=2024, jobs=1, exec_chaos=chaos,
     ).run_all(scale=SCALE, artefacts=["T2", "F7"])
     assert [run.status for run in report.runs] == ["quarantined", "quarantined"]
     assert all(run.attempts == 2 for run in report.runs)
     assert "FAILED T2" in report.summary_table()
 
 
-def test_deterministic_artefact_error_is_not_retried(isolated_cache, monkeypatch):
+def test_deterministic_artefact_error_is_not_retried(
+    isolated_cache, fast_retry, monkeypatch
+):
     from repro.core.study import ThickMnaStudy
 
     calls = []
@@ -197,9 +141,9 @@ def test_deterministic_artefact_error_is_not_retried(isolated_cache, monkeypatch
         return original_run(self, artefact_id, scale=scale)
 
     monkeypatch.setattr(ThickMnaStudy, "run", exploding)
-    report = StudyRunner(
-        seed=2024, jobs=1, retry_backoff=FAST_RETRY,
-    ).run_all(scale=SCALE, artefacts=["T2", "F7"])
+    report = StudyRunner(seed=2024, jobs=1).run_all(
+        scale=SCALE, artefacts=["T2", "F7"]
+    )
     by_id = {run.artefact_id: run for run in report.runs}
     assert by_id["T2"].status == "error"
     assert by_id["T2"].attempts == 1
@@ -208,14 +152,13 @@ def test_deterministic_artefact_error_is_not_retried(isolated_cache, monkeypatch
     assert by_id["F7"].status == "ok"
 
 
-def test_parallel_chaos_completes_every_artefact(isolated_cache):
+def test_parallel_chaos_completes_every_artefact(isolated_cache, fast_retry):
     """The acceptance criterion: 10% crashes + one hang, jobs=4, no stall."""
     chaos = ExecChaos(
         seed=11, worker_crash_rate=0.10, hang_artefacts=("F7",), hang_s=60.0,
     )
     report = StudyRunner(
         seed=2024, jobs=4, exec_chaos=chaos, artefact_timeout_s=6.0,
-        retry_backoff=FAST_RETRY,
     ).run_all(scale=SCALE)
     assert len(report.runs) == 31
     assert {run.status for run in report.runs} <= {"ok", "timeout", "quarantined"}
@@ -225,15 +168,15 @@ def test_parallel_chaos_completes_every_artefact(isolated_cache):
     assert hang_row.status == "ok"
 
 
-def test_parallel_chaos_matches_clean_run_bytes(isolated_cache):
+def test_parallel_chaos_matches_clean_run_bytes(isolated_cache, fast_retry):
     """Chaos perturbs scheduling, never artefact bytes."""
     from repro.experiments.export import jsonable
 
     clean = StudyRunner(seed=2024, jobs=2).run_all(scale=SCALE, artefacts=SUBSET)
     chaos = ExecChaos(seed=5, worker_crash_rate=0.5)
-    chaotic = StudyRunner(
-        seed=2024, jobs=2, exec_chaos=chaos, retry_backoff=FAST_RETRY,
-    ).run_all(scale=SCALE, artefacts=SUBSET)
+    chaotic = StudyRunner(seed=2024, jobs=2, exec_chaos=chaos).run_all(
+        scale=SCALE, artefacts=SUBSET
+    )
     assert not chaotic.failed(), chaotic.summary_table()
     for artefact_id in SUBSET:
         assert json.dumps(jsonable(clean.results[artefact_id]), sort_keys=True) == \
@@ -246,7 +189,7 @@ CHAOS_OVERHEAD_X = 5.0
 
 
 @pytest.mark.chaos
-def test_supervised_chaos_overhead_is_bounded(isolated_cache):
+def test_supervised_chaos_overhead_is_bounded(isolated_cache, fast_retry):
     # Warm pass so both timed runs read identical cached inputs.
     StudyRunner(seed=2024, jobs=2).run_all(scale=SCALE, artefacts=SUBSET)
 
@@ -257,8 +200,7 @@ def test_supervised_chaos_overhead_is_bounded(isolated_cache):
     chaos = ExecChaos(seed=5, worker_crash_rate=0.5)
     started = time.perf_counter()
     chaotic = StudyRunner(
-        seed=2024, jobs=2, exec_chaos=chaos, retry_backoff=FAST_RETRY,
-        artefact_timeout_s=30.0,
+        seed=2024, jobs=2, exec_chaos=chaos, artefact_timeout_s=30.0,
     ).run_all(scale=SCALE, artefacts=SUBSET)
     chaotic_s = time.perf_counter() - started
 
@@ -270,13 +212,13 @@ def test_supervised_chaos_overhead_is_bounded(isolated_cache):
     )
 
 
-def test_watchdog_times_out_hung_artefact(isolated_cache):
+def test_watchdog_times_out_hung_artefact(isolated_cache, fast_retry, monkeypatch):
+    monkeypatch.setattr(runner_mod, "MAX_ATTEMPTS", 2)
     chaos = ExecChaos(
         seed=0, hang_artefacts=("T2",), hang_s=120.0, max_faulty_attempts=99,
     )
     report = StudyRunner(
         seed=2024, jobs=2, exec_chaos=chaos, artefact_timeout_s=1.0,
-        max_attempts=2, retry_backoff=FAST_RETRY,
     ).run_all(scale=SCALE, artefacts=["T2", "F7"])
     by_id = {run.artefact_id: run for run in report.runs}
     assert by_id["T2"].status == "timeout"
@@ -288,79 +230,116 @@ def test_watchdog_times_out_hung_artefact(isolated_cache):
 # -- resume -------------------------------------------------------------------
 
 
-def test_resume_requires_journal(isolated_cache):
-    with pytest.raises(ValueError):
-        StudyRunner(seed=2024, jobs=1).run_all(scale=SCALE, resume=True)
-
-
-def test_resume_skips_completed_work_and_matches_bytes(isolated_cache, tmp_path):
+def test_resume_skips_completed_work_and_matches_bytes(isolated_cache):
     from repro.experiments.export import jsonable
 
-    journal_path = tmp_path / "run.jsonl"
-    first = StudyRunner(
-        seed=2024, jobs=1, journal_path=journal_path,
-    ).run_all(scale=SCALE, artefacts=SUBSET)
+    first = StudyRunner(seed=2024, jobs=1).run_all(
+        scale=SCALE, artefacts=SUBSET, resume=True
+    )
     assert not first.failed()
-    resumed = StudyRunner(
-        seed=2024, jobs=1, journal_path=journal_path,
-    ).run_all(scale=SCALE, artefacts=SUBSET, resume=True)
-    assert [run.worker for run in resumed.runs] == ["journal"] * len(SUBSET)
+    assert "cache" not in {run.worker for run in first.runs}
+    resumed = StudyRunner(seed=2024, jobs=1).run_all(
+        scale=SCALE, artefacts=SUBSET, resume=True
+    )
+    assert [run.worker for run in resumed.runs] == ["cache"] * len(SUBSET)
     assert [run.attempts for run in resumed.runs] == [0] * len(SUBSET)
+    assert [run.wall_s for run in resumed.runs] == [0.0] * len(SUBSET)
     for artefact_id in SUBSET:
         assert json.dumps(jsonable(first.results[artefact_id]), sort_keys=True) == \
             json.dumps(jsonable(resumed.results[artefact_id]), sort_keys=True)
 
 
-def test_resume_refuses_mismatched_workload(isolated_cache, tmp_path):
-    journal_path = tmp_path / "run.jsonl"
-    StudyRunner(seed=2024, jobs=1, journal_path=journal_path).run_all(
+def test_a_run_without_resume_reads_and_writes_no_result(isolated_cache):
+    StudyRunner(seed=2024, jobs=1).run_all(scale=SCALE, artefacts=["T2", "F7"])
+    assert not list(isolated_cache.root.glob("artefact-result-*.pkl"))
+    StudyRunner(seed=2024, jobs=1).run_all(
+        scale=SCALE, artefacts=["T2"], resume=True
+    )
+    report = StudyRunner(seed=2024, jobs=1).run_all(
         scale=SCALE, artefacts=["T2"]
     )
-    with pytest.raises(JournalMismatch):
-        # Different seed => different workload fingerprint.
-        StudyRunner(seed=7, jobs=1, journal_path=journal_path).run_all(
-            scale=SCALE, artefacts=["T2"], resume=True
-        )
+    assert report.runs[0].worker != "cache" and report.runs[0].attempts == 1
 
 
-def test_resume_reruns_artefact_with_missing_payload(isolated_cache, tmp_path):
-    journal_path = tmp_path / "run.jsonl"
-    runner = StudyRunner(seed=2024, jobs=1, journal_path=journal_path)
-    first = runner.run_all(scale=SCALE, artefacts=["T2", "F7"])
+def test_resume_at_another_seed_serves_nothing(isolated_cache):
+    """The result key holds the seed: another seed's results are not
+    this run's, whatever the cache holds."""
+    StudyRunner(seed=2024, jobs=1).run_all(
+        scale=SCALE, artefacts=["T2", "F7"], resume=True
+    )
+    report = StudyRunner(seed=7, jobs=1).run_all(
+        scale=SCALE, artefacts=["T2", "F7"], resume=True
+    )
+    assert not report.failed()
+    assert [run.attempts for run in report.runs] == [1, 1]
+    assert "cache" not in {run.worker for run in report.runs}
+
+
+def test_resume_reruns_artefact_with_missing_payload(isolated_cache):
+    runner = StudyRunner(seed=2024, jobs=1)
+    first = runner.run_all(scale=SCALE, artefacts=["T2", "F7"], resume=True)
     assert not first.failed()
-    # Evict one checkpointed payload: resume must recompute just that one.
+    # Evict one stored result: resume must recompute just that one.
     key = result_key("T2", 2024, SCALE)
     (isolated_cache.root / f"{key}.pkl").unlink()
-    resumed = StudyRunner(
-        seed=2024, jobs=1, journal_path=journal_path,
-    ).run_all(scale=SCALE, artefacts=["T2", "F7"], resume=True)
+    resumed = StudyRunner(seed=2024, jobs=1).run_all(
+        scale=SCALE, artefacts=["T2", "F7"], resume=True
+    )
     by_id = {run.artefact_id: run for run in resumed.runs}
-    assert by_id["T2"].worker != "journal"  # recomputed
-    assert by_id["F7"].worker == "journal"  # served from the checkpoint
+    assert by_id["T2"].worker != "cache"  # recomputed
+    assert by_id["F7"].worker == "cache"  # served from the cache
     assert not resumed.failed()
+    assert (isolated_cache.root / f"{key}.pkl").is_file()  # stored again
 
 
-def test_served_artefact_reads_the_journal_checkpoint(
-    isolated_cache, tmp_path, monkeypatch
+def test_served_artefact_reads_the_resume_checkpoint(
+    isolated_cache, monkeypatch
 ):
-    """A ``run-all --journal`` checkpoint and ``/artefact`` share one key:
-    the server answers from the checkpoint and computes nothing."""
+    """``run-all --resume`` and ``/artefact`` share one key: the server
+    answers from the stored result and computes nothing."""
     from repro.core.study import ThickMnaStudy
     from repro.experiments.export import jsonable
     from repro.server.state import ServerState
 
-    report = StudyRunner(
-        seed=2024, jobs=1, journal_path=tmp_path / "run.jsonl",
-    ).run_all(scale=SCALE, artefacts=["T2"])
+    report = StudyRunner(seed=2024, jobs=1).run_all(
+        scale=SCALE, artefacts=["T2"], resume=True
+    )
     assert not report.failed()
 
     def no_compute(*args, **kwargs):
-        raise AssertionError("the server recomputed a checkpointed result")
+        raise AssertionError("the server recomputed a stored result")
 
     monkeypatch.setattr(ThickMnaStudy, "run", no_compute)
     payload = ServerState(seed=2024, scale=SCALE).artefact("T2")
     assert payload["source"] == "cache"
     assert payload["result"] == jsonable(report.results["T2"])
+
+
+def test_resumed_rows_stay_out_of_history(isolated_cache, tmp_path):
+    """A resumed run records only what it computed, so the next full
+    run is judged against walls that were measured. F5 takes well over
+    ``MIN_LATENCY_EXCESS_S``: a 0 s baseline would make it a latency
+    regression."""
+    from repro.obs.history import HistoryStore
+    from repro.obs.regress import KIND_LATENCY, MIN_LATENCY_EXCESS_S, detect
+
+    history = tmp_path / "hist"
+    StudyRunner(seed=2024, jobs=1).run_all(
+        scale=SCALE, artefacts=["F5", "T2"], resume=True
+    )
+    resumed = StudyRunner(seed=2024, jobs=1, history_dir=history).run_all(
+        scale=SCALE, artefacts=["F5", "T2", "F7"], resume=True
+    )
+    assert [run.worker == "cache" for run in resumed.runs] == [True, True, False]
+    (record,) = HistoryStore(history).load()
+    assert sorted(record.artefacts) == ["F7"]
+
+    full = StudyRunner(seed=2024, jobs=1, history_dir=history).run_all(
+        scale=SCALE, artefacts=["F5", "T2", "F7"]
+    )
+    assert full.runs[0].wall_s > MIN_LATENCY_EXCESS_S
+    verdicts = detect(HistoryStore(history)).verdicts
+    assert not [v for v in verdicts if v.kind == KIND_LATENCY], verdicts
 
 
 # -- interruption -------------------------------------------------------------
@@ -413,13 +392,10 @@ def _cli_env(cache_dir: pathlib.Path) -> dict:
     return env
 
 
-def _journal_completions(path: pathlib.Path) -> int:
-    if not path.is_file():
-        return 0
-    return sum(
-        1 for line in path.read_text().splitlines() if '"kind": "artefact"' in line
-        or '"kind":"artefact"' in line
-    )
+def _stored_results(cache_dir: pathlib.Path) -> int:
+    """Results a ``--resume`` run has stored so far (temp files of a
+    store in flight start with a dot and do not match)."""
+    return len(list(cache_dir.glob("artefact-result-*.pkl")))
 
 
 @pytest.mark.chaos
@@ -427,12 +403,10 @@ def test_sigkill_then_resume_matches_golden(tmp_path):
     """Kill -9 a run mid-flight; --resume completes it byte-identically."""
     golden = json.loads(GOLDEN.read_text())
     cache_dir = tmp_path / "cache"
-    journal = tmp_path / "run.jsonl"
     out_json = tmp_path / "report.json"
     base_cmd = [
         sys.executable, "-m", "repro", "--seed", str(golden["seed"]),
-        "run-all", "--jobs", "2", "--scale", str(golden["scale"]),
-        "--journal", str(journal),
+        "run-all", "--jobs", "2", "--scale", str(golden["scale"]), "--resume",
     ]
     env = _cli_env(cache_dir)
     proc = subprocess.Popen(
@@ -441,12 +415,12 @@ def test_sigkill_then_resume_matches_golden(tmp_path):
     )
     deadline = time.time() + 300
     try:
-        # Let it checkpoint a few artefacts, then kill it ungracefully.
-        while _journal_completions(journal) < 3:
+        # Let it store a few results, then kill it ungracefully.
+        while _stored_results(cache_dir) < 3:
             if proc.poll() is not None:
                 pytest.fail(
                     f"run finished (rc={proc.returncode}) before the kill "
-                    f"window; got {_journal_completions(journal)} completions"
+                    f"window; got {_stored_results(cache_dir)} stored results"
                 )
             if time.time() > deadline:
                 pytest.fail("run never checkpointed 3 artefacts")
@@ -456,18 +430,18 @@ def test_sigkill_then_resume_matches_golden(tmp_path):
     finally:
         if proc.poll() is None:
             proc.kill()
-    killed_at = _journal_completions(journal)
+    killed_at = _stored_results(cache_dir)
     assert killed_at >= 3
 
     resumed = subprocess.run(
-        base_cmd + ["--resume", "--json", str(out_json)],
+        base_cmd + ["--json", str(out_json)],
         env=env, capture_output=True, text=True, timeout=600,
     )
     assert resumed.returncode == 0, resumed.stdout + resumed.stderr
     report = json.loads(out_json.read_text())
     assert report["ok"] and not report["interrupted"]
-    served = [r for r in report["runs"] if r["worker"] == "journal"]
-    assert len(served) >= 3  # the pre-kill checkpoints were actually reused
+    served = [r for r in report["runs"] if r["worker"] == "cache"]
+    assert len(served) >= 3  # the pre-kill results were actually reused
     assert sorted(report["results"]) == sorted(golden["results"])
     for artefact_id, result in report["results"].items():
         fresh = json.dumps(result, indent=2, sort_keys=True)
@@ -478,12 +452,11 @@ def test_sigkill_then_resume_matches_golden(tmp_path):
 @pytest.mark.chaos
 def test_sigint_writes_partial_report_and_distinct_exit_code(tmp_path):
     cache_dir = tmp_path / "cache"
-    journal = tmp_path / "run.jsonl"
     out_json = tmp_path / "report.json"
     history = tmp_path / "hist"
     cmd = [
         sys.executable, "-m", "repro", "run-all", "--jobs", "2",
-        "--scale", "0.05", "--journal", str(journal),
+        "--scale", "0.05", "--resume",
         "--json", str(out_json), "--history", str(history),
         # One artefact hangs (far longer than the test), guaranteeing the
         # run is still alive when the signal lands.
@@ -495,13 +468,13 @@ def test_sigint_writes_partial_report_and_distinct_exit_code(tmp_path):
     )
     deadline = time.time() + 300
     try:
-        # Wait for proof the supervised loop is live (a completion is
-        # journalled strictly after the signal handlers are installed).
-        while _journal_completions(journal) < 1:
+        # Wait for proof the supervised loop is live (a result is
+        # stored strictly after the signal handlers are installed).
+        while _stored_results(cache_dir) < 1:
             if proc.poll() is not None:
                 pytest.fail(f"run exited early: rc={proc.returncode}")
             if time.time() > deadline:
-                pytest.fail("run never journalled a completion")
+                pytest.fail("run never stored a result")
             time.sleep(0.05)
         proc.send_signal(signal.SIGINT)
         rc = proc.wait(timeout=120)

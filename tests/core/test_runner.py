@@ -83,21 +83,20 @@ def test_failure_is_isolated_per_artefact(isolated_cache, monkeypatch):
     assert "FAILED T2" in report.summary_table()
 
 
-def test_serial_ledger_records_the_peak_rss_after_each_artefact(isolated_cache, tmp_path):
+def test_serial_ledger_records_the_peak_rss_after_each_artefact(isolated_cache):
     """One process's high-water mark never falls, so in run order the
     rows' values never decrease; a resumed row ran nowhere and reads 0."""
-    journal = tmp_path / "journal.jsonl"
-    report = StudyRunner(seed=2024, jobs=1, journal_path=journal).run_all(
-        scale=SCALE, artefacts=SUBSET
+    report = StudyRunner(seed=2024, jobs=1).run_all(
+        scale=SCALE, artefacts=SUBSET, resume=True
     )
     peaks = [run.peak_rss_mb for run in report.runs]
     assert all(run.status == "ok" for run in report.runs)
     assert all(peak > 0 for peak in peaks) and peaks == sorted(peaks)
     assert [row["peak_rss_mb"] for row in report.to_jsonable()["runs"]] == peaks
-    resumed = StudyRunner(seed=2024, jobs=1, journal_path=journal).run_all(
+    resumed = StudyRunner(seed=2024, jobs=1).run_all(
         scale=SCALE, artefacts=SUBSET, resume=True
     )
-    assert [run.worker for run in resumed.runs] == ["journal"] * len(SUBSET)
+    assert [run.worker for run in resumed.runs] == ["cache"] * len(SUBSET)
     assert [run.peak_rss_mb for run in resumed.runs] == [0.0] * len(SUBSET)
 
 

@@ -3,7 +3,7 @@
 run the same verdicts, because all four call
 :func:`repro.obs.regress.judge`.
 
-One store holds four groups, each built so that a reader with its own
+One store holds five groups, each built so that a reader with its own
 baseline slice or its own SLO rule would disagree with the others:
 
 * ``a``: a full run, an interrupted run whose completed T2 was fast,
@@ -15,6 +15,8 @@ baseline slice or its own SLO rule would disagree with the others:
   requests and a p99 10x its budget. Over budget is over budget,
   whatever the route's error count.
 * ``d``: 12 runs of one group, the last one slow.
+* ``e``: a baseline whose F5 took 0 s, then a run whose F5 took 0.3 s.
+  The verdict stands, rendered without a ratio to the 0 s median.
 """
 
 import json
@@ -84,6 +86,7 @@ EXPECTED = {
     "b": {("query", KIND_SLO)},
     "c": {("query", KIND_SLO)},
     "d": {("T2", KIND_LATENCY)},
+    "e": {("F5", KIND_LATENCY)},
 }
 
 
@@ -107,7 +110,9 @@ def judged(tmp_path_factory):
         latest["d"] = store.append(
             _run(f"d-{index:02d}", 10.0 + index, {"T2": wall}, scale=0.15)
         )
-    assert len({record.group_key() for record in latest.values()}) == 4
+    store.append(_run("e-zero", 30.0, {"F5": 0.0}, scale=0.25))
+    latest["e"] = store.append(_run("e-slow", 31.0, {"F5": 0.3}, scale=0.25))
+    assert len({record.group_key() for record in latest.values()}) == 5
 
     html_path = root / "report.html"
     assert main(["report", "--html", str(html_path),

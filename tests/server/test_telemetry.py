@@ -18,7 +18,7 @@ import pytest
 
 from repro import obs
 from repro.obs import exposition
-from repro.server import ROUTE_SLOS_P99_S, LoadGenerator, create_server
+from repro.server import ROUTE_SLOS_P99_S, LoadGenerator, ServerState, create_server
 from repro.server.loadgen import MIX, SENDERS
 
 
@@ -294,6 +294,50 @@ def test_ops_routes_answer_before_the_server_is_warm(tmp_path):
         srv.stop()
         accept.join(timeout=30.0)
     assert not srv.sampler.alive()
+
+
+def test_readiness_polls_are_not_server_errors(monkeypatch):
+    """A 503 answered while the server warms counts in
+    ``server.status.warming``; one after a failed warm-up is a 5xx.
+    Counters are read after ``stop()``, which joins every handler."""
+    names = ("server.status.5xx", "server.status.warming")
+
+    def counted(srv, before):
+        return tuple(srv.registry.counter(n).value - b for n, b in zip(names, before))
+
+    srv = create_server(scale=0.02)
+    before = counted(srv, (0, 0))
+    accept = threading.Thread(target=srv.serve_forever, daemon=True)
+    accept.start()
+    try:
+        url = f"http://127.0.0.1:{srv.port}"
+        # Held: warm() has not started, so every poll is a "not yet".
+        assert _get(f"{url}/healthz")[0] == 503
+        assert _get(f"{url}/query?kind=web")[0] == 503
+        srv.state.warm()
+        assert _get(f"{url}/healthz")[0] == 200
+    finally:
+        srv.stop()
+        accept.join(timeout=30.0)
+    assert counted(srv, before) == (0, 2)
+
+    def broken(self):
+        raise RuntimeError("no indexes today")
+
+    monkeypatch.setattr(ServerState, "_prebuild_indexes", broken)
+    srv = create_server(scale=0.02)
+    before = counted(srv, (0, 0))
+    accept = threading.Thread(target=srv.serve_forever, daemon=True)
+    accept.start()
+    try:
+        with pytest.raises(RuntimeError):
+            srv.state.warm()
+        status, body, _ = _get(f"http://127.0.0.1:{srv.port}/healthz")
+        assert (status, json.loads(body)["status"]) == (503, "failed")
+    finally:
+        srv.stop()
+        accept.join(timeout=30.0)
+    assert counted(srv, before) == (1, 0)
 
 
 def test_loadgen_mix_includes_telemetry_inside_slo_gates():

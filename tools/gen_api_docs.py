@@ -23,7 +23,6 @@ import sys
 PACKAGES = [
     "repro",
     "repro.core",
-    "repro.core.journal",
     "repro.obs",
     "repro.obs.exposition",
     "repro.obs.live",
