@@ -56,6 +56,7 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import gc
+import importlib
 import json
 import os
 import pathlib
@@ -154,7 +155,12 @@ class RunReport:
                 f"{run.cache_hits:4d} {run.cache_misses:4d} "
                 f"{run.cache_hit_s * 1000:7.1f}"
             )
-        workers = {run.worker for run in self.runs}
+        # Workers that ran something: not "cache" (served by --resume),
+        # "-" (interrupted) or "pid-lost" (a dead worker's unknown pid).
+        workers = {
+            run.worker for run in self.runs
+            if run.worker.startswith("pid-") and run.worker[4:].isdigit()
+        }
         lines.append(
             f"{len(self.ok())}/{len(self.runs)} artefacts ok in "
             f"{self.total_wall_s:.2f}s wall "
@@ -543,8 +549,15 @@ class StudyRunner:
         a repeated one ``ValueError``, before any work. ``resume=True``
         serves each result already stored under its :func:`result_key`
         as a row that ran nowhere (``worker="cache"``, ``attempts=0``)
-        and stores each result it computes there as it completes.
+        and stores each result it computes there as it completes; with
+        the cache disabled it has nowhere to do either, and raises
+        ``ValueError`` before any work.
         """
+        if resume and not cache_mod.get_default_cache().enabled:
+            raise ValueError(
+                "resume needs the artifact cache, which is disabled "
+                f"(--no-cache or ${cache_mod.ENV_CACHE_DISABLE})"
+            )
         recorder: Optional[obs.TraceRecorder] = None
         if self.trace_dir is None:
             report = self._run_all_inner(scale, artefacts, resume)
@@ -598,6 +611,11 @@ class StudyRunner:
                 registry.get_spec(artefact)  # fail fast on unknown ids
                 if artefact in artefacts[:index]:
                     raise ValueError(f"artefact {artefact} is listed twice")
+        # Load each experiment before the clock starts and before
+        # warm_inputs freezes the collector: no import lands in an
+        # artefact's wall_s, and forked workers inherit the modules.
+        for artefact in artefacts:
+            importlib.import_module(registry.get_spec(artefact).module)
         effective_scale = scale if scale is not None else common.DEFAULT_SCALE
         report = RunReport(seed=self.seed, scale=effective_scale, jobs=self.jobs)
 

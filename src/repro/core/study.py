@@ -15,12 +15,11 @@ Experiments are identified by the paper's artefact ids ("T2"-"T4",
 "RX1", the resilience check that replays the campaign under injected
 faults (see ``repro.faults``).
 
-Dispatch is declarative: every experiment module registers an
-:class:`~repro.experiments.registry.ExperimentSpec` via the
-``@experiment`` decorator, and the driver forwards exactly the
-parameters each spec declares (``seed`` / ``scale``), so each artefact
-is a function of ``(seed, scale)`` — there is no hand-maintained
-id->module table or "takes scale" set to drift out of sync.
+Dispatch goes through one table: each artefact id has a row in
+:data:`repro.experiments.registry.ARTEFACTS` naming its module, inputs
+and title, and the driver forwards exactly the parameters its
+:class:`~repro.experiments.registry.ExperimentSpec` declares (``seed`` /
+``scale``), so each artefact is a function of ``(seed, scale)``.
 """
 
 from __future__ import annotations

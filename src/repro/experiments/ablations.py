@@ -25,7 +25,6 @@ from repro.cellular import (
     UserEquipment,
 )
 from repro.experiments import common
-from repro.experiments.registry import experiment
 
 
 def _attach_with_selection(world, country: str, selection: PGWSelection, rng):
@@ -193,8 +192,6 @@ def run_cqi_filter(scale: float = common.DEFAULT_SCALE, seed: int = common.DEFAU
     }
 
 
-@experiment("XA", title="Ablations — PGW selection / LBO / DoH / CQI filter",
-            inputs=('world',))
 def run(seed: int = common.DEFAULT_SEED) -> Dict:
     """All four ablations."""
     return {

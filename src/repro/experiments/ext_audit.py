@@ -14,7 +14,6 @@ from typing import Dict
 
 from repro.analysis.audit import AuditPlan, ThickMnaAuditor, render_findings
 from repro.experiments import common
-from repro.experiments.registry import experiment
 from repro.worlds import build_emnify_world
 from repro.worlds import paperdata as pd
 
@@ -32,8 +31,6 @@ REPRESENTATIVE_COUNTRIES = (
 )
 
 
-@experiment("X3", title="Extension X3 — generic thick-MNA audit",
-            inputs=('world',))
 def run(seed: int = common.DEFAULT_SEED, full: bool = False) -> Dict:
     world = common.get_world(seed)
     rng = random.Random(f"{seed}:audit")

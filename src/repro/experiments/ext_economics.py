@@ -13,13 +13,10 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.experiments import common
-from repro.experiments.registry import experiment
 from repro.market.wholesale import WholesaleMarket, margin_summary
 from repro.worlds import paperdata as pd
 
 
-@experiment("X5", title="Extension X5 — wholesale unit economics",
-            inputs=('market',))
 def run() -> Dict:
     retail = common.get_listing(common.SNAPSHOT_DAY).median_usd_per_gb_by_country(
         common.SNAPSHOT_DAY, provider="Airalo"

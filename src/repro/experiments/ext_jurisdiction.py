@@ -15,12 +15,9 @@ from typing import Dict, List
 from repro.analysis.jurisdiction import GeoExperience, assess_geo_experience
 from repro.cellular import UserEquipment
 from repro.experiments import common
-from repro.experiments.registry import experiment
 from repro.worlds import paperdata as pd
 
 
-@experiment("X6", title="Extension X6 — localization and jurisdiction",
-            inputs=('world',))
 def run(seed: int = common.DEFAULT_SEED) -> Dict:
     world = common.get_world(seed)
     experiences: List[GeoExperience] = []

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.experiments import common
-from repro.experiments.registry import experiment
 from repro.geo.coords import haversine_km
 from repro.ipx.placement import DemandPoint, assignment, greedy_k_median, mean_weighted_distance_km
 from repro.worlds import paperdata as pd
@@ -50,8 +49,6 @@ def _ihbo_demands(world) -> List[DemandPoint]:
     return demands
 
 
-@experiment("X2", title="Extension X2 — dynamic PGW placement",
-            inputs=('world',))
 def run(seed: int = common.DEFAULT_SEED) -> Dict:
     world = common.get_world(seed)
     demands = _ihbo_demands(world)

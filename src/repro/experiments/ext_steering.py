@@ -19,7 +19,6 @@ from repro.cellular.steering import (
     VisitedNetworkOption,
 )
 from repro.experiments import common
-from repro.experiments.registry import experiment
 
 #: A UK-like market: the partner network plus two competitors.
 UK_NETWORKS = (
@@ -34,8 +33,6 @@ PLAY_POLICY = SteeringPolicy("Play", preferred=("EE",), compliance=0.75)
 SAMPLES = 20_000
 
 
-@experiment("X4", title="Extension X4 — steering of roaming",
-            inputs=())
 def run(seed: int = common.DEFAULT_SEED) -> Dict:
     rng = random.Random(f"{seed}:steering")
     selector = NetworkSelector()

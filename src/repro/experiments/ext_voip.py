@@ -16,15 +16,12 @@ from typing import Dict, List
 from repro.cellular import UserEquipment, issue_physical_sim
 from repro.cellular.radio import RadioAccessTechnology, RadioConditions
 from repro.experiments import common
-from repro.experiments.registry import experiment
 from repro.measure.voip import VoIPRecord, probe_voip
 from repro.worlds import paperdata as pd
 
 PROBES_PER_DEPLOYMENT = 12
 
 
-@experiment("X1", title="Extension X1 — jitter / loss / VoIP MOS",
-            inputs=('world',))
 def run(seed: int = common.DEFAULT_SEED) -> Dict:
     world = common.get_world(seed)
     resources = world.resources

@@ -8,11 +8,8 @@ from typing import Dict
 from repro.analysis.paths import path_length_series
 from repro.analysis.stats import boxplot_summary
 from repro.experiments import common
-from repro.experiments.registry import experiment
 
 
-@experiment("F10", title="Figure 10 — public path length",
-            inputs=('device_dataset',))
 def run(scale: float = common.DEFAULT_SCALE, seed: int = common.DEFAULT_SEED) -> Dict:
     dataset = common.get_device_dataset(scale, seed)
     result: Dict = {}

@@ -8,11 +8,8 @@ from typing import Dict, Tuple
 from repro.analysis.stats import boxplot_summary, welch_ttest, levene_test
 from repro.cellular import SIMKind
 from repro.experiments import common
-from repro.experiments.registry import experiment
 
 
-@experiment("F11", title="Figure 11 — RTT to Facebook/Google/Ookla",
-            inputs=('device_dataset',))
 def run(scale: float = common.DEFAULT_SCALE, seed: int = common.DEFAULT_SEED) -> Dict:
     dataset = common.get_device_dataset(scale, seed)
 

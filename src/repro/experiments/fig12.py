@@ -12,7 +12,6 @@ from repro.analysis.paths import private_share_values
 from repro.analysis.stats import empirical_cdf, percent_above
 from repro.cellular import SIMKind
 from repro.experiments import common
-from repro.experiments.registry import experiment
 
 NATIVE_COUNTRIES = ("KOR", "THA")
 HR_COUNTRIES = ("PAK", "ARE")
@@ -28,8 +27,6 @@ def _records(dataset, countries):
     ]
 
 
-@experiment("F12", title="Figure 12 — private share of latency",
-            inputs=('device_dataset',))
 def run(scale: float = common.DEFAULT_SCALE, seed: int = common.DEFAULT_SEED) -> Dict:
     dataset = common.get_device_dataset(scale, seed)
     panels = {}

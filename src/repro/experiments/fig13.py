@@ -13,13 +13,10 @@ from repro.analysis.metrics import speed_categories
 from repro.analysis.stats import boxplot_summary, welch_ttest
 from repro.cellular import SIMKind
 from repro.experiments import common
-from repro.experiments.registry import experiment
 
 ROAMING_DEVICE_COUNTRIES = ("GEO", "DEU", "PAK", "QAT", "SAU", "ESP", "ARE", "GBR")
 
 
-@experiment("F13", title="Figure 13 — download/upload speeds",
-            inputs=('device_dataset', 'web_dataset'))
 def run(scale: float = common.DEFAULT_SCALE, seed: int = common.DEFAULT_SEED) -> Dict:
     device = common.get_device_dataset(scale, seed)
     web = common.get_web_dataset(seed)

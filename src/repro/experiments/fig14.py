@@ -9,12 +9,9 @@ from typing import Dict, List, Tuple
 from repro.analysis.stats import boxplot_summary
 from repro.cellular.roaming import RoamingArchitecture
 from repro.experiments import common
-from repro.experiments.registry import experiment
 from repro.worlds import paperdata as pd
 
 
-@experiment("F14", title="Figure 14 — Cloudflare download + DNS lookup times",
-            inputs=('device_dataset',))
 def run(scale: float = common.DEFAULT_SCALE, seed: int = common.DEFAULT_SEED) -> Dict:
     dataset = common.get_device_dataset(scale, seed)
 

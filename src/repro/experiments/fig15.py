@@ -5,11 +5,8 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.experiments import common
-from repro.experiments.registry import experiment
 
 
-@experiment("F15", title="Figure 15 — YouTube playback resolution",
-            inputs=('device_dataset',))
 def run(scale: float = common.DEFAULT_SCALE, seed: int = common.DEFAULT_SEED) -> Dict:
     dataset = common.get_device_dataset(scale, seed)
     distributions: Dict[Tuple[str, str], Dict[str, float]] = {}

@@ -6,11 +6,8 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.experiments import common
-from repro.experiments.registry import experiment
 
 
-@experiment("F16", title="Figure 16 — $/GB over time per continent",
-            inputs=('market',))
 def run() -> Dict:
     _, crawl = common.get_market()
     return {

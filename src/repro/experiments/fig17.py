@@ -8,14 +8,11 @@ from typing import Dict
 
 from repro.analysis.stats import empirical_cdf
 from repro.experiments import common
-from repro.experiments.registry import experiment
 from repro.market import DEFAULT_LOCAL_OFFERS, LocalSIMSurvey
 
 PROVIDERS = ("Airhub", "MobiMatter", "Airalo", "Keepgo")
 
 
-@experiment("F17", title="Figure 17 — provider $/GB CDFs + local SIM",
-            inputs=('market',))
 def run() -> Dict:
     listing = common.get_listing(common.SNAPSHOT_DAY)
     medians = listing.provider_country_medians(common.SNAPSHOT_DAY)

@@ -10,12 +10,9 @@ import statistics
 from typing import Dict
 
 from repro.experiments import common
-from repro.experiments.registry import experiment
 from repro.market import decile_bounds
 
 
-@experiment("F18", title="Figure 18 — median $/GB per country",
-            inputs=('market',))
 def run() -> Dict:
     countries = common.get_countries()
     listing = common.get_listing(common.SNAPSHOT_DAY)

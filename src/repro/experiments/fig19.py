@@ -9,13 +9,10 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.experiments import common
-from repro.experiments.registry import experiment
 from repro.market import AIRALO
 from repro.worlds import paperdata as pd
 
 
-@experiment("F19", title="Figure 19 — plan size vs price per b-MNO",
-            inputs=('market',))
 def run() -> Dict:
     curves = common.get_listing(common.SNAPSHOT_DAY).size_price_curves(
         common.SNAPSHOT_DAY, AIRALO

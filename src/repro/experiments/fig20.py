@@ -7,13 +7,10 @@ from typing import Dict
 
 from repro.analysis.stats import boxplot_summary
 from repro.experiments import common
-from repro.experiments.registry import experiment
 
 PROVIDERS = ("Google CDN", "Microsoft Ajax", "jQuery", "jsDelivr")
 
 
-@experiment("F20", title="Figure 20 — remaining CDN download times",
-            inputs=('device_dataset',))
 def run(scale: float = common.DEFAULT_SCALE, seed: int = common.DEFAULT_SEED) -> Dict:
     dataset = common.get_device_dataset(scale, seed)
     result: Dict = {}

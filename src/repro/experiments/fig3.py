@@ -12,14 +12,11 @@ from typing import Dict, List
 
 from repro.cellular import UserEquipment
 from repro.experiments import common
-from repro.experiments.registry import experiment
 from repro.worlds import paperdata as pd
 
 ATTACHES = 10
 
 
-@experiment("F3", title="Figure 3 — SGW-to-PGW mapping, 21 roaming eSIMs",
-            inputs=('world',))
 def run(seed: int = common.DEFAULT_SEED) -> Dict:
     world = common.get_world(seed)
     lines: List[Dict] = []

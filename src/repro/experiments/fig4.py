@@ -13,15 +13,12 @@ from typing import Dict, List
 
 from repro.cellular import UserEquipment
 from repro.experiments import common
-from repro.experiments.registry import experiment
 from repro.geo.coords import haversine_km
 from repro.worlds import paperdata as pd
 
 ATTACHES = 16
 
 
-@experiment("F4", title="Figure 4 — Packet Host (AS54825) assignments",
-            inputs=('world',))
 def run(seed: int = common.DEFAULT_SEED) -> Dict:
     world = common.get_world(seed)
     entries: List[Dict] = []

@@ -21,14 +21,11 @@ from repro.cellular import (
 )
 from repro.cellular.signalling import AIRALO_PROFILE, NATIVE_PROFILE, ROAMER_PROFILE
 from repro.experiments import common
-from repro.experiments.registry import experiment
 
 PLAY_PLMN = PLMN("260", "06")
 OBSERVATION_DAYS = 30  # April 2024
 
 
-@experiment("F5", title="Figure 5 — v-MNO telemetry: Airalo vs Play roamers vs native",
-            inputs=('world',))
 def run(seed: int = common.DEFAULT_SEED) -> Dict:
     world = common.get_world(seed)
     rng = random.Random(f"{seed}:fig5")

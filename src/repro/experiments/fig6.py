@@ -6,11 +6,8 @@ from typing import Dict
 
 from repro.analysis.paths import unique_asn_medians
 from repro.experiments import common
-from repro.experiments.registry import experiment
 
 
-@experiment("F6", title="Figure 6 — unique ASNs in traceroutes",
-            inputs=('device_dataset',))
 def run(scale: float = common.DEFAULT_SCALE, seed: int = common.DEFAULT_SEED) -> Dict:
     dataset = common.get_device_dataset(scale, seed)
     result: Dict = {}

@@ -7,11 +7,8 @@ from typing import Dict
 from repro.analysis.paths import path_length_series
 from repro.analysis.stats import boxplot_summary
 from repro.experiments import common
-from repro.experiments.registry import experiment
 
 
-@experiment("F7", title="Figure 7 — private path length",
-            inputs=('device_dataset',))
 def run(scale: float = common.DEFAULT_SCALE, seed: int = common.DEFAULT_SEED) -> Dict:
     dataset = common.get_device_dataset(scale, seed)
     records = dataset.traceroutes_to("Google")

@@ -14,11 +14,8 @@ from repro.analysis.paths import pgw_rtt_values
 from repro.analysis.stats import empirical_cdf
 from repro.cellular import SIMKind
 from repro.experiments import common
-from repro.experiments.registry import experiment
 
 
-@experiment("F8", title="Figure 8 — RTT to Singtel PGWs (HR)",
-            inputs=('device_dataset',))
 def run(scale: float = common.DEFAULT_SCALE, seed: int = common.DEFAULT_SEED) -> Dict:
     dataset = common.get_device_dataset(scale, seed)
     result = {}

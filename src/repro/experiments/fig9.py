@@ -10,14 +10,11 @@ from repro.analysis.paths import pgw_rtt_values
 from repro.analysis.stats import empirical_cdf
 from repro.cellular import SIMKind
 from repro.experiments import common
-from repro.experiments.registry import experiment
 
 COUNTRIES = ("GEO", "DEU", "ESP")
 PROVIDERS = ("OVH SAS", "Packet Host")
 
 
-@experiment("F9", title="Figure 9 — PGW RTT by provider (IHBO)",
-            inputs=('device_dataset',))
 def run(scale: float = common.DEFAULT_SCALE, seed: int = common.DEFAULT_SEED) -> Dict:
     dataset = common.get_device_dataset(scale, seed)
     result: Dict = {}

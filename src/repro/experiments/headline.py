@@ -16,12 +16,9 @@ from repro.analysis.metrics import (
 from repro.cellular import SIMKind
 from repro.cellular.roaming import RoamingArchitecture
 from repro.experiments import common
-from repro.experiments.registry import experiment
 from repro.worlds import paperdata as pd
 
 
-@experiment("HX1", title="Headline numbers (latency inflation, >150 ms shares)",
-            inputs=('device_dataset',))
 def run(scale: float = common.DEFAULT_SCALE, seed: int = common.DEFAULT_SEED) -> Dict:
     dataset = common.get_device_dataset(scale, seed)
 

@@ -19,7 +19,6 @@ from repro.analysis.metrics import speed_categories
 from repro.cellular import SIMKind
 from repro.cellular.roaming import RoamingArchitecture
 from repro.experiments import common
-from repro.experiments.registry import experiment
 from repro.faults import ChaosConfig
 from repro.measure.dataset import MeasurementDataset
 
@@ -73,8 +72,6 @@ def _categories(dataset: MeasurementDataset, sim_kind: SIMKind) -> Dict[str, flo
     return speed_categories(records)
 
 
-@experiment("RX1", title="Resilience — the campaign under paper-plausible fault injection",
-            inputs=('device_dataset',))
 def run(
     scale: float = common.DEFAULT_SCALE,
     seed: int = common.DEFAULT_SEED,

@@ -15,15 +15,12 @@ from repro.cellular import UserEquipment
 from repro.cellular.radio import RadioAccessTechnology, RadioConditions
 from repro.measure.records import MeasurementContext
 from repro.experiments import common
-from repro.experiments.registry import experiment
 
 #: Attaches per country: enough to observe both PGW providers of the
 #: alternating (Play / Telna) eSIMs.
 ATTACHES_PER_COUNTRY = 12
 
 
-@experiment("T2", title="Table 2 — eSIM topology (b-MNO / PGW provider / architecture)",
-            inputs=('world',))
 def run(seed: int = common.DEFAULT_SEED) -> Dict:
     world = common.get_world(seed)
     conditions = RadioConditions(RadioAccessTechnology.NR, 11, -85.0, 14.0)

@@ -10,12 +10,9 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.experiments import common
-from repro.experiments.registry import experiment
 from repro.worlds import paperdata as pd
 
 
-@experiment("T3", title="Table 3 — web-based campaign overview",
-            inputs=("web_dataset",))
 def run(seed: int = common.DEFAULT_SEED) -> Dict:
     dataset = common.get_web_dataset(seed)
     rows = []

@@ -10,7 +10,6 @@ from typing import Dict, Tuple
 
 from repro.cellular import SIMKind
 from repro.experiments import common
-from repro.experiments.registry import experiment
 
 _TESTS = [
     ("Ookla", "speedtest"),
@@ -52,8 +51,6 @@ def _count(dataset, country: str) -> Dict[str, Tuple[int, int]]:
     return counts
 
 
-@experiment("T4", title="Table 4 — device-based campaign overview",
-            inputs=("device_dataset",))
 def run(scale: float = common.DEFAULT_SCALE, seed: int = common.DEFAULT_SEED) -> Dict:
     dataset = common.get_device_dataset(scale, seed)
     rows = {}

@@ -11,7 +11,6 @@ import random
 from typing import Dict
 
 from repro.cellular.radio import RadioAccessTechnology, RadioConditions
-from repro.experiments.registry import experiment
 from repro.measure.traceroute import postprocess
 from repro.worlds import build_emnify_world
 from repro.worlds import paperdata as pd
@@ -22,8 +21,6 @@ TRACEROUTES_PER_SP = 73  # 3 SPs x 73 = 219 runs
 SEED = 42
 
 
-@experiment("HX2", title="Methodology validation (emnify, Section 4.3.1)",
-            inputs=())
 def run() -> Dict:
     world = build_emnify_world()
     rng = random.Random(f"{SEED}:validation")

@@ -187,6 +187,9 @@ BAD_NUMERIC_INPUT = [
     # At --jobs 1 an attempt runs in the parent: no worker to kill.
     (["run-all", "--artefact-timeout", "1", "--scale", "0.05", "--artefacts", "T3"],
      "artefact_timeout_s needs jobs >= 2"),
+    # Without the cache a resume has nothing to read or write.
+    (["run-all", "--resume", "--no-cache", "--scale", "0.05", "--artefacts", "T2"],
+     "resume needs the artifact cache, which is disabled"),
 ]
 
 
@@ -196,6 +199,7 @@ BAD_NUMERIC_INPUT = [
 def test_bad_numeric_flags_exit_2(monkeypatch, tmp_path, capsys, argv, needle):
     """A bad number is refused before any command runs: no traceback,
     ``serve`` never binds its port and ``loadgen`` never sends."""
+    from repro.core import cache as cache_mod
     from repro.server import LoadGenerator, MeasurementServer
 
     def started(*args, **kwargs):
@@ -204,6 +208,8 @@ def test_bad_numeric_flags_exit_2(monkeypatch, tmp_path, capsys, argv, needle):
     monkeypatch.setattr(MeasurementServer, "server_bind", started)
     monkeypatch.setattr(LoadGenerator, "wait_ready", started)
     monkeypatch.setattr(LoadGenerator, "run", started)
+    # run-all --no-cache replaces the process-default cache.
+    monkeypatch.setattr(cache_mod, "_default_cache", cache_mod.get_default_cache())
     monkeypatch.setenv("REPRO_HISTORY_DIR", str(tmp_path / "history"))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "file").write_text("")
@@ -1000,7 +1006,7 @@ SIMULATOR_PACKAGES = (
 #: load no simulator module and no experiment beyond ``common`` and
 #: ``registry``. ``{trace}`` is a small trace.
 NON_NUMERIC_COMMANDS = [
-    (["list"], 0, "F11", False),
+    (["list"], 0, "F11", True),
     (["--help"], 0, "usage: repro", True),
     (["history", "list"], 2, "", True),
     (["regress"], 2, "", True),
@@ -1047,6 +1053,23 @@ def test_non_numeric_commands_load_no_numeric_library(
         assert stdout in probe.stdout
     else:
         assert probe.stdout == ""
+
+
+def test_run_loads_only_the_experiment_it_runs(monkeypatch, tmp_path):
+    """The artefact table names each experiment's module, so ``repro
+    run T2`` imports ``table2`` and no other experiment."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    report = tmp_path / "probe.json"
+    probe = _python(
+        _IMPORT_PROBE, str(report), "run", "T2", capture_output=True, text=True,
+    )
+    assert probe.returncode == 0, probe.stderr
+    exit_code, _numeric, modules = json.loads(report.read_text())
+    assert exit_code == 0 and "countries per architecture" in probe.stdout
+    assert [m for m in modules if m.startswith("repro.experiments.")] == [
+        "repro.experiments.common", "repro.experiments.registry",
+        "repro.experiments.table2",
+    ]
 
 
 @pytest.mark.parametrize("warm", [

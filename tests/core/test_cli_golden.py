@@ -1,10 +1,15 @@
-"""Golden regression: the market CLI and the shopping example are byte-stable.
+"""Golden regression: the market CLI, the shopping example and ``repro list``
+are byte-stable.
 
 ``golden/market_cli.json`` holds the stdout, stderr and exit code of
 ``repro market``, ``repro trip`` and ``examples/esim_shopping.py`` over
 the tables below, captured before these commands moved from
 ``ESIMOffer`` objects to the columnar listing. Any change to a listed
 plan, a price, a rounding or the order of rows fails here.
+
+``golden/list.txt`` is ``repro list``'s stdout, captured while each
+experiment module still registered itself with a decorator, before the
+artefact table in ``repro.experiments.registry`` replaced it.
 
 Regenerate (only for an intended output change) with::
 
@@ -23,6 +28,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "market_cli.json"
+LIST_GOLDEN = GOLDEN.with_name("list.txt")
 
 #: ``repro market``: the overview on four crawl days, then country x GB
 #: queries, including an unknown country and a size no plan reaches.
@@ -92,6 +98,11 @@ def test_cli_matches_golden(golden, argv):
 @pytest.mark.parametrize("args", SHOPPING, ids=_key)
 def test_shopping_example_matches_golden(golden, args):
     assert run_example(args) == golden["esim_shopping"][_key(args)]
+
+
+def test_list_matches_golden():
+    expected = LIST_GOLDEN.read_text(encoding="utf-8")
+    assert run_cli(["list"]) == {"exit": 0, "stdout": expected, "stderr": ""}
 
 
 if __name__ == "__main__":

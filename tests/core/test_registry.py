@@ -1,13 +1,14 @@
-"""Self-consistency tests for the declarative experiment registry.
+"""Self-consistency tests for the artefact table.
 
-The registry's whole point is that nothing about dispatch is
-hand-maintained: every experiment module registers itself, and the
-driver-facing flags (``supports_scale``, ``uses_seed``) are derived
-from the ``run`` signature. These tests pin that invariant so a module
-can neither be forgotten nor drift from its own signature, and pin the
-run contract: the driver passes ``(seed, scale)`` and nothing else.
+``repro.experiments.registry.ARTEFACTS`` is the one place an artefact
+is declared: its module, inputs and title. These tests pin the table to
+the modules on disk, so a module can be neither forgotten nor listed
+twice, and pin each row to its module's ``run`` signature: the driver
+passes ``scale`` exactly to the artefacts that read the device campaign,
+``seed`` to those whose ``run`` takes it, and nothing else.
 """
 
+import importlib
 import inspect
 import pkgutil
 
@@ -15,29 +16,30 @@ import pytest
 
 import repro.experiments as experiments_pkg
 from repro.experiments import registry
-from repro.experiments.registry import INPUT_KINDS, SUPPORT_MODULES, experiment
+from repro.experiments.registry import INPUT_KINDS
+
+#: Modules under ``repro.experiments`` that are infrastructure, not experiments.
+SUPPORT_MODULES = {"common", "export", "registry"}
 
 
-def _experiment_module_names():
-    return sorted(
+def test_every_experiment_module_is_registered():
+    """The modules on disk and the table's modules match one to one."""
+    on_disk = sorted(
         info.name
         for info in pkgutil.iter_modules(experiments_pkg.__path__)
         if not info.name.startswith("_") and info.name not in SUPPORT_MODULES
     )
-
-
-def test_every_experiment_module_is_registered():
-    registered = sorted(
-        spec.module.rsplit(".", 1)[-1] for spec in registry.all_specs().values()
-    )
-    assert registered == _experiment_module_names()
+    in_table = sorted(module for module, _inputs, _title in registry.ARTEFACTS.values())
+    assert in_table == on_disk
 
 
 @pytest.mark.parametrize("artefact", registry.artefact_ids())
 def test_spec_matches_run_signature(artefact):
     spec = registry.get_spec(artefact)
     parameters = inspect.signature(spec.run).parameters
-    assert spec.supports_scale == ("scale" in parameters)
+    assert spec.supports_scale == ("scale" in parameters) == (
+        "device_dataset" in spec.inputs
+    )
     assert spec.uses_seed == ("seed" in parameters)
 
 
@@ -58,14 +60,16 @@ def test_every_other_run_parameter_is_one_of_two_with_a_default():
 @pytest.mark.parametrize("artefact", registry.artefact_ids())
 def test_spec_shape(artefact):
     spec = registry.get_spec(artefact)
+    _module, inputs, _title = registry.ARTEFACTS[artefact]
+    assert set(inputs) <= set(INPUT_KINDS)
+    assert spec.inputs == frozenset(inputs)
     assert spec.artefact_id == artefact == artefact.upper()
     assert spec.title
-    assert spec.inputs <= set(INPUT_KINDS)
     assert spec.kind in {"table", "figure", "headline", "resilience", "extension"}
     assert spec.module.startswith("repro.experiments.")
-    assert callable(spec.run)
-    # Every experiment module also formats its own result.
-    assert spec.render.__self__ is spec
+    # Every experiment module runs and formats its own result.
+    module = importlib.import_module(spec.module)
+    assert callable(module.run) and callable(module.format_result)
 
 
 def test_describe_inputs_is_ordered_and_compact():
@@ -92,25 +96,3 @@ def test_get_spec_is_case_insensitive_and_loud_on_unknown():
 def test_spec_records_its_module():
     assert registry.get_spec("T4").module == "repro.experiments.table4"
     assert registry.get_spec("RX1").module == "repro.experiments.rx1"
-
-
-def test_decorator_rejects_unknown_inputs():
-    with pytest.raises(ValueError, match="unknown inputs"):
-        @experiment("ZZ9", title="bogus", inputs=("campaign",))
-        def run():  # pragma: no cover - never registered
-            return {}
-
-
-def test_decorator_rejects_duplicate_id_from_other_module():
-    with pytest.raises(ValueError, match="duplicate experiment id"):
-        @experiment("T4", title="impostor")
-        def run():  # pragma: no cover - never registered
-            return {}
-
-
-def test_decorator_attaches_spec_to_function():
-    from repro.experiments import table4
-
-    spec = table4.run.__experiment_spec__
-    assert spec is registry.get_spec("T4")
-    assert spec.run_name == "run"

@@ -2,12 +2,16 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.core import StudyRunner, ThickMnaStudy
 from repro.core import cache as cache_mod
+from repro.core.runner import ArtefactRun, RunReport
 
 #: Small, fast, representative mix: a topology table (world only), a
 #: device-campaign figure, the headline numbers and a market figure.
@@ -98,6 +102,83 @@ def test_serial_ledger_records_the_peak_rss_after_each_artefact(isolated_cache):
     )
     assert [run.worker for run in resumed.runs] == ["cache"] * len(SUBSET)
     assert [run.peak_rss_mb for run in resumed.runs] == [0.0] * len(SUBSET)
+
+
+def test_summary_counts_only_the_workers_that_ran(isolated_cache):
+    """Rows served by --resume, interrupted rows and lost workers ran in
+    no process this run can name."""
+    StudyRunner(seed=2024, jobs=1).run_all(scale=SCALE, artefacts=["T2"], resume=True)
+    partly = StudyRunner(seed=2024, jobs=1).run_all(
+        scale=SCALE, artefacts=["T2", "X4"], resume=True
+    )
+    assert [run.worker == "cache" for run in partly.runs] == [True, False]
+    assert "jobs=1, 1 worker(s)" in partly.summary_table()
+    resumed = StudyRunner(seed=2024, jobs=1).run_all(
+        scale=SCALE, artefacts=["T2", "X4"], resume=True
+    )
+    assert "jobs=1, 0 worker(s)" in resumed.summary_table()
+
+    mixed = RunReport(seed=2024, scale=SCALE, jobs=2, runs=[
+        ArtefactRun("T2", "ok", 0.1, "pid-11"),
+        ArtefactRun("T3", "ok", 0.1, "pid-12"),
+        ArtefactRun("T4", "ok", 0.1, "pid-11"),
+        ArtefactRun("F7", "quarantined", 0.0, "pid-lost", attempts=3),
+        ArtefactRun("X4", "interrupted", 0.0, "-", attempts=0),
+        ArtefactRun("F16", "ok", 0.0, "cache", attempts=0),
+    ])
+    assert "jobs=2, 2 worker(s)" in mixed.summary_table()
+
+
+def test_resume_refuses_a_cache_disabled_by_the_environment(
+    isolated_cache, monkeypatch, tmp_path
+):
+    """With the cache off, a resume could read and store nothing: it is
+    refused before any work instead of silently recomputing."""
+    monkeypatch.setenv(cache_mod.ENV_CACHE_DISABLE, "1")
+    cache_mod.configure(root=tmp_path / "off")
+    with pytest.raises(ValueError, match="resume needs the artifact cache"):
+        StudyRunner(seed=2024, jobs=1).run_all(
+            scale=SCALE, artefacts=["T2"], resume=True
+        )
+    report = StudyRunner(seed=2024, jobs=1).run_all(scale=SCALE, artefacts=["X4"])
+    assert not report.failed()
+
+
+def test_each_experiment_loads_before_its_clock_starts(tmp_path):
+    """At jobs=1 the runner imports every requested experiment before
+    the run's clock and the warm-up's ``gc.freeze()``: no import is
+    charged to an artefact's wall time."""
+    probe = (
+        "import sys\n"
+        "from repro.core import cache\n"
+        "from repro.core.runner import StudyRunner\n"
+        "from repro.core.study import ThickMnaStudy\n"
+        "from repro.experiments import registry\n"
+        "cache.configure(root=sys.argv[1])\n"
+        "artefacts = ['X4', 'T2', 'HX2']\n"
+        "modules = {a: registry.get_spec(a).module for a in artefacts}\n"
+        "print(sorted(a for a in artefacts if modules[a] in sys.modules))\n"
+        "loaded = {}\n"
+        "run = ThickMnaStudy.run\n"
+        "def spy(self, artefact_id, scale=None):\n"
+        "    loaded[artefact_id] = modules[artefact_id] in sys.modules\n"
+        "    return run(self, artefact_id, scale=scale)\n"
+        "ThickMnaStudy.run = spy\n"
+        "report = StudyRunner(seed=2024, jobs=1).run_all(scale=0.05, artefacts=artefacts)\n"
+        "assert not report.failed(), report.summary_table()\n"
+        "print(sorted(loaded.items()))\n"
+    )
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "cache")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "[]", "[('HX2', True), ('T2', True), ('X4', True)]",
+    ]
 
 
 def test_report_json_export(isolated_cache, tmp_path):
